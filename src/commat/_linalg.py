@@ -80,16 +80,6 @@ def stacked_herm_coords(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.nd
     return np.vstack([herm_to_real_vec(op) for op in ops])
 
 
-def kron_choi_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Assemble sum_ij E_ij (x) blocks[i,j] into one (di*do) x (di*do) matrix."""
-    di = blocks.shape[0]
-    do = blocks.shape[2]
-    out = np.zeros((di * do, di * do), dtype=complex)
-    for i in range(di):
-        for j in range(di):
-            out[i * do:(i + 1) * do, j * do:(j + 1) * do] = blocks[i, j]
-    return out
-
-
-def choi_block(choi: np.ndarray, i: int, j: int, do: int) -> np.ndarray:
-    return choi[i * do:(i + 1) * do, j * do:(j + 1) * do]
+def born_matrix(states, effects) -> np.ndarray:
+    """Born-rule probabilities tr(states[j] effects[k]) for two stacks of operators."""
+    return np.einsum("jab,kba->jk", np.asarray(states), np.asarray(effects)).real

@@ -22,7 +22,7 @@ from .analysis import (
     span_dims,
 )
 from .errors import CommatError, ParseError, PreconditionError, UnknownFixtureError
-from .fixtures import eb_example, sic_qubit, trine_qubit
+from .fixtures import FIXTURE_BUILDERS
 from .operators import bloch_basis, completely_depolarizing_channel
 from .properties import (
     construct_indistinguishable_pair,
@@ -222,26 +222,18 @@ def cmd_fixtures(args) -> dict:
     name = args.name
     if not args.out:
         raise PreconditionError("fixtures needs --out for the scenario file")
-    if name == "sic-qubit":
-        states, povm = sic_qubit()
-        scenario = Scenario(states=states, povm=povm)
-    elif name == "d3-trine":
-        states, povm = trine_qubit()
-        scenario = Scenario(states=states, povm=povm)
-    elif name == "eb-six-state":
-        states, povm, channel, _, _, _ = eb_example()
-        scenario = Scenario(states=states, povm=povm, channel=channel)
-    else:
+    if name not in FIXTURE_BUILDERS:
         raise UnknownFixtureError(
-            f"unknown fixture {name!r}",
-            available=["sic-qubit", "d3-trine", "eb-six-state"],
+            f"unknown fixture {name!r}", available=list(FIXTURE_BUILDERS)
         )
+    states, povm, *extra = FIXTURE_BUILDERS[name]()
+    scenario = Scenario(states=states, povm=povm, channel=extra[0] if extra else None)
     doc = scenario_to_json(scenario)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     written = args.out
-    args.out = None
+    args.out = None  # the report envelope goes to stdout, not over the scenario file
     return {"fixture": name, "written": written}
 
 

@@ -2,10 +2,12 @@
 
 The operator basis is the generalized Gell-Mann family rescaled so that
 tr(sigma_a sigma_b) = d * delta_ab, with the identity at index 0.  Channels are
-stored redundantly as a Choi matrix (input-major block convention, partial
-trace over the output equals the input identity) and as the real affine matrix
-Phi[b, a] = tr(Phi(sigma_a) sigma'_b) / d_out; the two representations are
-checked against each other at construction time.
+stored both as a Choi matrix (input-major block convention, partial trace over
+the output equals the input identity) and as the real affine matrix
+Phi[b, a] = tr(Phi(sigma_a) sigma'_b) / d_out.  Both are coordinates of one
+linear map: reshaped to (d_in, d_out, d_in, d_out), the Choi matrix holds
+Phi(E_ij)[p, q] at [i, p, j, q], so each conversion is a single contraction
+with the stacked basis.
 """
 
 from dataclasses import dataclass, field
@@ -14,12 +16,10 @@ import numpy as np
 
 from ._linalg import (
     HERM_ATOL,
-    choi_block,
     freeze as _freeze,
     dag,
     frob,
     is_hermitian,
-    kron_choi_blocks,
     min_eigval,
 )
 from .errors import (
@@ -34,7 +34,6 @@ from .errors import (
 
 PSD_ATOL = 1e-10
 CPTP_ATOL = 1e-10
-REP_AGREEMENT_ATOL = 1e-9
 
 GAUGE_NOTE = (
     "Canonical vectors are determined only up to a global unitary or antiunitary "
@@ -49,22 +48,24 @@ class BlochBasis:
     """Orthogonal Hermitian operator basis with the identity at index 0."""
 
     dim: int
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
         d = self.dim
-        for el in self.elements:
-            _freeze(el)
-        if len(self.elements) != d * d:
-            raise InvalidDimensionError(f"expected {d * d} basis elements, got {len(self.elements)}")
+        elements = _freeze(np.array(self.elements, dtype=complex))
+        if elements.shape != (d * d, d, d):
+            raise InvalidDimensionError(
+                f"expected {d * d} basis elements of shape ({d}, {d}), got {elements.shape}"
+            )
+        object.__setattr__(self, "elements", elements)
 
     @property
-    def traceless(self) -> tuple:
+    def traceless(self) -> np.ndarray:
         return self.elements[1:]
 
     def coords(self, m: np.ndarray) -> np.ndarray:
-        """Full d^2 real coordinate vector tr(m sigma_a) / d of a Hermitian matrix."""
-        return np.array([np.trace(m @ s).real for s in self.elements]) / self.dim
+        """Real coordinates tr(m sigma_a) / d of a Hermitian matrix, or of a stack of them."""
+        return np.einsum("...ij,aji->...a", m, self.elements).real / self.dim
 
 
 def bloch_basis(d: int) -> BlochBasis:
@@ -76,25 +77,19 @@ def bloch_basis(d: int) -> BlochBasis:
     if d < 2:
         raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
     scale = np.sqrt(d / 2.0)
-    elements = [np.eye(d, dtype=complex)]
-    sym, antisym = [], []
-    for j in range(d):
-        for k in range(j + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[j, k] = s[k, j] = 1.0
-            sym.append(scale * s)
-            a = np.zeros((d, d), dtype=complex)
-            a[j, k] = -1j
-            a[k, j] = 1j
-            antisym.append(scale * a)
-    diag = []
-    for l in range(1, d):
-        v = np.zeros(d)
-        v[:l] = 1.0
-        v[l] = -l
-        diag.append(scale * np.sqrt(2.0 / (l * (l + 1))) * np.diag(v).astype(complex))
-    elements.extend(sym + antisym + diag)
-    return BlochBasis(dim=d, elements=tuple(elements))
+    idx = np.arange(d)
+    units = np.eye(d * d).reshape(d * d, d, d)
+    # the unit matrices E_jk with j < k, in lexicographic order
+    upper = units[(idx[:, None] < idx).ravel()]
+    lower = upper.transpose(0, 2, 1)
+    # row l - 1 of the ladder: ones before position l, then -l
+    l = idx[1:, None]
+    ladder = (idx < l) - l * (idx == l)
+    diag = (scale * np.sqrt(2.0 / (l * (l + 1))))[:, :, None] * ladder[:, :, None] * np.eye(d)
+    elements = np.concatenate(
+        [np.eye(d)[None], scale * (upper + lower), scale * (1j * lower - 1j * upper), diag]
+    )
+    return BlochBasis(dim=d, elements=elements)
 
 
 @dataclass(frozen=True)
@@ -119,10 +114,7 @@ def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
         raise DimensionMismatchError(
             f"Bloch vector must have length {d * d - 1}, got {r.shape}"
         )
-    m = np.eye(d, dtype=complex)
-    for ru, sigma in zip(r, basis.traceless):
-        m = m + ru * sigma
-    m /= d
+    m = (np.eye(d) + np.tensordot(r, basis.traceless, axes=1)) / d
     lo = min_eigval(m)
     if lo < -PSD_ATOL:
         raise NotAStateError(
@@ -138,7 +130,7 @@ def bloch_from_state(basis: BlochBasis, m: np.ndarray) -> np.ndarray:
         raise InvalidOperatorError("matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > HERM_ATOL * 10:
         raise InvalidOperatorError(f"matrix trace {np.trace(m):.6g} is not 1")
-    return np.array([np.trace(m @ s).real for s in basis.traceless])
+    return basis.dim * basis.coords(m)[1:]
 
 
 def state_from_matrix(basis: BlochBasis, m: np.ndarray) -> DensityOperator:
@@ -221,51 +213,54 @@ class QuantumChannel:
         return self.choi_min_eigval >= -tol and self.tp_deviation <= tol
 
 
+def _choi4(choi: np.ndarray, di: int, do: int) -> np.ndarray:
+    """Choi matrix as the tensor [i, p, j, q] = Phi(E_ij)[p, q]."""
+    return choi.reshape(di, do, di, do)
+
+
 def _choi_to_bloch(choi: np.ndarray, basis_in: BlochBasis, basis_out: BlochBasis) -> np.ndarray:
     di, do = basis_in.dim, basis_out.dim
-    bloch = np.empty((do * do, di * di))
-    for a, sa in enumerate(basis_in.elements):
-        out = _apply_choi(choi, sa, di, do)
-        for b, sb in enumerate(basis_out.elements):
-            bloch[b, a] = np.trace(out @ sb).real / do
-    return bloch
+    return np.einsum(
+        "aij,ipjq,bqp->ba", basis_in.elements, _choi4(choi, di, do), basis_out.elements,
+        optimize=True,
+    ).real / do
 
 
 def _bloch_to_choi(bloch: np.ndarray, basis_in: BlochBasis, basis_out: BlochBasis) -> np.ndarray:
     di, do = basis_in.dim, basis_out.dim
-    blocks = np.empty((di, di, do, do), dtype=complex)
-    for i in range(di):
-        for j in range(di):
-            eij = np.zeros((di, di), dtype=complex)
-            eij[i, j] = 1.0
-            blocks[i, j] = _apply_bloch(bloch, eij, basis_in, basis_out)
-    return kron_choi_blocks(blocks)
+    choi4 = np.einsum(
+        "ba,aji,bpq->ipjq", bloch, basis_in.elements, basis_out.elements, optimize=True
+    ) / di
+    return choi4.reshape(di * do, di * do)
 
 
-def _apply_choi(choi: np.ndarray, x: np.ndarray, di: int, do: int) -> np.ndarray:
-    out = np.zeros((do, do), dtype=complex)
-    for i in range(di):
-        for j in range(di):
-            out += x[i, j] * choi_block(choi, i, j, do)
-    return out
-
-
-def _apply_bloch(bloch: np.ndarray, x: np.ndarray, basis_in: BlochBasis, basis_out: BlochBasis) -> np.ndarray:
-    di, do = basis_in.dim, basis_out.dim
-    gamma = np.array([np.trace(x @ s) for s in basis_in.elements]) / di
-    coeffs = bloch @ gamma
-    out = np.zeros((do, do), dtype=complex)
-    for c, sb in zip(coeffs, basis_out.elements):
-        out += c * sb
-    return out
-
-
-def _partial_trace_out(choi: np.ndarray, di: int, do: int) -> np.ndarray:
-    tr = np.empty((di, di), dtype=complex)
-    for i in range(di):
-        for j in range(di):
-            tr[i, j] = np.trace(choi_block(choi, i, j, do))
-    return tr
+def _channel(
+    choi: np.ndarray,
+    bloch: np.ndarray,
+    basis_in: BlochBasis,
+    basis_out: BlochBasis,
+    require_cptp: bool,
+    mp_realization: tuple | None = None,
+) -> QuantumChannel:
+    """Record CPTP diagnostics of a map given in both coordinates."""
+    di = basis_in.dim
+    lo = min_eigval(0.5 * (choi + dag(choi)))
+    tp = frob(np.einsum("ipjp->ij", _choi4(choi, di, basis_out.dim)) - np.eye(di))
+    if require_cptp and (lo < -CPTP_ATOL or tp > CPTP_ATOL):
+        raise InvalidChannelError(
+            f"map is not CPTP (min Choi eigenvalue {lo:.3e}, trace deviation {tp:.3e})"
+        )
+    return QuantumChannel(
+        dim_in=di,
+        dim_out=basis_out.dim,
+        choi=choi,
+        bloch_matrix=bloch,
+        basis_in=basis_in,
+        basis_out=basis_out,
+        choi_min_eigval=lo,
+        tp_deviation=tp,
+        mp_realization=mp_realization,
+    )
 
 
 def channel_from_choi(
@@ -282,24 +277,8 @@ def channel_from_choi(
         raise DimensionMismatchError(
             f"Choi matrix has shape {choi.shape}, expected {(di * do, di * do)}"
         )
-    lo = min_eigval(0.5 * (choi + dag(choi)))
-    tp = frob(_partial_trace_out(choi, di, do) - np.eye(di))
-    if require_cptp and (lo < -CPTP_ATOL or tp > CPTP_ATOL):
-        raise InvalidChannelError(
-            f"map is not CPTP (min Choi eigenvalue {lo:.3e}, trace deviation {tp:.3e})"
-        )
     bloch = _choi_to_bloch(choi, basis_in, basis_out)
-    return QuantumChannel(
-        dim_in=di,
-        dim_out=do,
-        choi=choi,
-        bloch_matrix=bloch,
-        basis_in=basis_in,
-        basis_out=basis_out,
-        choi_min_eigval=lo,
-        tp_deviation=tp,
-        mp_realization=mp_realization,
-    )
+    return _channel(choi, bloch, basis_in, basis_out, require_cptp, mp_realization)
 
 
 def channel_from_bloch(
@@ -308,21 +287,15 @@ def channel_from_bloch(
     basis_out: BlochBasis,
     require_cptp: bool = True,
 ) -> QuantumChannel:
-    """Build a channel from its Bloch affine matrix via the Choi conversion."""
+    """Build a channel from its Bloch affine matrix, recording CPTP diagnostics."""
     di, do = basis_in.dim, basis_out.dim
-    bloch = np.asarray(bloch, dtype=float)
+    bloch = np.array(bloch, dtype=float)
     if bloch.shape != (do * do, di * di):
         raise DimensionMismatchError(
             f"Bloch matrix has shape {bloch.shape}, expected {(do * do, di * di)}"
         )
     choi = _bloch_to_choi(bloch, basis_in, basis_out)
-    ch = channel_from_choi(choi, basis_in, basis_out, require_cptp=require_cptp)
-    if np.abs(ch.bloch_matrix - bloch).max() > REP_AGREEMENT_ATOL:
-        raise InvalidChannelError(
-            "Choi and Bloch representations disagree beyond tolerance; the input "
-            "matrix does not describe a Hermiticity-preserving map"
-        )
-    return ch
+    return _channel(choi, bloch, basis_in, basis_out, require_cptp)
 
 
 def channel_from_kraus(kraus, basis_in: BlochBasis, basis_out: BlochBasis) -> QuantumChannel:
@@ -334,15 +307,13 @@ def channel_from_kraus(kraus, basis_in: BlochBasis, basis_out: BlochBasis) -> Qu
             raise DimensionMismatchError(
                 f"Kraus operator has shape {k.shape}, expected ({do}, {di})"
             )
-    total = sum(dag(k) @ k for k in kraus)
+    kraus = np.array(kraus).reshape(-1, do, di)
+    total = np.einsum("kpi,kpj->ij", kraus.conj(), kraus)
     if frob(total - np.eye(di)) > CPTP_ATOL:
         raise InvalidChannelError(
             f"Kraus operators violate trace preservation by {frob(total - np.eye(di)):.3e}"
         )
-    choi = np.zeros((di * do, di * do), dtype=complex)
-    for k in kraus:
-        v = k.flatten(order="F")
-        choi += np.outer(v, v.conj())
+    choi = np.einsum("kpi,kqj->ipjq", kraus, kraus.conj()).reshape(di * do, di * do)
     return channel_from_choi(choi, basis_in, basis_out)
 
 
@@ -355,9 +326,9 @@ def measure_and_prepare_channel(n: Povm, states) -> QuantumChannel:
         )
     di = n.dim
     do = states[0].dim
-    choi = np.zeros((di * do, di * do), dtype=complex)
-    for eff, xi in zip(n.effects, states):
-        choi += np.kron(eff.T, xi.matrix)
+    choi = np.einsum(
+        "kji,kpq->ipjq", np.array(n.effects), np.array([xi.matrix for xi in states])
+    ).reshape(di * do, di * do)
     basis_in = bloch_basis(di)
     basis_out = states[0].basis
     return channel_from_choi(
@@ -365,18 +336,14 @@ def measure_and_prepare_channel(n: Povm, states) -> QuantumChannel:
     )
 
 
-def apply_channel(ch: QuantumChannel, x: np.ndarray, method: str = "choi") -> np.ndarray:
-    """Apply the channel to a matrix via the Choi (default) or Bloch representation."""
+def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
+    """Apply the channel to a matrix: sum_ij x[i, j] Phi(E_ij)."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (ch.dim_in, ch.dim_in):
         raise DimensionMismatchError(
             f"input has shape {x.shape}, channel expects ({ch.dim_in}, {ch.dim_in})"
         )
-    if method == "choi":
-        return _apply_choi(ch.choi, x, ch.dim_in, ch.dim_out)
-    if method == "bloch":
-        return _apply_bloch(ch.bloch_matrix, x, ch.basis_in, ch.basis_out)
-    raise ValueError(f"unknown method {method!r}")
+    return np.einsum("ij,ipjq->pq", x, _choi4(ch.choi, ch.dim_in, ch.dim_out))
 
 
 def is_unital_map(ch: QuantumChannel, tol: float = CPTP_ATOL) -> bool:

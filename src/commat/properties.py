@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import minimize, nnls
 
 from ._linalg import (
+    born_matrix,
     frob,
     herm_to_real_vec,
     null_space_of,
@@ -374,8 +375,8 @@ def _mp_objective(x, rho_arr, eff_arr, target, l, d, mu=1.0):
     measurement valid at the optimum); states are trace-normalized inline.
     """
     h, g, effects_p, states, traces = _unpack_mp_params(x, l, d)
-    a = np.einsum("jab,iba->ji", rho_arr, effects_p).real
-    b = np.einsum("iab,kba->ik", states, eff_arr).real
+    a = born_matrix(rho_arr, effects_p)
+    b = born_matrix(states, eff_arr)
     r = target - a @ b
     defect = effects_p.sum(axis=0) - np.eye(d)
     f = float((r * r).sum()) + mu * float(np.abs(defect * defect.conj()).sum())
@@ -442,6 +443,7 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed):
             best_x, best_f = res.x, res.fun
         if best_f < (EB_RESIDUAL_TOL * 0.1) ** 2:
             break
+    ran = trial + 1
     _, _, effects_p, xi, _ = _unpack_mp_params(best_x, l, d)
     total = effects_p.sum(axis=0)
     if np.linalg.eigvalsh(total)[0] > 1e-8:
@@ -453,17 +455,15 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed):
     basis = rho_states[0].basis
     n_povm = validate_povm(list(effects_n))
     xi_states = [state_from_matrix(basis, m) for m in xi]
-    a = np.einsum("jab,iba->ji", rho_arr, effects_n).real
-    b = np.einsum("iab,kba->ik", np.stack(xi), eff_arr).real
+    a, b = _realization_factors(rho_states, povm, n_povm, xi_states)
     residual = frob(target - a @ b)
-    return n_povm, xi_states, a, b, residual
+    return n_povm, xi_states, a, b, residual, ran
 
 
 def _realization_factors(rho_states, povm, n_povm, xi_states):
-    rho_arr = np.stack([s.matrix for s in rho_states])
-    eff_arr = np.stack(povm.effects)
-    a = np.einsum("jab,iba->ji", rho_arr, np.stack(n_povm.effects)).real
-    b = np.einsum("iab,kba->ik", np.stack([s.matrix for s in xi_states]), eff_arr).real
+    """Factors A[j, i] = tr(rho_j N_i) and B[i, k] = tr(xi_i M_k) of a realization."""
+    a = born_matrix([s.matrix for s in rho_states], n_povm.effects)
+    b = born_matrix([s.matrix for s in xi_states], povm.effects)
     return a, b
 
 
@@ -526,10 +526,10 @@ def eb_certificate(
         attempts = []
         used_restarts = 0
         for l in range(max(1, rank_cp), l_max + 1):
-            n_povm, xi_states, a, b, residual = _fit_measure_prepare(
+            n_povm, xi_states, a, b, residual, ran = _fit_measure_prepare(
                 cprime, rho_states, povm, l, restarts, seed + l
             )
-            used_restarts += restarts
+            used_restarts += ran
             attempts.append((l, n_povm, xi_states, a, b, residual))
             if residual <= residual_tol:
                 break

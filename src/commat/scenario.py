@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import freeze as _freeze, frob
+from ._linalg import born_matrix, freeze as _freeze, frob
 from .errors import CommMatrixError, DimensionMismatchError, InvalidChannelError
 from .operators import (
     Povm,
@@ -70,6 +70,9 @@ class CommMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise CommMatrixError(f"expected a nonempty 2d matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            j, k = np.argwhere(~np.isfinite(m))[0]
+            raise CommMatrixError(f"entry ({j}, {k}) is {m[j, k]}, not a finite number")
         lo = m.min()
         if lo < -ENTRY_CLAMP:
             raise CommMatrixError(f"entry {lo:.3e} is negative beyond tolerance")
@@ -91,12 +94,6 @@ class CommMatrix:
         return self.entries.shape
 
 
-def _born_matrix(mats, effects) -> np.ndarray:
-    return np.array(
-        [[np.trace(m @ e).real for e in effects] for m in mats]
-    )
-
-
 def comm_matrix(states, povm: Povm, provenance: Scenario | None = None) -> CommMatrix:
     """C[j, k] = tr(rho_j M_k)."""
     states = tuple(states)
@@ -107,7 +104,7 @@ def comm_matrix(states, povm: Povm, provenance: Scenario | None = None) -> CommM
         )
     if provenance is None:
         provenance = Scenario(states=states, povm=povm)
-    entries = _born_matrix([s.matrix for s in states], povm.effects)
+    entries = born_matrix([s.matrix for s in states], povm.effects)
     return CommMatrix(entries=entries, provenance=provenance)
 
 
@@ -142,7 +139,7 @@ def comm_matrix_with_channel(scenario: Scenario) -> CommMatrix:
     if scenario.repeat > 1:
         ch = iterate_channel(ch, scenario.repeat)
     transformed = [apply_channel(ch, s.matrix) for s in scenario.states]
-    entries = _born_matrix(transformed, scenario.povm.effects)
+    entries = born_matrix(transformed, scenario.povm.effects)
     return CommMatrix(entries=entries, provenance=scenario)
 
 

@@ -63,7 +63,7 @@ class TomographyFrame:
 
 
 def _coords_matrix(ops, basis: BlochBasis) -> np.ndarray:
-    return np.column_stack([basis.coords(op) for op in ops])
+    return basis.coords(np.asarray(ops)).T
 
 
 def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
@@ -72,9 +72,9 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     Requires both sides informationally complete; the failing side is named in
     the error.
     """
-    state_mats = [s.matrix for s in states]
+    state_mats = np.array([s.matrix for s in states])
     coords_in = _coords_matrix(state_mats, basis_in)
-    coords_out = _coords_matrix(list(povm.effects), basis_out)
+    coords_out = _coords_matrix(povm.effects, basis_out)
     di, do = basis_in.dim, basis_out.dim
     rank_in = np.linalg.matrix_rank(coords_in, tol=RANK_REL_TOL * max(1.0, frob(coords_in)))
     if rank_in < di * di:
@@ -88,10 +88,11 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
         )
     alpha = np.linalg.pinv(coords_in).T
     beta = np.linalg.pinv(coords_out).T
-    for a in range(di * di):
-        synth = sum(alpha[a, j] * state_mats[j] for j in range(len(state_mats)))
-        if frob(synth - basis_in.elements[a]) > FRAME_ATOL:
-            raise CommatError(f"frame reconstruction identity fails at index {a}")
+    synth = np.tensordot(alpha, state_mats, axes=1)
+    errors = np.linalg.norm((synth - basis_in.elements).reshape(di * di, -1), axis=1)
+    bad = np.flatnonzero(errors > FRAME_ATOL)
+    if bad.size:
+        raise CommatError(f"frame reconstruction identity fails at index {bad[0]}")
     return TomographyFrame(alpha=alpha, beta=beta, basis_in=basis_in, basis_out=basis_out)
 
 
@@ -150,7 +151,7 @@ class UnitalFrame:
 def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
     """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors."""
     d = basis.dim
-    coords_out = _coords_matrix(list(povm.effects), basis)
+    coords_out = _coords_matrix(povm.effects, basis)
     rank_out = np.linalg.matrix_rank(coords_out, tol=RANK_REL_TOL * max(1.0, frob(coords_out)))
     if rank_out < d * d:
         raise FrameDeficientError(
@@ -228,6 +229,12 @@ def reconstruct_up_to_gauge(
         )
     cert = self_test(c, d, restarts=restarts, seed=seed)
     if not cert.passes:
+        if abs(cert.storability - d) <= cert.storability_tol:
+            raise NotSelfTestableError(
+                f"storability {cert.storability:.9f} reaches dimension {d}, but the best "
+                f"canonical-vector fit has Gram residual {cert.gram_residual:.3e} above "
+                f"residual_tol {cert.residual_tol:.1e}"
+            )
         raise NotSelfTestableError(
             f"storability {cert.storability:.9f} does not certify the set-up at dimension {d}"
         )

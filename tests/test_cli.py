@@ -210,6 +210,17 @@ def test_unknown_fixture_lists_available(tmp_path, capsys):
     assert "sic-qubit" in err["details"]["available"]
 
 
+def test_nonfinite_cprime_is_validation_error(sic_file, identity_cprime_file, tmp_path, capsys):
+    doc = json.loads(identity_cprime_file.read_text())
+    doc["comm_matrix"]["entries"][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()
+    code = main(["tomography", "--scenario", str(sic_file), "--cprime", str(bad)])
+    assert code == 2
+    assert "finite" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_fixture_scenario_round_trip(tmp_path):
     # the written fixture reproduces its certification values through the CLI
     eb_file = tmp_path / "eb.json"

@@ -7,6 +7,7 @@ from commat import (
     apply_channel,
     bloch_basis,
     bloch_from_state,
+    channel_from_bloch,
     channel_from_choi,
     channel_from_kraus,
     completely_depolarizing_channel,
@@ -78,6 +79,20 @@ class TestBlochBasis:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(InvalidDimensionError):
             bloch_basis(1)
+
+    def test_elements_are_one_frozen_array(self, basis3):
+        assert basis3.elements.shape == (9, 3, 3)
+        with pytest.raises(ValueError):
+            basis3.elements[1, 0, 0] = 5.0
+
+    def test_coords_of_a_stack(self, basis3, rng):
+        mats = np.stack([random_mixed_state(basis3, rng).matrix for _ in range(5)])
+        stacked = basis3.coords(mats)
+        assert stacked.shape == (5, 9)
+        for m, row in zip(mats, stacked):
+            reference = [np.trace(m @ s).real / 3 for s in basis3.elements]
+            assert np.abs(row - reference).max() < 1e-14
+            assert np.array_equal(basis3.coords(m), row)
 
 
 class TestStates:
@@ -260,9 +275,11 @@ class TestChannels:
             for _ in range(50):
                 ch = random_channel(basis, basis, rng)
                 m = random_mixed_state(basis, rng).matrix
-                via_choi = apply_channel(ch, m, method="choi")
-                via_bloch = apply_channel(ch, m, method="bloch")
-                assert np.abs(via_choi - via_bloch).max() < 1e-9
+                d = basis.dim
+                gamma = np.array([np.trace(m @ s).real for s in basis.elements]) / d
+                coeffs = ch.bloch_matrix @ gamma
+                via_bloch = sum(c * s for c, s in zip(coeffs, basis.elements))
+                assert np.abs(apply_channel(ch, m) - via_bloch).max() < 1e-9
 
     def test_unitality_checks(self, basis2, rng):
         from commat.sampling import random_unitary
@@ -285,3 +302,28 @@ class TestChannels:
         ch = identity_channel(basis2)
         with pytest.raises(ValueError):
             ch.choi[0, 0] = 5.0
+
+    @pytest.mark.parametrize("di,do", [(2, 2), (3, 3), (2, 3)])
+    def test_conversions_match_loop_reference(self, di, do, rng):
+        basis_in, basis_out = bloch_basis(di), bloch_basis(do)
+        for _ in range(5):
+            ch = random_channel(basis_in, basis_out, rng)
+            reference = np.empty((do * do, di * di))
+            for a, sa in enumerate(basis_in.elements):
+                image = sum(
+                    sa[i, j] * ch.choi[i * do:(i + 1) * do, j * do:(j + 1) * do]
+                    for i in range(di)
+                    for j in range(di)
+                )
+                for b, sb in enumerate(basis_out.elements):
+                    reference[b, a] = np.trace(image @ sb).real / do
+            assert np.abs(ch.bloch_matrix - reference).max() < 1e-12
+            back = channel_from_bloch(reference, basis_in, basis_out)
+            assert np.abs(back.choi - ch.choi).max() < 1e-12
+
+    def test_bloch_constructor_keeps_its_matrix(self, basis2, basis3, rng):
+        bloch = random_channel(basis2, basis3, rng).bloch_matrix.copy()
+        ch = channel_from_bloch(bloch, basis2, basis3)
+        assert np.array_equal(ch.bloch_matrix, bloch)
+        bloch[0, 0] = 5.0  # the caller's array stays writable and is not shared
+        assert ch.bloch_matrix[0, 0] != 5.0

@@ -342,6 +342,17 @@ class TestEbCertificate:
         assert cert.verdict == "certified-EB-implementable"
         assert cert.inner_dim == 1
 
+    def test_restarts_count_the_fits_that_ran(self, basis2):
+        from commat import amplitude_damping_channel
+
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        channel = amplitude_damping_channel(basis2, 1.0)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 2, l_max=4, restarts=8)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.restarts == 1
+
     def test_mp_fit_gradient_matches_finite_differences(self, rng):
         from scipy.optimize import approx_fprime
 

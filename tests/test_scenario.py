@@ -165,6 +165,12 @@ class TestCommMatrixValidation:
         with pytest.raises(CommMatrixError, match="row"):
             CommMatrix(entries=np.array([[0.6, 0.6], [0.5, 0.5]]))
 
+    def test_nonfinite_entry_rejected(self):
+        with pytest.raises(CommMatrixError, match="finite"):
+            CommMatrix(entries=[[np.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(CommMatrixError, match="finite"):
+            CommMatrix(entries=[[0.5, 0.5], [np.inf, 0.5]])
+
     def test_dimension_mismatch_rejected(self, basis3, rng):
         states, _ = sic_qubit()
         povm3 = random_povm(basis3, rng, 3)

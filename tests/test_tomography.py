@@ -290,3 +290,24 @@ class TestReconstructUpToGauge:
         assert np.linalg.matrix_rank(c.entries) == 4
         with pytest.raises(NotSelfTestableError):
             reconstruct_up_to_gauge(c, c, 2)
+
+    def test_failed_fit_reports_gram_residual(self, monkeypatch):
+        import dataclasses
+
+        from commat import tomography
+
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        real_self_test = tomography.self_test
+
+        def failing_fit(*args, **kwargs):
+            cert = real_self_test(*args, **kwargs)
+            return dataclasses.replace(cert, passes=False, gram_residual=3.5e-3)
+
+        monkeypatch.setattr(tomography, "self_test", failing_fit)
+        with pytest.raises(NotSelfTestableError) as info:
+            reconstruct_up_to_gauge(c, c, 2, restarts=1)
+        message = str(info.value)
+        assert "3.500e-03" in message
+        assert "residual_tol" in message
+        assert "does not certify" not in message
