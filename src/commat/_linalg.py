@@ -1,4 +1,4 @@
-"""Small shared linear-algebra helpers (Hermitian checks, real vectorization, ranks)."""
+"""Small shared linear-algebra helpers (Hermitian checks, ranks, kernels, Born matrices)."""
 
 import numpy as np
 
@@ -27,33 +27,6 @@ def min_eigval(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def herm_to_real_vec(a: np.ndarray) -> np.ndarray:
-    """Isometric real vectorization of a Hermitian matrix.
-
-    Components are the diagonal plus sqrt(2)-scaled real/imaginary parts of the
-    upper triangle, so that the Euclidean inner product equals tr(AB).
-    """
-    d = a.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([
-        np.real(np.diagonal(a)),
-        np.sqrt(2.0) * np.real(a[iu]),
-        np.sqrt(2.0) * np.imag(a[iu]),
-    ])
-
-
-def real_vec_to_herm(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_real_vec`."""
-    a = np.zeros((d, d), dtype=complex)
-    a[np.diag_indices(d)] = v[:d]
-    iu = np.triu_indices(d, k=1)
-    k = len(iu[0])
-    upper = (v[d:d + k] + 1j * v[d + k:d + 2 * k]) / np.sqrt(2.0)
-    a[iu] = upper
-    a[(iu[1], iu[0])] = upper.conj()
-    return a
-
-
 def numerical_rank_of(a: np.ndarray, rel_tol: float = 1e-9) -> int:
     """Number of singular values above rel_tol times the largest one."""
     if a.size == 0:
@@ -73,11 +46,6 @@ def null_space_of(a: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
         return np.eye(ncols)
     rank = int(np.count_nonzero(s > rel_tol * s[0]))
     return vt[rank:].T
-
-
-def stacked_herm_coords(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Rows are the real vectorizations of the given Hermitian operators."""
-    return np.vstack([herm_to_real_vec(op) for op in ops])
 
 
 def born_matrix(states, effects) -> np.ndarray:

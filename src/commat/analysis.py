@@ -10,13 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from ._linalg import numerical_rank_of, stacked_herm_coords
+from ._linalg import numerical_rank_of
 from .errors import (
     DimensionMismatchError,
     DimensionViolationError,
     InconsistentDimensionClaimError,
     InvalidDimensionError,
     PreconditionError,
+    ValidationError,
 )
 from .operators import GAUGE_NOTE, Povm
 from .scenario import CommMatrix, Scenario, comm_matrix
@@ -40,10 +41,11 @@ def span_dims(states, povm: Povm, rel_tol: float = RANK_REL_TOL) -> tuple:
     """(dim V_rho, dim V_M, dim of their intersection) as numerical ranks.
 
     The intersection dimension uses dim(U) + dim(W) - dim(U + W) on stacked
-    real vectorizations, so a single SVD tolerance governs all three numbers.
+    Bloch coordinates, so a single SVD tolerance governs all three numbers.
     """
-    rows_s = stacked_herm_coords([s.matrix for s in states])
-    rows_m = stacked_herm_coords(list(povm.effects))
+    basis = states[0].basis
+    rows_s = basis.coords(np.array([s.matrix for s in states]))
+    rows_m = basis.coords(np.array(povm.effects))
     dim_s = numerical_rank_of(rows_s, rel_tol)
     dim_m = numerical_rank_of(rows_m, rel_tol)
     dim_sum = numerical_rank_of(np.vstack([rows_s, rows_m]), rel_tol)
@@ -219,6 +221,8 @@ def self_test(
         raise DimensionMismatchError(f"self-test needs a square matrix, got {m}x{n}")
     if d < 2:
         raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
     col_max = c.entries.max(axis=0)
     if col_max.min() <= 0.0:
         k = int(col_max.argmin())

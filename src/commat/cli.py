@@ -105,7 +105,7 @@ def cmd_analyze(args) -> dict:
         return result
     result["rank"] = numerical_rank(c, args.tol_rank)
     result["storability"] = information_storability(c)
-    dim_s, dim_m, dim_int = span_dims(scenario.states, scenario.povm)
+    dim_s, dim_m, dim_int = span_dims(scenario.states, scenario.povm, args.tol_rank)
     result["span_dims"] = {"dim_v_rho": dim_s, "dim_v_m": dim_m, "dim_intersection": dim_int}
     result["completeness"] = to_jsonable(
         certify_info_completeness(c, d, (scenario.states, scenario.povm), args.tol_rank)
@@ -113,7 +113,7 @@ def cmd_analyze(args) -> dict:
     m, n = c.shape
     if m == n:
         result["self_test"] = to_jsonable(
-            self_test(c, d, restarts=args.restarts, seed=args.seed)
+            self_test(c, d, restarts=args.restarts, seed=args.seed, residual_tol=args.tol_fit)
         )
         result["robustness"] = to_jsonable(
             robustness_gap(Scenario(states=scenario.states, povm=scenario.povm))

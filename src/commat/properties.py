@@ -11,15 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from ._linalg import (
-    born_matrix,
-    frob,
-    herm_to_real_vec,
-    null_space_of,
-    numerical_rank_of,
-    real_vec_to_herm,
-    stacked_herm_coords,
-)
+from ._linalg import born_matrix, frob, null_space_of, numerical_rank_of
 from .errors import (
     AmbiguityError,
     CommatError,
@@ -28,6 +20,7 @@ from .errors import (
     NoWitnessExistsError,
     BadReferenceError,
     PreconditionError,
+    ValidationError,
 )
 from .analysis import DEFAULT_SEED, RANK_REL_TOL, numerical_rank
 from .operators import (
@@ -56,12 +49,15 @@ class IndistinguishablePair:
     case_tag: str
 
 
-def _orthocomplement_operator(ops, dim, rel_tol=RANK_REL_TOL) -> np.ndarray | None:
-    """First orthonormal basis element of the span's orthocomplement, as a matrix."""
-    null = null_space_of(stacked_herm_coords(ops), rel_tol)
+def _orthocomplement_operator(ops, basis, rel_tol=RANK_REL_TOL) -> np.ndarray | None:
+    """First orthonormal basis element of the span's orthocomplement, as a matrix.
+
+    A unit coordinate vector is an operator of Hilbert-Schmidt norm sqrt(d), hence the rescaling.
+    """
+    null = null_space_of(basis.coords(np.array(ops)), rel_tol)
     if null.shape[1] == 0:
         return None
-    return real_vec_to_herm(null[:, 0], dim)
+    return np.tensordot(null[:, 0], basis.elements, axes=1) / np.sqrt(basis.dim)
 
 
 def _first_distinct_states(states, min_dist=1e-3):
@@ -106,7 +102,7 @@ def construct_indistinguishable_pair(
     do = povm.dim
     basis_out = bloch_basis(do)
 
-    witness = _orthocomplement_operator([s.matrix for s in states], di)
+    witness = _orthocomplement_operator([s.matrix for s in states], states[0].basis)
     if witness is not None:
         alpha = np.trace(witness).real / di
         a0 = witness - alpha * np.eye(di)
@@ -134,7 +130,7 @@ def construct_indistinguishable_pair(
             phi1=phi1, phi2=phi2, witness_operator=witness, case_tag="states-incomplete"
         )
     else:
-        b1 = _orthocomplement_operator(list(povm.effects), do)
+        b1 = _orthocomplement_operator(povm.effects, basis_out)
         if b1 is None:
             raise NoWitnessExistsError(
                 "states and measurement are both informationally complete; every "
@@ -289,6 +285,8 @@ def nonnegative_factorization(
     """
     if l < 1:
         raise InvalidDimensionError(f"inner dimension must be >= 1, got {l}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
     target = c.entries
     m, n = target.shape
     rng = np.random.default_rng(seed)
@@ -398,17 +396,17 @@ def _mp_objective(x, rho_arr, eff_arr, target, l, d, mu=1.0):
     return f, grad.ravel()
 
 
-def _anls_seed_params(cprime, rho_arr, eff_arr, l, d, seed):
+def _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed):
     """Warm start from a plain nonnegative factorization pulled back to operators."""
     a0, b0, _ = nonnegative_factorization(cprime, l, restarts=4, seed=seed)
-    cs = np.vstack([herm_to_real_vec(r) for r in rho_arr])
-    cm = np.vstack([herm_to_real_vec(e) for e in eff_arr])
-    n_coords = np.linalg.pinv(cs) @ a0
-    xi_coords = np.linalg.pinv(cm) @ b0.T
+    d = basis.dim
+    # tr(A B) = d coords(A) . coords(B), hence the 1/d on the least-squares coordinates
+    n_coords = np.linalg.pinv(basis.coords(rho_arr)) @ a0 / d
+    xi_coords = np.linalg.pinv(basis.coords(eff_arr)) @ b0.T / d
     x = np.zeros((2, l, 2, d, d))
     for i in range(l):
-        n_i = _herm_sqrt(real_vec_to_herm(n_coords[:, i], d))
-        xi_i = real_vec_to_herm(xi_coords[:, i], d)
+        n_i = _herm_sqrt(np.tensordot(n_coords[:, i], basis.elements, axes=1))
+        xi_i = np.tensordot(xi_coords[:, i], basis.elements, axes=1)
         tr = np.trace(xi_i).real
         xi_i = np.eye(d) / d if tr < 1e-12 else xi_i / tr
         g_i = _herm_sqrt(xi_i)
@@ -417,18 +415,40 @@ def _anls_seed_params(cprime, rho_arr, eff_arr, l, d, seed):
     return x.ravel()
 
 
-def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed):
-    """Fit an l-outcome measurement and l states whose factors reproduce C'."""
-    d = rho_states[0].dim
+def _realize_measure_prepare(x, rho_states, povm, l, target):
+    """Normalize fitted parameters into a POVM N and states xi, with the factors they induce."""
+    basis = rho_states[0].basis
+    d = basis.dim
+    _, _, effects_p, xi, _ = _unpack_mp_params(x, l, d)
+    total = effects_p.sum(axis=0)
+    if np.linalg.eigvalsh(total)[0] > 1e-8:
+        fix = _inv_sqrt(total)
+        effects_n = np.einsum("ab,ibc,cd->iad", fix, effects_p, fix)
+    else:
+        effects_n = np.stack([np.eye(d, dtype=complex) / l] * l)
+        xi = np.stack([np.eye(d, dtype=complex) / d] * l)
+    n_povm = validate_povm(list(effects_n))
+    xi_states = [state_from_matrix(basis, m) for m in xi]
+    a, b = _realization_factors(rho_states, povm, n_povm, xi_states)
+    return n_povm, xi_states, a, b, frob(target - a @ b)
+
+
+def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
+    """Fit an l-outcome measurement and l states whose factors reproduce C'.
+
+    Restarts stop at the first one whose realized residual is within ``residual_tol``.
+    """
+    basis = rho_states[0].basis
+    d = basis.dim
     rho_arr = np.stack([s.matrix for s in rho_states])
     eff_arr = np.stack(povm.effects)
     target = cprime.entries
     rng = np.random.default_rng(seed)
     size = 4 * l * d * d
-    best_x, best_f = None, np.inf
+    best, best_f = None, np.inf
     for trial in range(restarts):
         if trial == 0:
-            x0 = _anls_seed_params(cprime, rho_arr, eff_arr, l, d, seed)
+            x0 = _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed)
         else:
             x0 = rng.standard_normal(size)
         res = minimize(
@@ -440,24 +460,11 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed):
             options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14},
         )
         if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-        if best_f < (EB_RESIDUAL_TOL * 0.1) ** 2:
-            break
-    ran = trial + 1
-    _, _, effects_p, xi, _ = _unpack_mp_params(best_x, l, d)
-    total = effects_p.sum(axis=0)
-    if np.linalg.eigvalsh(total)[0] > 1e-8:
-        fix = _inv_sqrt(total)
-        effects_n = np.einsum("ab,ibc,cd->iad", fix, effects_p, fix)
-    else:
-        effects_n = np.stack([np.eye(d, dtype=complex) / l] * l)
-        xi = np.stack([np.eye(d, dtype=complex) / d] * l)
-    basis = rho_states[0].basis
-    n_povm = validate_povm(list(effects_n))
-    xi_states = [state_from_matrix(basis, m) for m in xi]
-    a, b = _realization_factors(rho_states, povm, n_povm, xi_states)
-    residual = frob(target - a @ b)
-    return n_povm, xi_states, a, b, residual, ran
+            best_f = res.fun
+            best = _realize_measure_prepare(res.x, rho_states, povm, l, target)
+            if best[4] <= residual_tol:
+                break
+    return (*best, trial + 1)
 
 
 def _realization_factors(rho_states, povm, n_povm, xi_states):
@@ -499,6 +506,8 @@ def eb_certificate(
         raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
     if claim not in ("matrix", "channel"):
         raise ValueError(f"unknown claim level {claim!r}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
     rank_c = numerical_rank(c)
     if claim == "channel" and rank_c < d * d:
         raise AmbiguityError(
@@ -527,7 +536,7 @@ def eb_certificate(
         used_restarts = 0
         for l in range(max(1, rank_cp), l_max + 1):
             n_povm, xi_states, a, b, residual, ran = _fit_measure_prepare(
-                cprime, rho_states, povm, l, restarts, seed + l
+                cprime, rho_states, povm, l, restarts, seed + l, residual_tol
             )
             used_restarts += ran
             attempts.append((l, n_povm, xi_states, a, b, residual))
@@ -535,8 +544,9 @@ def eb_certificate(
                 break
     l, n_povm, xi_states, a, b, residual = min(attempts, key=lambda t: t[5])
     certified = residual <= residual_tol
-    dim_v_n = numerical_rank_of(stacked_herm_coords(list(n_povm.effects)))
-    dim_v_xi = numerical_rank_of(stacked_herm_coords([s.matrix for s in xi_states]))
+    xi_arr = np.array([s.matrix for s in xi_states])
+    dim_v_n = numerical_rank_of(rho_states[0].basis.coords(np.array(n_povm.effects)))
+    dim_v_xi = numerical_rank_of(xi_states[0].basis.coords(xi_arr))
     bounds = (
         min(dim_v_xi, dim_v_n) >= rank_cp,
         max(dim_v_xi, dim_v_n) <= l,

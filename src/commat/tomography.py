@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frob
+from ._linalg import frob, numerical_rank_of
 from .errors import (
     CommatError,
     DimensionMismatchError,
@@ -62,10 +62,6 @@ class TomographyFrame:
         return self.beta.shape[1]
 
 
-def _coords_matrix(ops, basis: BlochBasis) -> np.ndarray:
-    return basis.coords(np.asarray(ops)).T
-
-
 def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
     """Minimum-norm expansion coefficients via pseudoinverse of the coordinate matrices.
 
@@ -73,15 +69,15 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     the error.
     """
     state_mats = np.array([s.matrix for s in states])
-    coords_in = _coords_matrix(state_mats, basis_in)
-    coords_out = _coords_matrix(povm.effects, basis_out)
+    coords_in = basis_in.coords(state_mats).T
+    coords_out = basis_out.coords(np.array(povm.effects)).T
     di, do = basis_in.dim, basis_out.dim
-    rank_in = np.linalg.matrix_rank(coords_in, tol=RANK_REL_TOL * max(1.0, frob(coords_in)))
+    rank_in = numerical_rank_of(coords_in, RANK_REL_TOL)
     if rank_in < di * di:
         raise FrameDeficientError(
             f"states span only {rank_in} of {di * di} dimensions"
         )
-    rank_out = np.linalg.matrix_rank(coords_out, tol=RANK_REL_TOL * max(1.0, frob(coords_out)))
+    rank_out = numerical_rank_of(coords_out, RANK_REL_TOL)
     if rank_out < do * do:
         raise FrameDeficientError(
             f"effects span only {rank_out} of {do * do} dimensions"
@@ -151,15 +147,15 @@ class UnitalFrame:
 def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
     """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors."""
     d = basis.dim
-    coords_out = _coords_matrix(povm.effects, basis)
-    rank_out = np.linalg.matrix_rank(coords_out, tol=RANK_REL_TOL * max(1.0, frob(coords_out)))
+    coords_out = basis.coords(np.array(povm.effects)).T
+    rank_out = numerical_rank_of(coords_out, RANK_REL_TOL)
     if rank_out < d * d:
         raise FrameDeficientError(
             f"effects span only {rank_out} of {d * d} dimensions"
         )
     beta = np.linalg.pinv(coords_out).T
     r = np.column_stack([s.bloch for s in states])
-    rank_r = np.linalg.matrix_rank(r, tol=RANK_REL_TOL * max(1.0, frob(r)))
+    rank_r = numerical_rank_of(r, RANK_REL_TOL)
     if rank_r < d * d - 1:
         raise InsufficientStatesError(
             f"state Bloch vectors span only {rank_r} of {d * d - 1} dimensions; "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commat import bloch_basis
+from commat import bloch_basis, state_from_matrix, validate_povm
 from commat.sampling import random_mixed_state, random_povm
 
 
@@ -23,4 +23,19 @@ def rng():
 def make_random_setup(basis, rng, n_states, n_outcomes):
     states = tuple(random_mixed_state(basis, rng) for _ in range(n_states))
     povm = random_povm(basis, rng, n_outcomes)
+    return states, povm
+
+
+def make_spanning_setup(basis, rng, n_states, n_outcomes, span_states, span_effects):
+    """Random states and POVM whose operator spans have dimensions span_states and span_effects.
+
+    States are random mixtures of span_states random states; effects are a random
+    classical post-processing of a random span_effects-outcome POVM.
+    """
+    base_states, base_povm = make_random_setup(basis, rng, span_states, span_effects)
+    mix = rng.dirichlet(np.ones(span_states), size=n_states)
+    base = np.array([s.matrix for s in base_states])
+    states = tuple(state_from_matrix(basis, m) for m in np.tensordot(mix, base, axes=1))
+    post = rng.dirichlet(np.ones(n_outcomes), size=span_effects)
+    povm = validate_povm(list(np.tensordot(post.T, np.array(base_povm.effects), axes=1)))
     return states, povm

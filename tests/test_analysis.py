@@ -26,8 +26,9 @@ from commat.errors import (
     DimensionViolationError,
     InconsistentDimensionClaimError,
     PreconditionError,
+    ValidationError,
 )
-from conftest import make_random_setup
+from conftest import make_random_setup, make_spanning_setup
 from commat import bloch_basis
 
 
@@ -77,6 +78,24 @@ class TestSpanDims:
     def test_trine_spans_three(self):
         states, povm = trine_qubit()
         assert span_dims(states, povm) == (3, 3, 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_ranks_of_an_independent_vectorization(self, d, rng):
+        # oracle: real and imaginary parts of the entries, ranked with the same relative rule
+        def rank(mats):
+            rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+            s = np.linalg.svd(rows, compute_uv=False)
+            return int(np.count_nonzero(s > 1e-9 * s[0]))
+
+        basis = bloch_basis(d)
+        for span_s, span_m in [(d * d, d * d), (d * d - 1, 2), (3, d * d - 2), (2, 2)]:
+            states, povm = make_spanning_setup(basis, rng, d * d + 2, d * d + 1, span_s, span_m)
+            ops_s = [s.matrix for s in states]
+            ops_m = list(povm.effects)
+            dim_s, dim_m = rank(ops_s), rank(ops_m)
+            assert (dim_s, dim_m) == (span_s, span_m)
+            expected = (dim_s, dim_m, dim_s + dim_m - rank(ops_s + ops_m))
+            assert span_dims(states, povm) == expected
 
 
 class TestCompleteness:
@@ -203,6 +222,11 @@ class TestSelfTest:
         assert cert.passes
         target = np.abs(phis.conj() @ phis.T) ** 2
         assert np.abs(cert.overlap_matrix() - target).max() < 1e-6
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restart_budget_below_one_rejected(self, restarts):
+        with pytest.raises(ValidationError, match="restarts"):
+            self_test(noisy_antidist(4, 0.5), 2, restarts=restarts)
 
     def test_deterministic_given_seed(self):
         c = noisy_antidist(4, 0.5)

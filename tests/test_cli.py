@@ -230,3 +230,42 @@ def test_fixture_scenario_round_trip(tmp_path):
     result = json.loads(report.read_text())["result"]
     assert result["rank"] == 4
     assert "comm_matrix_with_channel" in result
+
+
+@pytest.mark.parametrize("check", [None, "eb"])
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_restart_budget_below_one_is_validation_error(
+    sic_file, identity_cprime_file, check, restarts, capsys
+):
+    argv = ["analyze"]
+    if check:
+        argv = ["properties", "--check", check, "--cprime", str(identity_cprime_file)]
+    code = main(argv + ["--scenario", str(sic_file), "--restarts", restarts])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "validation-error"
+    assert "restarts" in err["message"]
+
+
+def test_analyze_uses_the_reported_tolerances(sic_file, tmp_path, monkeypatch):
+    import commat.cli as cli
+
+    seen = {}
+    cli_span_dims, cli_self_test = cli.span_dims, cli.self_test
+
+    def span_dims(states, povm, rel_tol=None):
+        seen["span_dims"] = rel_tol
+        return cli_span_dims(states, povm, rel_tol)
+
+    def self_test(c, d, residual_tol=None, **kwargs):
+        seen["self_test"] = residual_tol
+        return cli_self_test(c, d, residual_tol=residual_tol, **kwargs)
+
+    monkeypatch.setattr(cli, "span_dims", span_dims)
+    monkeypatch.setattr(cli, "self_test", self_test)
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--scenario", str(sic_file), "--tol-rank", "1e-7", "--tol-fit", "1e-6"]
+    assert main(argv + ["--out", str(out)]) == 0
+    tolerances = json.loads(out.read_text())["tolerances"]
+    assert seen == {"span_dims": tolerances["tol_rank"], "self_test": tolerances["tol_fit"]}
+    assert seen == {"span_dims": 1e-7, "self_test": 1e-6}

@@ -13,6 +13,7 @@ from commat import (
     comm_matrix_with_channel,
     completely_depolarizing_channel,
     construct_indistinguishable_pair,
+    depolarizing_channel,
     detect_unitality,
     dist_matrix,
     eb_certificate,
@@ -34,6 +35,7 @@ from commat.errors import (
     BadReferenceError,
     NoWitnessExistsError,
     PreconditionError,
+    ValidationError,
 )
 from commat.sampling import random_mixed_state
 from conftest import make_random_setup
@@ -127,6 +129,14 @@ class TestIndistinguishablePair:
                 states = make_random_setup(basis, rng, d * d + 1, 2)[0]
                 povm = make_random_setup(basis, rng, 1, 2)[1]
             pair = construct_indistinguishable_pair(states, povm)
+            w = pair.witness_operator
+            if pair.case_tag == "states-incomplete":
+                # the first orthonormal element of the states' orthocomplement
+                assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+                orthogonal_to = [s.matrix for s in states]
+            else:
+                orthogonal_to = povm.effects
+            assert max(abs(np.trace(w @ m)) for m in orthogonal_to) < 1e-10
             c1 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=pair.phi1))
             c2 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=pair.phi2))
             assert np.abs(c1.entries - c2.entries).max() <= 1e-12
@@ -271,6 +281,11 @@ class TestNonnegativeFactorization:
         assert residual <= 1e-10
         assert np.abs(a - 1.0).max() < 1e-8  # row-stochastic single column
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restart_budget_below_one_rejected(self, restarts):
+        with pytest.raises(ValidationError, match="restarts"):
+            nonnegative_factorization(dist_matrix(4), 3, restarts=restarts)
+
     def test_identity_at_l3_stays_far(self):
         _, _, residual = nonnegative_factorization(dist_matrix(4), 3, restarts=8)
         assert residual > 1e-3
@@ -352,6 +367,23 @@ class TestEbCertificate:
         cert = eb_certificate(c, cp, 2, l_max=4, restarts=8)
         assert cert.verdict == "certified-EB-implementable"
         assert cert.restarts == 1
+
+    def test_certified_search_stops_at_first_certifiable_restart(self, basis2):
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        channel = depolarizing_channel(basis2, 0.8)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 2, l_max=4)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.residual <= cert.residual_tol
+        assert cert.restarts < 8
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restart_budget_below_one_rejected(self, restarts):
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        with pytest.raises(ValidationError, match="restarts"):
+            eb_certificate(c, c, 2, l_max=4, restarts=restarts)
 
     def test_mp_fit_gradient_matches_finite_differences(self, rng):
         from scipy.optimize import approx_fprime

@@ -19,6 +19,7 @@ from commat import (
     reconstruct_unital,
     reconstruct_up_to_gauge,
     sic_qubit,
+    span_dims,
     state_from_bloch,
     state_from_matrix,
     trine_qubit,
@@ -32,6 +33,7 @@ from commat.errors import (
     NotSelfTestableError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
+from conftest import make_spanning_setup
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -85,6 +87,21 @@ class TestBuildFrame:
         povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         with pytest.raises(FrameDeficientError, match="effects"):
             build_frame(states, povm, basis2, basis2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_deficient_exactly_when_span_dims_fall_short(self, d, rng):
+        basis = bloch_basis(d)
+        full = d * d
+        for span_s, span_m in [(full, full), (full - 1, full), (full, full - 1), (full - 2, 3)]:
+            states, povm = make_spanning_setup(basis, rng, full + 2, full + 1, span_s, span_m)
+            dim_s, dim_m, _ = span_dims(states, povm)
+            assert (dim_s, dim_m) == (span_s, span_m)
+            if dim_s < full or dim_m < full:
+                side = "states" if dim_s < full else "effects"
+                with pytest.raises(FrameDeficientError, match=side):
+                    build_frame(states, povm, basis, basis)
+            else:
+                build_frame(states, povm, basis, basis)
 
 
 class TestReconstruct:
