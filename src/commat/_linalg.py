@@ -1,4 +1,4 @@
-"""Small shared linear-algebra helpers (Hermitian checks, ranks, kernels, Born matrices)."""
+"""Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices, restarts."""
 
 import numpy as np
 
@@ -27,6 +27,13 @@ def min_eigval(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
+def herm_sqrt(a: np.ndarray, floor: float, inverse: bool = False) -> np.ndarray:
+    """a^(1/2), or a^(-1/2) if inverse, of a Hermitian a; eigenvalues are clipped below at floor."""
+    ev, evec = np.linalg.eigh(a)
+    root = np.sqrt(np.clip(ev, floor, None))
+    return (evec * (1.0 / root if inverse else root)) @ dag(evec)
+
+
 def numerical_rank_of(a: np.ndarray, rel_tol: float = 1e-9) -> int:
     """Number of singular values above rel_tol times the largest one."""
     if a.size == 0:
@@ -51,3 +58,22 @@ def null_space_of(a: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
 def born_matrix(states, effects) -> np.ndarray:
     """Born-rule probabilities tr(states[j] effects[k]) for two stacks of operators."""
     return np.einsum("jab,kba->jk", np.asarray(states), np.asarray(effects)).real
+
+
+def multistart(solve, restarts: int, seed: int, tol: float) -> tuple:
+    """Call ``solve(rng, start)`` for start = 0, 1, ... with one generator seeded by ``seed``.
+
+    Each call returns ``(candidate, residual)``, the residual being the number the
+    verdict tests.  The lowest residual is kept (ties keep the earlier start) and
+    the search stops at the first residual within ``tol``.  Returns the best
+    candidate, its residual and the number of starts run.  ``restarts`` must be
+    at least 1; the public entry points check it.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(restarts):
+        candidate, residual = solve(rng, start)
+        if start == 0 or residual < best_residual:
+            best, best_residual = candidate, residual
+        if residual <= tol:
+            break
+    return best, best_residual, start + 1

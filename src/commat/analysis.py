@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from ._linalg import numerical_rank_of
+from ._linalg import herm_sqrt, min_eigval, multistart, numerical_rank_of
 from .errors import (
     DimensionMismatchError,
     DimensionViolationError,
@@ -105,7 +105,7 @@ def certify_info_completeness(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelfTestCertificate:
     storability: float
     passes: bool
@@ -129,13 +129,18 @@ class SelfTestCertificate:
         return self.overlap_matrix() * self.canonical_weights[None, :]
 
 
-def _gram_objective(x, c, alpha, d, n, with_grad=True):
+def _unpack_vectors(x, n, d):
+    """The n unnormalized vectors of a packing: u_0 = e_0 (gauge), then (re, im) pairs."""
     u = np.empty((n, d), dtype=complex)
     u[0] = 0.0
     u[0, 0] = 1.0
     packed = x.reshape(n - 1, 2, d)
     u[1:] = packed[:, 0, :] + 1j * packed[:, 1, :]
+    return u
 
+
+def _gram_objective(x, c, alpha, d, n, with_grad=True):
+    u = _unpack_vectors(x, n, d)
     n2 = np.einsum("ji,ji->j", u.conj(), u).real
     s_raw = u @ u.conj().T
     p = (np.abs(s_raw) ** 2) / np.outer(n2, n2)
@@ -149,17 +154,27 @@ def _gram_objective(x, c, alpha, d, n, with_grad=True):
     m2 = (w * s_raw) / n2[None, :]
     cvec = (w * p).sum(axis=0) + (w * p).sum(axis=1)
     g = ((a1 + m2) @ u) / n2[:, None] - (cvec / n2)[:, None] * u
-    grad = np.empty_like(packed)
+    grad = np.empty((n - 1, 2, d))
     grad[:, 0, :] = 2.0 * g[1:].real
     grad[:, 1, :] = 2.0 * g[1:].imag
     return f, grad.ravel()
 
 
-def _fit_canonical_vectors(c, alpha, d, restarts, seed):
+def _polish_implementation(vectors, alpha):
+    """Symmetrize so the rank-1 effects sum to the identity at machine precision."""
+    s = (vectors.T * alpha) @ vectors.conj()
+    if min_eigval(s) <= 1e-12:
+        return vectors, np.asarray(alpha, dtype=float)
+    w = vectors @ herm_sqrt(s, 0.0, inverse=True).T
+    nw2 = np.einsum("ji,ji->j", w.conj(), w).real
+    return w / np.sqrt(nw2)[:, None], alpha * nw2
+
+
+def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
+    """((vectors, weights), polished Gram residual, restarts run) of the multi-start fit."""
     n = c.shape[0]
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
+
+    def solve(rng, _):
         x0 = rng.standard_normal((n - 1) * 2 * d)
         res = minimize(
             _gram_objective,
@@ -169,35 +184,13 @@ def _fit_canonical_vectors(c, alpha, d, restarts, seed):
             method="L-BFGS-B",
             options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-14},
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    u = np.empty((n, d), dtype=complex)
-    u[0] = 0.0
-    u[0, 0] = 1.0
-    packed = best.x.reshape(n - 1, 2, d)
-    u[1:] = packed[:, 0, :] + 1j * packed[:, 1, :]
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u, float(best.fun)
+        u = _unpack_vectors(res.x, n, d)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        vectors, weights = _polish_implementation(u, alpha)
+        overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
+        return (vectors, weights), float(((overlaps * weights[None, :] - c) ** 2).sum())
 
-
-def _polish_implementation(vectors, alpha):
-    """Symmetrize so the rank-1 effects sum to the identity at machine precision."""
-    d = vectors.shape[1]
-    s = np.zeros((d, d), dtype=complex)
-    for a, v in zip(alpha, vectors):
-        s += a * np.outer(v, v.conj())
-    ev, evec = np.linalg.eigh(s)
-    if ev[0] <= 1e-12:
-        return vectors, np.asarray(alpha, dtype=float)
-    s_inv_half = evec @ np.diag(1.0 / np.sqrt(ev)) @ evec.conj().T
-    out_vecs = []
-    out_alpha = []
-    for a, v in zip(alpha, vectors):
-        w = s_inv_half @ v
-        nw = np.linalg.norm(w)
-        out_vecs.append(w / nw)
-        out_alpha.append(a * nw * nw)
-    return np.vstack(out_vecs), np.array(out_alpha)
+    return multistart(solve, restarts, seed, residual_tol)
 
 
 def self_test(
@@ -213,8 +206,9 @@ def self_test(
     Passing requires the storability to reach the dimension d.  The canonical
     rank-1 implementation (unit vectors phi_j, effects C_jj |phi_j><phi_j|) is
     recovered by a multi-restart quasi-Newton fit of the squared-overlap matrix
-    with phi_1 gauge-fixed; everything it certifies is modulo a global unitary
-    or antiunitary, which no statistics can resolve.
+    with phi_1 gauge-fixed, which stops at the first restart whose polished Gram
+    residual is within ``residual_tol``; everything it certifies is modulo a
+    global unitary or antiunitary, which no statistics can resolve.
     """
     m, n = c.shape
     if m != n:
@@ -234,26 +228,16 @@ def self_test(
             "implementation exists"
         )
     weights = c.entries.diagonal().copy()
-    if abs(storability - d) > tol:
-        return SelfTestCertificate(
-            storability=storability,
-            passes=False,
-            weights=weights,
-            canonical_vectors=None,
-            canonical_weights=None,
-            gram_residual=None,
-            storability_tol=tol,
-            residual_tol=residual_tol,
+    vectors = canon_weights = residual = None
+    if abs(storability - d) <= tol:
+        (vectors, canon_weights), residual, _ = _fit_canonical_vectors(
+            c.entries, weights, d, restarts, seed, residual_tol
         )
-    vectors, _ = _fit_canonical_vectors(c.entries, weights, d, restarts, seed)
-    vectors, canon_weights = _polish_implementation(vectors, weights)
-    overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
-    residual = float(((overlaps * canon_weights[None, :] - c.entries) ** 2).sum())
     return SelfTestCertificate(
         storability=storability,
-        passes=residual <= residual_tol,
+        passes=residual is not None and residual <= residual_tol,
         weights=weights,
-        canonical_vectors=tuple(vectors),
+        canonical_vectors=None if vectors is None else tuple(vectors),
         canonical_weights=canon_weights,
         gram_residual=residual,
         storability_tol=tol,
@@ -261,7 +245,7 @@ def self_test(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustnessReport:
     epsilon: float
     per_effect_tail: np.ndarray

@@ -9,6 +9,7 @@ codes: 0 ok, 2 validation error, 3 precondition error, 4 numerical failure.
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -21,7 +22,13 @@ from .analysis import (
     self_test,
     span_dims,
 )
-from .errors import CommatError, ParseError, PreconditionError, UnknownFixtureError
+from .errors import (
+    CommatError,
+    ParseError,
+    PreconditionError,
+    UnknownFixtureError,
+    ValidationError,
+)
 from .fixtures import FIXTURE_BUILDERS
 from .operators import bloch_basis, completely_depolarizing_channel
 from .properties import (
@@ -50,15 +57,12 @@ from .tomography import (
 REPORT_SCHEMA = "commat-report/1"
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str, role: str):
+def _load_json(path: str, role: str) -> tuple:
+    """Read an input file once: its parsed JSON and the SHA-256 of its bytes."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except FileNotFoundError as exc:
         raise ParseError(f"{role} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -72,7 +76,7 @@ def _envelope(command: str, inputs: dict, seed: int, tolerances: dict, result: d
     return {
         "schema": REPORT_SCHEMA,
         "command": command,
-        "inputs": {role: {"path": p, "sha256": _sha256(p)} for role, p in inputs.items()},
+        "inputs": inputs,
         "seed": seed,
         "tolerances": tolerances,
         "version": __version__,
@@ -80,8 +84,7 @@ def _envelope(command: str, inputs: dict, seed: int, tolerances: dict, result: d
     }
 
 
-def _emit(envelope: dict, out: str | None):
-    text = json.dumps(envelope, sort_keys=True, indent=2)
+def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -89,8 +92,16 @@ def _emit(envelope: dict, out: str | None):
         print(text)
 
 
-def cmd_analyze(args) -> dict:
-    scenario = scenario_from_json(_load_json(args.scenario, "scenario"))
+def _check_tolerances(args):
+    # a chained comparison is false for NaN, so these reject non-finite values too
+    if not 0.0 < args.tol_rank < 1.0:
+        raise ValidationError(f"--tol-rank must be finite and in (0, 1), got {args.tol_rank}")
+    if not 0.0 < args.tol_fit < math.inf:
+        raise ValidationError(f"--tol-fit must be finite and positive, got {args.tol_fit}")
+
+
+def cmd_analyze(args, docs: dict) -> dict:
+    scenario = scenario_from_json(docs["scenario"])
     d = scenario.dim_in
     result = {}
     c = None
@@ -121,14 +132,14 @@ def cmd_analyze(args) -> dict:
     return result
 
 
-def cmd_tomography(args) -> dict:
-    cprime = comm_matrix_from_json(_load_json(args.cprime, "cprime"))
+def cmd_tomography(args, docs: dict) -> dict:
+    cprime = comm_matrix_from_json(docs["cprime"])
     scenario = None
     if args.scenario:
-        scenario = scenario_from_json(_load_json(args.scenario, "scenario"))
+        scenario = scenario_from_json(docs["scenario"])
     if args.mode == "full":
         if args.frame:
-            frame = frame_from_json(_load_json(args.frame, "frame"))
+            frame = frame_from_json(docs["frame"])
         elif scenario is not None:
             frame = build_frame(
                 scenario.states,
@@ -166,8 +177,8 @@ def cmd_tomography(args) -> dict:
     raise PreconditionError(f"unknown mode {args.mode!r}")
 
 
-def cmd_properties(args) -> dict:
-    scenario = scenario_from_json(_load_json(args.scenario, "scenario"))
+def cmd_properties(args, docs: dict) -> dict:
+    scenario = scenario_from_json(docs["scenario"])
     d = scenario.dim_in
     states, povm = scenario.states, scenario.povm
     if args.check == "witness":
@@ -181,7 +192,7 @@ def cmd_properties(args) -> dict:
         }
     c = comm_matrix(states, povm)
     if args.cprime:
-        cprime = comm_matrix_from_json(_load_json(args.cprime, "cprime"))
+        cprime = comm_matrix_from_json(docs["cprime"])
     elif scenario.channel is not None:
         cprime = comm_matrix_with_channel(scenario)
     else:
@@ -218,7 +229,7 @@ def cmd_properties(args) -> dict:
     raise PreconditionError(f"unknown check {args.check!r}")
 
 
-def cmd_fixtures(args) -> dict:
+def cmd_fixtures(args, docs: dict) -> dict:
     name = args.name
     if not args.out:
         raise PreconditionError("fixtures needs --out for the scenario file")
@@ -254,21 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="rank, storability, completeness, self-test")
     p.add_argument("--scenario", required=True)
-    p.set_defaults(func=cmd_analyze, roles=lambda a: {"scenario": a.scenario})
+    p.set_defaults(func=cmd_analyze, roles=("scenario",))
 
     p = sub.add_parser("tomography", parents=[common], help="reconstruct a channel from C'")
     p.add_argument("--scenario")
     p.add_argument("--frame")
     p.add_argument("--cprime", required=True)
     p.add_argument("--mode", choices=["full", "unital", "gauge"], default="full")
-    p.set_defaults(
-        func=cmd_tomography,
-        roles=lambda a: {
-            k: v
-            for k, v in [("scenario", a.scenario), ("frame", a.frame), ("cprime", a.cprime)]
-            if v
-        },
-    )
+    p.set_defaults(func=cmd_tomography, roles=("scenario", "frame", "cprime"))
 
     p = sub.add_parser("properties", parents=[common], help="unitality / EB / witness checks")
     p.add_argument("--scenario", required=True)
@@ -280,16 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="assert measurement informational completeness when rank cannot certify it",
     )
-    p.set_defaults(
-        func=cmd_properties,
-        roles=lambda a: {
-            k: v for k, v in [("scenario", a.scenario), ("cprime", a.cprime)] if v
-        },
-    )
+    p.set_defaults(func=cmd_properties, roles=("scenario", "cprime"))
 
     p = sub.add_parser("fixtures", parents=[common], help="write a canonical scenario file")
     p.add_argument("name")
-    p.set_defaults(func=cmd_fixtures, roles=lambda a: {})
+    p.set_defaults(func=cmd_fixtures, roles=())
     return parser
 
 
@@ -298,7 +297,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tolerances = {"tol_rank": args.tol_rank, "tol_fit": args.tol_fit, "restarts": args.restarts}
     try:
-        result = args.func(args)
+        _check_tolerances(args)
+        paths = {role: getattr(args, role) for role in args.roles if getattr(args, role)}
+        loaded = {role: _load_json(path, role) for role, path in paths.items()}
+        result = args.func(args, {role: doc for role, (doc, _) in loaded.items()})
+        inputs = {role: {"path": paths[role], "sha256": sha} for role, (_, sha) in loaded.items()}
+        envelope = _envelope(args.command, inputs, args.seed, tolerances, result)
+        text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)
     except CommatError as exc:
         json.dump(exc.to_json_dict(), sys.stderr, sort_keys=True, default=str)
         sys.stderr.write("\n")
@@ -312,8 +317,7 @@ def main(argv=None) -> int:
         )
         sys.stderr.write("\n")
         return 4
-    envelope = _envelope(args.command, args.roles(args), args.seed, tolerances, result)
-    _emit(envelope, args.out)
+    _emit(text, args.out)
     return 0
 
 

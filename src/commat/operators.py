@@ -43,7 +43,7 @@ GAUGE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochBasis:
     """Orthogonal Hermitian operator basis with the identity at index 0."""
 
@@ -92,7 +92,7 @@ def bloch_basis(d: int) -> BlochBasis:
     return BlochBasis(dim=d, elements=elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive semidefinite unit-trace operator with its Bloch vector."""
 
@@ -152,7 +152,7 @@ def inball_radius(d: int) -> float:
     return 1.0 / np.sqrt(d - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered collection of effects summing to the identity."""
 
@@ -191,7 +191,7 @@ def validate_povm(effects) -> Povm:
     return Povm(dim=d, effects=tuple(effects))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """CPTP map stored both as a Choi matrix and as a Bloch affine matrix."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from ._linalg import born_matrix, frob, null_space_of, numerical_rank_of
+from ._linalg import born_matrix, frob, herm_sqrt, multistart, null_space_of, numerical_rank_of
 from .errors import (
     AmbiguityError,
     CommatError,
@@ -39,7 +39,7 @@ EB_RESIDUAL_TOL = 1e-8
 KERNEL_ZERO_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndistinguishablePair:
     """Two distinct channels no measurement on this set-up can tell apart."""
 
@@ -200,7 +200,7 @@ def kernel_shift(c: CommMatrix, cprime: CommMatrix, tol: float = 1e-9) -> list:
     return _kernel_basis(diff, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitalityVerdict:
     kernel_basis: list
     reference_kernel_basis: list
@@ -289,9 +289,8 @@ def nonnegative_factorization(
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     target = c.entries
     m, n = target.shape
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
+
+    def solve(rng, _):
         a = rng.uniform(0.1, 1.0, size=(m, l))
         b = rng.uniform(0.1, 1.0, size=(l, n))
         prev = np.inf
@@ -304,13 +303,11 @@ def nonnegative_factorization(
             if prev - res < 1e-15:
                 break
             prev = res
-        if best is None or res < best[2]:
-            best = (a, b, res)
-    a, b, _ = best
+        return (a, b), res
+
+    (a, b), _, _ = multistart(solve, restarts, seed, 0.0)
     scale = b.sum(axis=1)
     dead = scale < 1e-14
-    a = a.copy()
-    b = b.copy()
     a[:, dead] = 0.0
     b[dead] = 1.0 / n
     live = ~dead
@@ -325,7 +322,7 @@ def psd_rank_lower_bound(c: CommMatrix) -> int:
     return int(np.ceil(np.sqrt(numerical_rank(c))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EbCertificate:
     factor_a: np.ndarray
     factor_b: np.ndarray
@@ -340,18 +337,6 @@ class EbCertificate:
     restarts: int = 0
     residual_tol: float = EB_RESIDUAL_TOL
     note: str = ""
-
-
-def _herm_sqrt(m: np.ndarray) -> np.ndarray:
-    ev, evec = np.linalg.eigh(m)
-    ev = np.clip(ev, 0.0, None)
-    return evec @ np.diag(np.sqrt(ev)) @ evec.conj().T
-
-
-def _inv_sqrt(m: np.ndarray) -> np.ndarray:
-    ev, evec = np.linalg.eigh(m)
-    ev = np.clip(ev, 1e-300, None)
-    return evec @ np.diag(1.0 / np.sqrt(ev)) @ evec.conj().T
 
 
 def _unpack_mp_params(x, l, d):
@@ -405,11 +390,11 @@ def _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed):
     xi_coords = np.linalg.pinv(basis.coords(eff_arr)) @ b0.T / d
     x = np.zeros((2, l, 2, d, d))
     for i in range(l):
-        n_i = _herm_sqrt(np.tensordot(n_coords[:, i], basis.elements, axes=1))
+        n_i = herm_sqrt(np.tensordot(n_coords[:, i], basis.elements, axes=1), 0.0)
         xi_i = np.tensordot(xi_coords[:, i], basis.elements, axes=1)
         tr = np.trace(xi_i).real
         xi_i = np.eye(d) / d if tr < 1e-12 else xi_i / tr
-        g_i = _herm_sqrt(xi_i)
+        g_i = herm_sqrt(xi_i, 0.0)
         x[0, i, 0], x[0, i, 1] = n_i.real, n_i.imag
         x[1, i, 0], x[1, i, 1] = g_i.real, g_i.imag
     return x.ravel()
@@ -422,7 +407,7 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
     _, _, effects_p, xi, _ = _unpack_mp_params(x, l, d)
     total = effects_p.sum(axis=0)
     if np.linalg.eigvalsh(total)[0] > 1e-8:
-        fix = _inv_sqrt(total)
+        fix = herm_sqrt(total, 1e-300, inverse=True)
         effects_n = np.einsum("ab,ibc,cd->iad", fix, effects_p, fix)
     else:
         effects_n = np.stack([np.eye(d, dtype=complex) / l] * l)
@@ -436,21 +421,21 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
     """Fit an l-outcome measurement and l states whose factors reproduce C'.
 
-    Restarts stop at the first one whose realized residual is within ``residual_tol``.
+    Start 0 is the nonnegative-factorization warm start, later ones are random.
+    Returns ((N, xi, A, B, residual), residual, restarts run) of the realization
+    with the lowest realized residual.
     """
     basis = rho_states[0].basis
     d = basis.dim
     rho_arr = np.stack([s.matrix for s in rho_states])
     eff_arr = np.stack(povm.effects)
     target = cprime.entries
-    rng = np.random.default_rng(seed)
-    size = 4 * l * d * d
-    best, best_f = None, np.inf
-    for trial in range(restarts):
-        if trial == 0:
+
+    def solve(rng, start):
+        if start == 0:
             x0 = _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed)
         else:
-            x0 = rng.standard_normal(size)
+            x0 = rng.standard_normal(4 * l * d * d)
         res = minimize(
             _mp_objective,
             x0,
@@ -459,12 +444,10 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
             method="L-BFGS-B",
             options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14},
         )
-        if res.fun < best_f:
-            best_f = res.fun
-            best = _realize_measure_prepare(res.x, rho_states, povm, l, target)
-            if best[4] <= residual_tol:
-                break
-    return (*best, trial + 1)
+        realized = _realize_measure_prepare(res.x, rho_states, povm, l, target)
+        return realized, realized[4]
+
+    return multistart(solve, restarts, seed, residual_tol)
 
 
 def _realization_factors(rho_states, povm, n_povm, xi_states):
@@ -522,7 +505,7 @@ def eb_certificate(
     rho_states = c.provenance.states
     povm = c.provenance.povm
     rank_cp = numerical_rank(cprime)
-
+    used_restarts = 0
     if realization is not None:
         n_povm, xi_states = realization
         xi_states = tuple(xi_states)
@@ -530,12 +513,10 @@ def eb_certificate(
         l = len(n_povm.effects)
         residual = frob(cprime.entries - a @ b)
         attempts = [(l, n_povm, xi_states, a, b, residual)]
-        used_restarts = 0
     else:
         attempts = []
-        used_restarts = 0
         for l in range(max(1, rank_cp), l_max + 1):
-            n_povm, xi_states, a, b, residual, ran = _fit_measure_prepare(
+            (n_povm, xi_states, a, b, residual), _, ran = _fit_measure_prepare(
                 cprime, rho_states, povm, l, restarts, seed + l, residual_tol
             )
             used_restarts += ran

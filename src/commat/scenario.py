@@ -59,7 +59,7 @@ class Scenario:
         return self.povm.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommMatrix:
     """Row-stochastic matrix of outcome probabilities with optional provenance."""
 

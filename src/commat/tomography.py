@@ -44,7 +44,7 @@ FRAME_ATOL = 1e-9
 CPTP_WARN_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyFrame:
     """Dual-frame coefficients expanding each basis element in states/effects."""
 
@@ -127,7 +127,7 @@ def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumCh
     return ch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitalFrame:
     """Effect coefficients plus the state Bloch vectors as columns of R."""
 

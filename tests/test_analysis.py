@@ -20,7 +20,7 @@ from commat import (
     trine_qubit,
     validate_povm,
 )
-from commat.analysis import _gram_objective
+from commat.analysis import _gram_objective, _polish_implementation
 from commat.errors import (
     DimensionMismatchError,
     DimensionViolationError,
@@ -227,6 +227,46 @@ class TestSelfTest:
     def test_restart_budget_below_one_rejected(self, restarts):
         with pytest.raises(ValidationError, match="restarts"):
             self_test(noisy_antidist(4, 0.5), 2, restarts=restarts)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restart_budget_checked_when_no_fit_runs(self, restarts):
+        c = noisy_antidist(4, 0.7)  # storability 1.2 < d = 2: the certificate needs no fit
+        assert not self_test(c, 2).passes
+        with pytest.raises(ValidationError, match="restarts"):
+            self_test(c, 2, restarts=restarts)
+
+    def test_fit_stops_at_first_certifying_restart(self, monkeypatch):
+        import commat.analysis as analysis
+
+        calls = []
+        real = analysis.minimize
+        monkeypatch.setattr(analysis, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        cert = self_test(noisy_antidist(4, 0.5), 2)
+        assert cert.passes
+        assert len(calls) == 1  # not the whole budget of 32
+
+    def test_polish_matches_loop_reference(self, rng):
+        vectors = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        alpha = rng.uniform(0.2, 1.0, 5)
+        # loop reference: S = sum_k a_k |v_k><v_k|, w_k = S^(-1/2) v_k, weights a_k |w_k|^2
+        s = sum(a * np.outer(v, v.conj()) for a, v in zip(alpha, vectors))
+        ev, evec = np.linalg.eigh(s)
+        s_inv_half = evec @ np.diag(1.0 / np.sqrt(ev)) @ evec.conj().T
+        w = [s_inv_half @ v for v in vectors]
+        ref_vecs = np.vstack([x / np.linalg.norm(x) for x in w])
+        ref_alpha = np.array([a * np.linalg.norm(x) ** 2 for a, x in zip(alpha, w)])
+        out_vecs, out_alpha = _polish_implementation(vectors, alpha)
+        assert np.abs(out_vecs - ref_vecs).max() < 1e-12
+        assert np.abs(out_alpha - ref_alpha).max() < 1e-12
+        total = np.einsum("k,ka,kb->ab", out_alpha, out_vecs, out_vecs.conj())
+        assert np.abs(total - np.eye(3)).max() < 1e-12
+
+    def test_polish_leaves_a_singular_sum_alone(self):
+        vectors = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        out_vecs, out_alpha = _polish_implementation(vectors, np.array([0.5, 0.5]))
+        assert np.array_equal(out_vecs, vectors)
+        assert np.array_equal(out_alpha, [0.5, 0.5])
 
     def test_deterministic_given_seed(self):
         c = noisy_antidist(4, 0.5)

@@ -269,3 +269,55 @@ def test_analyze_uses_the_reported_tolerances(sic_file, tmp_path, monkeypatch):
     tolerances = json.loads(out.read_text())["tolerances"]
     assert seen == {"span_dims": tolerances["tol_rank"], "self_test": tolerances["tol_fit"]}
     assert seen == {"span_dims": 1e-7, "self_test": 1e-6}
+
+
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-fit"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_is_validation_error(sic_file, flag, value, capsys):
+    code = main(["analyze", "--scenario", str(sic_file), flag, value])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["code"] == "validation-error"
+    assert flag in err["message"]
+
+
+def test_tol_rank_of_one_is_validation_error(sic_file, capsys):
+    assert main(["analyze", "--scenario", str(sic_file), "--tol-rank", "1"]) == 2
+    assert "--tol-rank" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_nan_in_a_result_is_a_numerical_failure(sic_file, monkeypatch, capsys):
+    import commat.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_analyze", lambda *args: {"storability": float("nan")})
+    assert main(["analyze", "--scenario", str(sic_file)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["code"] == "internal-numerical-failure"
+
+
+def test_each_input_is_read_once_and_hashed(sic_file, identity_cprime_file, tmp_path, monkeypatch):
+    import builtins
+    import hashlib
+
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "report.json"
+    argv = ["tomography", "--scenario", str(sic_file), "--cprime", str(identity_cprime_file)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert opened.count(str(sic_file)) == 1
+    assert opened.count(str(identity_cprime_file)) == 1
+    inputs = json.loads(out.read_text())["inputs"]
+    for role, path in (("scenario", sic_file), ("cprime", identity_cprime_file)):
+        assert inputs[role] == {
+            "path": str(path),
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        }

@@ -327,3 +327,39 @@ class TestChannels:
         assert np.array_equal(ch.bloch_matrix, bloch)
         bloch[0, 0] = 5.0  # the caller's array stays writable and is not shared
         assert ch.bloch_matrix[0, 0] != 5.0
+
+
+def _array_field_objects():
+    """One of each object type with array fields, built afresh on every call."""
+    import commat as cm
+
+    basis = bloch_basis(2)
+    states, povm = sic_qubit()
+    c = cm.comm_matrix(states, povm)
+    scenario = cm.Scenario(states=states, povm=povm)
+    trine_states, trine_povm = cm.trine_qubit()
+    c0 = cm.comm_matrix_with_channel(
+        cm.Scenario(states=states, povm=povm, channel=completely_depolarizing_channel(basis))
+    )
+    return [
+        basis,
+        states[0],
+        povm,
+        identity_channel(basis),
+        c,
+        cm.build_frame(states, povm, basis, basis),
+        cm.build_unital_frame(states, povm, basis),
+        cm.self_test(c, 2),
+        cm.robustness_gap(scenario),
+        cm.construct_indistinguishable_pair(trine_states, trine_povm),
+        cm.detect_unitality(c, c0, c, 2, povm_complete=True),
+        cm.eb_certificate(c, c0, 2, l_max=1, restarts=1),
+    ]
+
+
+def test_array_field_objects_compare_by_identity():
+    # generated field-wise __eq__ would raise "truth value of an array is ambiguous"
+    for x, y in zip(_array_field_objects(), _array_field_objects()):
+        assert x == x
+        assert x != y
+        assert hash(x) == hash(x)

@@ -385,6 +385,12 @@ class TestEbCertificate:
         with pytest.raises(ValidationError, match="restarts"):
             eb_certificate(c, c, 2, l_max=4, restarts=restarts)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restart_budget_checked_with_a_realization(self, eb_setup, restarts):
+        _, _, channel, c, cp, _, _ = eb_setup
+        with pytest.raises(ValidationError, match="restarts"):
+            eb_certificate(c, cp, 2, l_max=4, restarts=restarts, realization=channel.mp_realization)
+
     def test_mp_fit_gradient_matches_finite_differences(self, rng):
         from scipy.optimize import approx_fprime
 

@@ -1,0 +1,68 @@
+"""The multi-start driver shared by the self-test, EB and nonnegative-factorization searches."""
+
+import numpy as np
+
+from commat._linalg import herm_sqrt, multistart
+
+
+def scripted(residuals):
+    """A solve callable returning the given residuals in turn; it records (start, one draw)."""
+    calls = []
+
+    def solve(rng, start):
+        calls.append((start, rng.standard_normal()))
+        return f"candidate {start}", residuals[start]
+
+    return solve, calls
+
+
+def test_stops_at_first_residual_within_tolerance():
+    solve, calls = scripted([0.5, 0.2, 1e-9, 1e-12])
+    assert multistart(solve, 4, 0, 1e-8) == ("candidate 2", 1e-9, 3)
+    assert [start for start, _ in calls] == [0, 1, 2]
+
+
+def test_residual_equal_to_tolerance_is_accepted():
+    solve, _ = scripted([0.5, 0.0, 0.0])
+    assert multistart(solve, 3, 0, 0.0) == ("candidate 1", 0.0, 2)
+
+
+def test_keeps_lowest_residual_when_none_is_accepted():
+    solve, _ = scripted([0.5, 0.1, 0.3, 0.1])
+    # the tie at start 3 keeps the earlier start 1
+    assert multistart(solve, 4, 0, 1e-8) == ("candidate 1", 0.1, 4)
+
+
+def test_first_start_is_kept_even_with_a_nan_residual():
+    solve, _ = scripted([np.nan, np.nan])
+    best, residual, ran = multistart(solve, 2, 0, 1e-8)
+    assert best == "candidate 0" and np.isnan(residual) and ran == 2
+
+
+def test_one_generator_per_seed():
+    first, draws_a = scripted([1.0] * 3)
+    again, draws_b = scripted([1.0] * 3)
+    other, draws_c = scripted([1.0] * 3)
+    multistart(first, 3, 5, 0.0)
+    multistart(again, 3, 5, 0.0)
+    multistart(other, 3, 6, 0.0)
+    assert draws_a == draws_b != draws_c
+    assert len({draw for _, draw in draws_a}) == 3  # the starts share one stream, not one seed
+
+
+def test_herm_sqrt_matches_eigen_formulas(rng):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    ev, evec = np.linalg.eigh(m)
+    root = herm_sqrt(m, 0.0)
+    inv_root = herm_sqrt(m, 1e-300, inverse=True)
+    assert np.abs(root - evec @ np.diag(np.sqrt(ev)) @ evec.conj().T).max() < 1e-12
+    assert np.abs(inv_root - evec @ np.diag(1 / np.sqrt(ev)) @ evec.conj().T).max() < 1e-12
+    assert np.abs(root @ root - m).max() < 1e-12
+    assert np.abs(inv_root @ root - np.eye(4)).max() < 1e-12
+
+
+def test_herm_sqrt_clips_at_the_floor():
+    m = np.diag([-1e-3, 4.0]).astype(complex)
+    assert np.allclose(herm_sqrt(m, 0.0), np.diag([0.0, 2.0]))
+    assert np.allclose(herm_sqrt(m, 1e-2, inverse=True), np.diag([10.0, 0.5]))
