@@ -209,6 +209,9 @@ def self_test(
     with phi_1 gauge-fixed, which stops at the first restart whose polished Gram
     residual is within ``residual_tol``; everything it certifies is modulo a
     global unitary or antiunitary, which no statistics can resolve.
+
+    ``residual_tol`` bounds the sum of squares sum_jk (a_k |<phi_j|phi_k>|^2 - C_jk)^2, so
+    one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4 by default).
     """
     m, n = c.shape
     if m != n:

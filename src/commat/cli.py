@@ -85,11 +85,14 @@ def _envelope(command: str, inputs: dict, seed: int, tolerances: dict, result: d
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out file {out}: {exc.strerror}") from exc
 
 
 def _check_tolerances(args):
@@ -239,10 +242,7 @@ def cmd_fixtures(args, docs: dict) -> dict:
         )
     states, povm, *extra = FIXTURE_BUILDERS[name]()
     scenario = Scenario(states=states, povm=povm, channel=extra[0] if extra else None)
-    doc = scenario_to_json(scenario)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _emit(json.dumps(scenario_to_json(scenario), sort_keys=True, indent=2), args.out)
     written = args.out
     args.out = None  # the report envelope goes to stdout, not over the scenario file
     return {"fixture": name, "written": written}
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         result = args.func(args, {role: doc for role, (doc, _) in loaded.items()})
         inputs = {role: {"path": paths[role], "sha256": sha} for role, (_, sha) in loaded.items()}
         envelope = _envelope(args.command, inputs, args.seed, tolerances, result)
-        text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False)
+        _emit(json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False), args.out)
     except CommatError as exc:
         json.dump(exc.to_json_dict(), sys.stderr, sort_keys=True, default=str)
         sys.stderr.write("\n")
@@ -317,7 +317,6 @@ def main(argv=None) -> int:
         )
         sys.stderr.write("\n")
         return 4
-    _emit(text, args.out)
     return 0
 
 

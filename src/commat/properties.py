@@ -342,13 +342,17 @@ class EbCertificate:
 def _unpack_mp_params(x, l, d):
     """Raw positive effects P_i = H_i^dag H_i and unit-trace states from the packing."""
     blocks = x.reshape(2, l, 2, d, d)
-    h = blocks[0, :, 0] + 1j * blocks[0, :, 1]
-    g = blocks[1, :, 0] + 1j * blocks[1, :, 1]
-    effects_p = np.einsum("iab,iac->ibc", h.conj(), h)
-    q = np.einsum("iab,icb->iac", g, g.conj())
+    h, g = blocks[:, :, 0] + 1j * blocks[:, :, 1]
+    effects_p = h.conj().swapaxes(1, 2) @ h
+    q = g @ g.conj().swapaxes(1, 2)
     traces = np.maximum(np.einsum("iaa->i", q).real, 1e-12)
     states = q / traces[:, None, None]
     return h, g, effects_p, states, traces
+
+
+def _flat(ops):
+    """Real rows [re, im, ...] of operators: Re tr(XY) = _flat(X) . _flat(Y) for Hermitian X."""
+    return np.ascontiguousarray(ops, dtype=complex).view(float).reshape(len(ops), -1)
 
 
 def _mp_objective(x, rho_arr, eff_arr, target, l, d, mu=1.0):
@@ -358,27 +362,23 @@ def _mp_objective(x, rho_arr, eff_arr, target, l, d, mu=1.0):
     measurement valid at the optimum); states are trace-normalized inline.
     """
     h, g, effects_p, states, traces = _unpack_mp_params(x, l, d)
-    a = born_matrix(rho_arr, effects_p)
-    b = born_matrix(states, eff_arr)
+    rho_f, eff_f = _flat(rho_arr), _flat(eff_arr)
+    a = rho_f @ _flat(effects_p).T          # A[j, i] = tr(rho_j P_i)
+    b = _flat(states) @ eff_f.T             # B[i, k] = tr(xi_i M_k)
     r = target - a @ b
     defect = effects_p.sum(axis=0) - np.eye(d)
-    f = float((r * r).sum()) + mu * float(np.abs(defect * defect.conj()).sum())
+    f = float(r.ravel() @ r.ravel()) + mu * float(np.vdot(defect, defect).real)
 
-    w = -2.0 * (r @ b.T)            # df/dA
-    v = -2.0 * (a.T @ r)            # df/dB
-    grad_h = np.empty_like(h)
-    grad_g = np.empty_like(g)
-    for i in range(l):
-        # effect side: A[j, i] = tr(rho_j P_i), P_i = H_i^dag H_i
-        c_eff = np.einsum("j,jab->ab", w[:, i], rho_arr) + 2.0 * mu * defect
-        grad_h[i] = h[i] @ c_eff
-        # state side: B[i, k] = tr(Q_i M_k) / tr(Q_i), Q_i = G_i G_i^dag
-        c_state = np.einsum("k,kab->ab", v[i], eff_arr) - float(v[i] @ b[i]) * np.eye(d)
-        grad_g[i] = (c_state / traces[i]) @ g[i]
-    grad = np.empty((2, l, 2, d, d))
-    grad[0, :, 0], grad[0, :, 1] = 2.0 * grad_h.real, 2.0 * grad_h.imag
-    grad[1, :, 0], grad[1, :, 1] = 2.0 * grad_g.real, 2.0 * grad_g.imag
-    return f, grad.ravel()
+    w = -2.0 * (r @ b.T)                            # df/dA
+    v = -2.0 * (a.T @ r) / traces[:, None]          # df/dB[i, k] / tr(Q_i)
+    # effect side: d/dP_i = sum_j w[j, i] rho_j + 2 mu defect, chained through P_i = H_i^dag H_i
+    c_eff = (w.T @ rho_f).view(complex).reshape(l, d, d) + 2.0 * mu * defect
+    # state side: d/dQ_i = sum_k v[i, k] M_k - (v_i . b_i) I, chained through Q_i = G_i G_i^dag
+    c_state = (v @ eff_f).view(complex).reshape(l, d, d)
+    c_state -= np.einsum("ik,ik->i", v, b)[:, None, None] * np.eye(d)
+    grads = np.concatenate((h, c_state)) @ np.concatenate((c_eff, g))
+    # grads stacks df/dconj(H_i), df/dconj(G_i); the packing wants 2 Re and 2 Im of each as blocks
+    return f, (2.0 * grads.view(float)).reshape(2 * l, d, d, 2).transpose(0, 3, 1, 2).ravel()
 
 
 def _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed):

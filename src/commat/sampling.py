@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ._linalg import herm_sqrt
 from .operators import (
     BlochBasis,
     DensityOperator,
@@ -15,12 +16,6 @@ from .operators import (
 
 def _ginibre(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_pure_state(basis: BlochBasis, rng) -> DensityOperator:
-    v = _ginibre(rng, basis.dim, 1).ravel()
-    v /= np.linalg.norm(v)
-    return state_from_matrix(basis, np.outer(v, v.conj()))
 
 
 def random_mixed_state(basis: BlochBasis, rng, rank: int | None = None) -> DensityOperator:
@@ -37,9 +32,7 @@ def random_povm(basis: BlochBasis, rng, outcomes: int) -> Povm:
     for _ in range(outcomes):
         g = _ginibre(rng, d, d)
         raw.append(g @ g.conj().T)
-    total = sum(raw)
-    ev, evec = np.linalg.eigh(total)
-    inv_half = evec @ np.diag(1.0 / np.sqrt(ev)) @ evec.conj().T
+    inv_half = herm_sqrt(sum(raw), 0.0, inverse=True)
     return validate_povm([inv_half @ p @ inv_half for p in raw])
 
 

@@ -41,7 +41,7 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: expected rows/cols/entries, got {obj!r}") from exc
     if len(entries) != rows * cols:
         raise ParseError(
@@ -51,8 +51,24 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     for idx, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"{where}: entry {idx} is not an [re, im] pair: {pair!r}")
-        flat.append(complex(float(pair[0]), float(pair[1])))
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+        try:
+            flat.append(complex(float(pair[0]), float(pair[1])))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{where}: entry {idx} is not a pair of numbers: {pair!r}") from exc
+    m = np.array(flat, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        raise ParseError(f"{where}: entry {bad[0]} is not finite: {entries[bad[0]]!r}")
+    return m.reshape(rows, cols)
+
+
+def _square_matrices(objs, name: str, dim: int) -> list:
+    """The dim x dim matrices of a JSON list, named name[i] in errors."""
+    mats = [matrix_from_json(obj, f"{name}[{i}]") for i, obj in enumerate(objs)]
+    for i, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise ParseError(f"{name}[{i}] has shape {m.shape}, expected ({dim}, {dim})")
+    return mats
 
 
 def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -116,12 +132,9 @@ def channel_from_json(obj, dim_in: int, dim_out: int) -> QuantumChannel:
     if kind == "choi":
         return channel_from_choi(matrix_from_json(obj["choi"], "choi"), basis_in, basis_out)
     if kind == "measure_prepare":
-        povm = validate_povm([matrix_from_json(e, f"povm[{i}]") for i, e in enumerate(obj["povm"])])
-        states = [
-            state_from_matrix(basis_out, matrix_from_json(s, f"states[{i}]"))
-            for i, s in enumerate(obj["states"])
-        ]
-        return measure_and_prepare_channel(povm, states)
+        povm = validate_povm(_square_matrices(obj["povm"], "channel.povm", dim_in))
+        states = _square_matrices(obj["states"], "channel.states", dim_out)
+        return measure_and_prepare_channel(povm, [state_from_matrix(basis_out, m) for m in states])
     raise ParseError(f"unknown channel kind {kind!r}")
 
 
@@ -144,22 +157,15 @@ def scenario_from_json(obj) -> Scenario:
         dim_out = int(obj["dim_out"])
         state_objs = obj["states"]
         povm_objs = obj["povm"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"scenario file misses a required field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"scenario file misses or mangles a required field: {exc}") from exc
+    try:
+        repeat = int(obj.get("repeat", 1))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"scenario repeat must be an integer, got {obj['repeat']!r}") from exc
     basis_in = bloch_basis(dim_in)
-    states = []
-    for i, s in enumerate(state_objs):
-        m = matrix_from_json(s, f"states[{i}]")
-        if m.shape != (dim_in, dim_in):
-            raise ParseError(f"states[{i}] has shape {m.shape}, expected ({dim_in}, {dim_in})")
-        states.append(state_from_matrix(basis_in, m))
-    effects = []
-    for i, e in enumerate(povm_objs):
-        m = matrix_from_json(e, f"povm[{i}]")
-        if m.shape != (dim_out, dim_out):
-            raise ParseError(f"povm[{i}] has shape {m.shape}, expected ({dim_out}, {dim_out})")
-        effects.append(m)
-    povm = validate_povm(effects)
+    states = [state_from_matrix(basis_in, m) for m in _square_matrices(state_objs, "states", dim_in)]
+    povm = validate_povm(_square_matrices(povm_objs, "povm", dim_out))
     channel_obj = obj.get("channel")
     channel = None
     if channel_obj is not None:
@@ -168,7 +174,7 @@ def scenario_from_json(obj) -> Scenario:
         states=tuple(states),
         povm=povm,
         channel=channel,
-        repeat=int(obj.get("repeat", 1)),
+        repeat=repeat,
     )
 
 

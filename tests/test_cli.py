@@ -1,6 +1,7 @@
 """Command-line behavior: envelopes, determinism, exit codes, error objects."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -321,3 +322,63 @@ def test_each_input_is_read_once_and_hashed(sic_file, identity_cprime_file, tmp_
             "path": str(path),
             "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         }
+
+
+def test_analyze_to_an_unwritable_out_is_validation_error(sic_file, tmp_path, capsys):
+    out = tmp_path / "nodir" / "r.json"
+    assert main(["analyze", "--scenario", str(sic_file), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "validation-error"
+    assert str(out) in err["message"]
+
+
+def test_fixtures_to_an_unwritable_out_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "r.json"
+    assert main(["fixtures", "sic-qubit", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "validation-error"
+    assert str(out) in err["message"]
+
+
+def _analyze_edited(sic_file, tmp_path, edit, capsys):
+    """Exit code and error object of analyze on the sic fixture after edit(doc)."""
+    doc = json.loads(sic_file.read_text())
+    edit(doc)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["analyze", "--scenario", str(bad)])
+    return code, json.loads(capsys.readouterr().err)
+
+
+def test_string_matrix_entry_is_parse_error(sic_file, tmp_path, capsys):
+    def edit(doc):
+        doc["states"][0]["entries"][0][0] = "x"
+
+    code, err = _analyze_edited(sic_file, tmp_path, edit, capsys)
+    assert code == 2
+    assert err["code"] == "parse-error"
+    assert "states[0]" in err["message"]
+
+
+def test_non_integer_repeat_is_parse_error(sic_file, tmp_path, capsys):
+    def edit(doc):
+        doc["repeat"] = "two"
+
+    code, err = _analyze_edited(sic_file, tmp_path, edit, capsys)
+    assert code == 2
+    assert err["code"] == "parse-error"
+    assert "repeat" in err["message"]
+
+
+def test_infinite_matrix_entry_is_parse_error_without_warnings(sic_file, tmp_path, capsys):
+    doc = json.loads(sic_file.read_text())
+    doc["states"][0]["entries"][0][0] = 12345.5
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(doc).replace("12345.5", "1e400"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--scenario", str(bad)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "parse-error"
+    assert "states[0]" in err["message"] and "finite" in err["message"]

@@ -407,6 +407,35 @@ class TestEbCertificate:
         )
         assert np.abs(grad - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-5
 
+    def test_mp_fit_gradient_matches_finite_differences_qutrit(self, basis3, rng):
+        from scipy.optimize import approx_fprime
+
+        from commat.properties import _mp_objective
+        from commat.sampling import random_povm
+
+        rho_arr, eff_arr, target = _mp_setup(basis3, random_povm, rng, n_states=9, n_effects=9)
+        x0 = rng.standard_normal(2 * 2 * 2 * 3 * 3)
+        _, grad = _mp_objective(x0, rho_arr, eff_arr, target, 2, 3)
+        numeric = approx_fprime(
+            x0, lambda x: _mp_objective(x, rho_arr, eff_arr, target, 2, 3)[0], 1e-7
+        )
+        assert np.abs(grad - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_mp_objective_matches_the_per_outcome_formula(self, d, l):
+        from commat.properties import _mp_objective
+        from commat.sampling import random_povm
+
+        gen = np.random.default_rng(1000 * d + l)
+        rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
+        for _ in range(3):
+            x = gen.standard_normal(4 * l * d * d)
+            f, grad = _mp_objective(x, rho_arr, eff_arr, target, l, d)
+            f_ref, grad_ref = _mp_objective_per_outcome(x, rho_arr, eff_arr, target, l, d)
+            assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+            assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
     def test_random_measure_prepare_channel_certifies(self, basis2):
         from commat.sampling import random_povm
 
@@ -443,3 +472,40 @@ class TestEbCertificate:
         bare = noisy_antidist(4, 0.5)
         with pytest.raises(PreconditionError, match="implementation"):
             eb_certificate(bare, bare, 2, l_max=4)
+
+
+def _mp_setup(basis, random_povm, gen, n_states, n_effects):
+    """Stacked random states and effects with a random row-stochastic target."""
+    rho_arr = np.stack([random_mixed_state(basis, gen).matrix for _ in range(n_states)])
+    eff_arr = np.stack(random_povm(basis, gen, n_effects).effects)
+    target = gen.uniform(0.0, 1.0, (n_states, n_effects))
+    return rho_arr, eff_arr, target / target.sum(axis=1, keepdims=True)
+
+
+def _mp_objective_per_outcome(x, rho_arr, eff_arr, target, l, d, mu=1.0):
+    """The EB fit objective and gradient written as a loop over outcomes (reference)."""
+    blocks = x.reshape(2, l, 2, d, d)
+    h = blocks[0, :, 0] + 1j * blocks[0, :, 1]
+    g = blocks[1, :, 0] + 1j * blocks[1, :, 1]
+    effects_p = np.einsum("iab,iac->ibc", h.conj(), h)
+    q = np.einsum("iab,icb->iac", g, g.conj())
+    traces = np.maximum(np.einsum("iaa->i", q).real, 1e-12)
+    states = q / traces[:, None, None]
+    a = np.einsum("jab,kba->jk", rho_arr, effects_p).real
+    b = np.einsum("jab,kba->jk", states, eff_arr).real
+    r = target - a @ b
+    defect = effects_p.sum(axis=0) - np.eye(d)
+    f = float((r * r).sum()) + mu * float(np.abs(defect * defect.conj()).sum())
+    w = -2.0 * (r @ b.T)
+    v = -2.0 * (a.T @ r)
+    grad_h = np.empty_like(h)
+    grad_g = np.empty_like(g)
+    for i in range(l):
+        c_eff = np.einsum("j,jab->ab", w[:, i], rho_arr) + 2.0 * mu * defect
+        grad_h[i] = h[i] @ c_eff
+        c_state = np.einsum("k,kab->ab", v[i], eff_arr) - float(v[i] @ b[i]) * np.eye(d)
+        grad_g[i] = (c_state / traces[i]) @ g[i]
+    grad = np.empty((2, l, 2, d, d))
+    grad[0, :, 0], grad[0, :, 1] = 2.0 * grad_h.real, 2.0 * grad_h.imag
+    grad[1, :, 0], grad[1, :, 1] = 2.0 * grad_g.real, 2.0 * grad_g.imag
+    return f, grad.ravel()

@@ -69,6 +69,14 @@ def test_measure_prepare_channel_round_trip():
     assert back.mp_realization is not None
 
 
+@pytest.mark.parametrize("part, dims", [("states", (2, 3)), ("povm", (3, 2))])
+def test_measure_prepare_operator_shapes_checked(part, dims):
+    # a measure-prepare channel from dim_in to dim_out read with other dimensions
+    _, _, channel, _, _, _ = eb_example()
+    with pytest.raises(ParseError, match=rf"channel\.{part}\[0\] has shape"):
+        channel_from_json(channel_to_json(channel), *dims)
+
+
 def test_named_channels(basis2):
     ident = named_channel("identity", basis2)
     assert np.abs(ident.bloch_matrix - np.eye(4)).max() < 1e-14
