@@ -3,6 +3,7 @@
 import numpy as np
 
 HERM_ATOL = 1e-12
+RANK_REL_TOL = 1e-9
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -34,7 +35,7 @@ def herm_sqrt(a: np.ndarray, floor: float, inverse: bool = False) -> np.ndarray:
     return (evec * (1.0 / root if inverse else root)) @ dag(evec)
 
 
-def numerical_rank_of(a: np.ndarray, rel_tol: float = 1e-9) -> int:
+def numerical_rank_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Number of singular values above rel_tol times the largest one."""
     if a.size == 0:
         return 0
@@ -44,7 +45,7 @@ def numerical_rank_of(a: np.ndarray, rel_tol: float = 1e-9) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def null_space_of(a: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+def null_space_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a real matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, vt = np.linalg.svd(a)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from ._linalg import herm_sqrt, min_eigval, multistart, numerical_rank_of
+from ._linalg import RANK_REL_TOL, herm_sqrt, min_eigval, multistart, numerical_rank_of
 from .errors import (
     DimensionMismatchError,
     DimensionViolationError,
@@ -22,7 +22,6 @@ from .errors import (
 from .operators import GAUGE_NOTE, Povm
 from .scenario import CommMatrix, Scenario, comm_matrix
 
-RANK_REL_TOL = 1e-9
 GRAM_RESIDUAL_TOL = 1e-8
 DEFAULT_SEED = 12345
 

@@ -1,9 +1,11 @@
 """Command-line front end: ingest scenario JSON, run analyses, emit report envelopes.
 
 Every command writes one self-describing JSON envelope (inputs with digests,
-effective seed and tolerances, tool version, result payload); rerunning on the
-same inputs with the same seed reproduces the payload byte for byte.  Exit
-codes: 0 ok, 2 validation error, 3 precondition error, 4 numerical failure.
+the seed and tolerances the command passed to the library, tool version,
+result payload); rerunning on the same inputs with the same seed reproduces the
+payload byte for byte.  The cmd_* functions return library objects, which main
+serializes once.  Exit codes: 0 ok, 2 validation error, 3 precondition error,
+4 numerical failure.
 """
 
 import argparse
@@ -13,8 +15,10 @@ import math
 import sys
 
 from . import __version__
+from ._linalg import RANK_REL_TOL
 from .analysis import (
     DEFAULT_SEED,
+    GRAM_RESIDUAL_TOL,
     certify_info_completeness,
     information_storability,
     numerical_rank,
@@ -32,20 +36,13 @@ from .errors import (
 from .fixtures import FIXTURE_BUILDERS
 from .operators import bloch_basis, completely_depolarizing_channel
 from .properties import (
+    EB_RESIDUAL_TOL,
     construct_indistinguishable_pair,
     detect_unitality,
     eb_certificate,
 )
 from .scenario import Scenario, comm_matrix, comm_matrix_with_channel
-from .serialize import (
-    channel_payload,
-    comm_matrix_from_json,
-    frame_from_json,
-    matrix_to_json,
-    scenario_from_json,
-    scenario_to_json,
-    to_jsonable,
-)
+from .serialize import comm_matrix_from_json, scenario_from_json, scenario_to_json, to_jsonable
 from .tomography import (
     build_frame,
     build_unital_frame,
@@ -55,6 +52,8 @@ from .tomography import (
 )
 
 REPORT_SCHEMA = "commat-report/1"
+# the options a report lists under "tolerances", each where its command accepts it
+TOLERANCES = ("tol_rank", "tol_fit", "restarts")
 
 
 def _load_json(path: str, role: str) -> tuple:
@@ -72,18 +71,6 @@ def _load_json(path: str, role: str) -> tuple:
         ) from exc
 
 
-def _envelope(command: str, inputs: dict, seed: int, tolerances: dict, result: dict) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "tolerances": tolerances,
-        "version": __version__,
-        "result": result,
-    }
-
-
 def _emit(text: str, out: str | None):
     if not out:
         print(text)
@@ -95,103 +82,74 @@ def _emit(text: str, out: str | None):
         raise ValidationError(f"cannot write --out file {out}: {exc.strerror}") from exc
 
 
-def _check_tolerances(args):
+def _check_tolerances(tolerances: dict):
     # a chained comparison is false for NaN, so these reject non-finite values too
-    if not 0.0 < args.tol_rank < 1.0:
-        raise ValidationError(f"--tol-rank must be finite and in (0, 1), got {args.tol_rank}")
-    if not 0.0 < args.tol_fit < math.inf:
-        raise ValidationError(f"--tol-fit must be finite and positive, got {args.tol_fit}")
+    tol_rank, tol_fit = tolerances.get("tol_rank"), tolerances.get("tol_fit")
+    if tol_rank is not None and not 0.0 < tol_rank < 1.0:
+        raise ValidationError(f"--tol-rank must be finite and in (0, 1), got {tol_rank}")
+    if tol_fit is not None and not 0.0 < tol_fit < math.inf:
+        raise ValidationError(f"--tol-fit must be finite and positive, got {tol_fit}")
 
 
 def cmd_analyze(args, docs: dict) -> dict:
     scenario = scenario_from_json(docs["scenario"])
-    d = scenario.dim_in
+    states, povm, d = scenario.states, scenario.povm, scenario.dim_in
     result = {}
     c = None
-    if scenario.povm.dim == d:
-        c = comm_matrix(scenario.states, scenario.povm)
-        result["comm_matrix"] = matrix_to_json(c.entries)
+    if povm.dim == d:
+        c = result["comm_matrix"] = comm_matrix(states, povm)
     if scenario.channel is not None:
-        cprime = comm_matrix_with_channel(scenario)
-        result["comm_matrix_with_channel"] = matrix_to_json(cprime.entries)
+        result["comm_matrix_with_channel"] = comm_matrix_with_channel(scenario)
     if c is None:
         result["note"] = "input and output dimensions differ; set-up analysis needs a channel"
         return result
-    result["rank"] = numerical_rank(c, args.tol_rank)
+    result["rank"] = numerical_rank(c, rel_tol=args.tol_rank)
     result["storability"] = information_storability(c)
-    dim_s, dim_m, dim_int = span_dims(scenario.states, scenario.povm, args.tol_rank)
+    dim_s, dim_m, dim_int = span_dims(states, povm, rel_tol=args.tol_rank)
     result["span_dims"] = {"dim_v_rho": dim_s, "dim_v_m": dim_m, "dim_intersection": dim_int}
-    result["completeness"] = to_jsonable(
-        certify_info_completeness(c, d, (scenario.states, scenario.povm), args.tol_rank)
-    )
+    result["completeness"] = certify_info_completeness(c, d, (states, povm), rel_tol=args.tol_rank)
     m, n = c.shape
     if m == n:
-        result["self_test"] = to_jsonable(
-            self_test(c, d, restarts=args.restarts, seed=args.seed, residual_tol=args.tol_fit)
+        result["self_test"] = self_test(
+            c, d, restarts=args.restarts, seed=args.seed, residual_tol=args.tol_fit
         )
-        result["robustness"] = to_jsonable(
-            robustness_gap(Scenario(states=scenario.states, povm=scenario.povm))
-        )
+        result["robustness"] = robustness_gap(Scenario(states=states, povm=povm))
     return result
 
 
 def cmd_tomography(args, docs: dict) -> dict:
     cprime = comm_matrix_from_json(docs["cprime"])
-    scenario = None
-    if args.scenario:
-        scenario = scenario_from_json(docs["scenario"])
+    scenario = scenario_from_json(docs["scenario"])
+    states, povm, d = scenario.states, scenario.povm, scenario.dim_in
     if args.mode == "full":
-        if args.frame:
-            frame = frame_from_json(docs["frame"])
-        elif scenario is not None:
-            frame = build_frame(
-                scenario.states,
-                scenario.povm,
-                bloch_basis(scenario.dim_in),
-                bloch_basis(scenario.povm.dim),
-            )
-        else:
-            raise PreconditionError("full tomography needs --frame or --scenario")
-        channel = reconstruct_channel(frame, cprime)
-        return {"mode": "full", "channel": channel_payload(channel)}
+        frame = build_frame(states, povm, bloch_basis(d), bloch_basis(povm.dim))
+        return {"mode": "full", "channel": reconstruct_channel(frame, cprime)}
+    c = comm_matrix(states, povm)
     if args.mode == "unital":
-        if scenario is None:
-            raise PreconditionError(
-                "unital tomography needs --scenario (the pre-channel matrix validates the frame)"
-            )
-        basis = bloch_basis(scenario.dim_in)
-        frame = build_unital_frame(scenario.states, scenario.povm, basis)
-        c = comm_matrix(scenario.states, scenario.povm)
-        channel = reconstruct_unital(frame, c, cprime)
-        return {"mode": "unital", "channel": channel_payload(channel)}
-    if args.mode == "gauge":
-        if scenario is None:
-            raise PreconditionError("gauge tomography needs --scenario")
-        c = comm_matrix(scenario.states, scenario.povm)
-        estimate = reconstruct_up_to_gauge(
-            c, cprime, scenario.dim_in, restarts=args.restarts, seed=args.seed
-        )
-        return {
-            "mode": "gauge",
-            "channel": channel_payload(estimate.channel),
-            "gauge_note": estimate.gauge_note,
-            "self_test": to_jsonable(estimate.certificate),
-        }
-    raise PreconditionError(f"unknown mode {args.mode!r}")
+        frame = build_unital_frame(states, povm, bloch_basis(d))
+        return {"mode": "unital", "channel": reconstruct_unital(frame, c, cprime)}
+    estimate = reconstruct_up_to_gauge(
+        c, cprime, d, restarts=args.restarts, seed=args.seed, residual_tol=args.tol_fit
+    )
+    return {
+        "mode": "gauge",
+        "channel": estimate.channel,
+        "gauge_note": estimate.gauge_note,
+        "self_test": estimate.certificate,
+    }
 
 
 def cmd_properties(args, docs: dict) -> dict:
     scenario = scenario_from_json(docs["scenario"])
-    d = scenario.dim_in
-    states, povm = scenario.states, scenario.povm
+    states, povm, d = scenario.states, scenario.povm, scenario.dim_in
     if args.check == "witness":
         pair = construct_indistinguishable_pair(states, povm)
         return {
             "check": "witness",
             "case": pair.case_tag,
-            "witness_operator": matrix_to_json(pair.witness_operator),
-            "phi1": channel_payload(pair.phi1),
-            "phi2": channel_payload(pair.phi2),
+            "witness_operator": pair.witness_operator,
+            "phi1": pair.phi1,
+            "phi2": pair.phi2,
         }
     c = comm_matrix(states, povm)
     if args.cprime:
@@ -213,39 +171,46 @@ def cmd_properties(args, docs: dict) -> dict:
             povm_complete=args.assume_povm_complete,
             states=states,
         )
-        return {"check": "unitality", "verdict": to_jsonable(verdict)}
-    if args.check == "eb":
-        realization = None
-        if scenario.channel is not None and scenario.channel.mp_realization is not None:
-            realization = scenario.channel.mp_realization
-        cert = eb_certificate(
-            c,
-            cprime,
-            d,
-            l_max=args.l_max if args.l_max else d * d,
-            seed=args.seed,
-            restarts=args.restarts,
-            realization=realization,
-            residual_tol=args.tol_fit,
-        )
-        return {"check": "eb", "certificate": to_jsonable(cert)}
-    raise PreconditionError(f"unknown check {args.check!r}")
+        return {"check": "unitality", "verdict": verdict}
+    cert = eb_certificate(
+        c,
+        cprime,
+        d,
+        l_max=args.l_max or d * d,
+        seed=args.seed,
+        restarts=args.restarts,
+        realization=scenario.channel.mp_realization if scenario.channel is not None else None,
+        residual_tol=args.tol_fit,
+    )
+    return {"check": "eb", "certificate": cert}
 
 
 def cmd_fixtures(args, docs: dict) -> dict:
     name = args.name
-    if not args.out:
-        raise PreconditionError("fixtures needs --out for the scenario file")
     if name not in FIXTURE_BUILDERS:
         raise UnknownFixtureError(
             f"unknown fixture {name!r}", available=list(FIXTURE_BUILDERS)
         )
     states, povm, *extra = FIXTURE_BUILDERS[name]()
     scenario = Scenario(states=states, povm=povm, channel=extra[0] if extra else None)
-    _emit(json.dumps(scenario_to_json(scenario), sort_keys=True, indent=2), args.out)
-    written = args.out
-    args.out = None  # the report envelope goes to stdout, not over the scenario file
-    return {"fixture": name, "written": written}
+    _emit(json.dumps(scenario_to_json(scenario), sort_keys=True, indent=2), args.scenario_out)
+    return {"fixture": name, "written": args.scenario_out}
+
+
+def _add_run_options(p: argparse.ArgumentParser, tol_fit: float):
+    """The options of every command that runs an analysis: the search budget and --out."""
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument(
+        "--tol-fit",
+        type=float,
+        default=tol_fit,
+        dest="tol_fit",
+        help="fit tolerance (default %(default)s); it bounds two different quantities: the "
+        "self-test's sum of squared Gram errors (analyze, tomography --mode gauge) and the "
+        "Frobenius norm of C' - A B (properties --check eb)",
+    )
+    p.add_argument("--out", default=None, help="write the report here instead of to stdout")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,25 +221,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"commat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--tol-rank", type=float, default=1e-9, dest="tol_rank")
-    common.add_argument("--tol-fit", type=float, default=1e-8, dest="tol_fit")
-    common.add_argument("--restarts", type=int, default=32)
-    common.add_argument("--out", default=None)
-
-    p = sub.add_parser("analyze", parents=[common], help="rank, storability, completeness, self-test")
+    p = sub.add_parser("analyze", help="rank, storability, completeness, self-test")
     p.add_argument("--scenario", required=True)
+    p.add_argument("--tol-rank", type=float, default=RANK_REL_TOL, dest="tol_rank")
+    _add_run_options(p, GRAM_RESIDUAL_TOL)
     p.set_defaults(func=cmd_analyze, roles=("scenario",))
 
-    p = sub.add_parser("tomography", parents=[common], help="reconstruct a channel from C'")
-    p.add_argument("--scenario")
-    p.add_argument("--frame")
+    p = sub.add_parser("tomography", help="reconstruct a channel from C'")
+    p.add_argument("--scenario", required=True)
     p.add_argument("--cprime", required=True)
     p.add_argument("--mode", choices=["full", "unital", "gauge"], default="full")
-    p.set_defaults(func=cmd_tomography, roles=("scenario", "frame", "cprime"))
+    _add_run_options(p, GRAM_RESIDUAL_TOL)
+    p.set_defaults(func=cmd_tomography, roles=("scenario", "cprime"))
 
-    p = sub.add_parser("properties", parents=[common], help="unitality / EB / witness checks")
+    p = sub.add_parser("properties", help="unitality / EB / witness checks")
     p.add_argument("--scenario", required=True)
     p.add_argument("--cprime")
     p.add_argument("--check", choices=["unitality", "eb", "witness"], required=True)
@@ -284,26 +244,40 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="assert measurement informational completeness when rank cannot certify it",
     )
+    _add_run_options(p, EB_RESIDUAL_TOL)
     p.set_defaults(func=cmd_properties, roles=("scenario", "cprime"))
 
-    p = sub.add_parser("fixtures", parents=[common], help="write a canonical scenario file")
+    p = sub.add_parser("fixtures", help="write a canonical scenario file")
     p.add_argument("name")
-    p.set_defaults(func=cmd_fixtures, roles=())
+    p.add_argument(
+        "--out", required=True, dest="scenario_out", metavar="FILE", help="the scenario file to write"
+    )
+    # the report envelope goes to stdout, not over the scenario file
+    p.set_defaults(func=cmd_fixtures, roles=(), out=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    tolerances = {"tol_rank": args.tol_rank, "tol_fit": args.tol_fit, "restarts": args.restarts}
+    args = _build_parser().parse_args(argv)
+    options = vars(args)
+    tolerances = {name: options[name] for name in TOLERANCES if name in options}
     try:
-        _check_tolerances(args)
-        paths = {role: getattr(args, role) for role in args.roles if getattr(args, role)}
+        _check_tolerances(tolerances)
+        paths = {role: options[role] for role in args.roles if options[role]}
         loaded = {role: _load_json(path, role) for role, path in paths.items()}
         result = args.func(args, {role: doc for role, (doc, _) in loaded.items()})
-        inputs = {role: {"path": paths[role], "sha256": sha} for role, (_, sha) in loaded.items()}
-        envelope = _envelope(args.command, inputs, args.seed, tolerances, result)
-        _emit(json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False), args.out)
+        report = {
+            "schema": REPORT_SCHEMA,
+            "command": args.command,
+            "inputs": {
+                role: {"path": paths[role], "sha256": sha} for role, (_, sha) in loaded.items()
+            },
+            "seed": options.get("seed"),
+            "tolerances": tolerances,
+            "version": __version__,
+            "result": to_jsonable(result),
+        }
+        _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), args.out)
     except CommatError as exc:
         json.dump(exc.to_json_dict(), sys.stderr, sort_keys=True, default=str)
         sys.stderr.write("\n")

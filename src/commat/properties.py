@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, nnls
 
-from ._linalg import born_matrix, frob, herm_sqrt, multistart, null_space_of, numerical_rank_of
+from ._linalg import (
+    RANK_REL_TOL,
+    born_matrix,
+    frob,
+    herm_sqrt,
+    multistart,
+    null_space_of,
+    numerical_rank_of,
+)
 from .errors import (
     AmbiguityError,
     CommatError,
@@ -22,9 +30,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .analysis import DEFAULT_SEED, RANK_REL_TOL, numerical_rank
+from .analysis import DEFAULT_SEED, numerical_rank
 from .operators import (
-    DensityOperator,
     Povm,
     QuantumChannel,
     bloch_basis,
@@ -33,7 +40,7 @@ from .operators import (
     state_from_matrix,
     validate_povm,
 )
-from .scenario import CommMatrix, choi_distance, comm_matrix
+from .scenario import CommMatrix, Scenario, choi_distance, comm_matrix_with_channel
 
 EB_RESIDUAL_TOL = 1e-8
 KERNEL_ZERO_FLOOR = 1e-12
@@ -158,19 +165,13 @@ def construct_indistinguishable_pair(
             phi1=phi1, phi2=phi2, witness_operator=b1, case_tag="povm-incomplete"
         )
 
-    c1 = comm_matrix([_out_state(pair.phi1, s, basis_out) for s in states], povm)
-    c2 = comm_matrix([_out_state(pair.phi2, s, basis_out) for s in states], povm)
+    c1 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=pair.phi1))
+    c2 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=pair.phi2))
     if np.abs(c1.entries - c2.entries).max() > 1e-12:
         raise CommatError("constructed channels fail to give equal statistics")
     if choi_distance(pair.phi1, pair.phi2) <= 1e-6:
         raise CommatError("constructed channels coincide; output states degenerate")
     return pair
-
-
-def _out_state(ch: QuantumChannel, s: DensityOperator, basis_out) -> DensityOperator:
-    from .operators import apply_channel
-
-    return state_from_matrix(basis_out, apply_channel(ch, s.matrix))
 
 
 def unital_differentiation_condition(states, d: int, rel_tol: float = RANK_REL_TOL) -> bool:
@@ -187,7 +188,7 @@ def _kernel_basis(mat: np.ndarray, rel_tol: float) -> list:
     return [null[:, j] for j in range(null.shape[1])]
 
 
-def kernel_shift(c: CommMatrix, cprime: CommMatrix, tol: float = 1e-9) -> list:
+def kernel_shift(c: CommMatrix, cprime: CommMatrix, tol: float = RANK_REL_TOL) -> list:
     """Orthonormal basis of the numerical kernel of (C'^T - C^T).
 
     Vectors alpha in this kernel correspond to operators sum_j alpha_j rho_j
@@ -207,7 +208,7 @@ class UnitalityVerdict:
     verdict: str
     fixed_point_witness: np.ndarray | None = None
     setup_unital_differentiating: bool | None = None
-    kernel_tol: float = 1e-9
+    kernel_tol: float = RANK_REL_TOL
 
 
 def detect_unitality(
@@ -217,7 +218,7 @@ def detect_unitality(
     d: int,
     povm_complete: bool,
     states=None,
-    tol: float = 1e-9,
+    tol: float = RANK_REL_TOL,
 ) -> UnitalityVerdict:
     """Decide unitality of the channel behind C' using the depolarizing reference C0.
 

@@ -1,8 +1,8 @@
 """JSON schemas: complex matrices as row-major [re, im] pairs, with explicit dimensions.
 
-The same matrix encoding is shared by scenario files, frame files, channel
-payloads and report envelopes, so any certificate can be re-verified by
-replaying trace computations on its serialized operators.
+The same matrix encoding is shared by scenario files, channel payloads and
+report envelopes, so any certificate can be re-verified by replaying trace
+computations on its serialized operators.  Malformed input raises ParseError.
 """
 
 import re
@@ -26,6 +26,7 @@ from .operators import (
     validate_povm,
 )
 from .scenario import CommMatrix, Scenario
+from .tomography import CPTP_WARN_TOL
 
 SCHEMA_VERSION = "commat/1"
 
@@ -41,8 +42,12 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected rows/cols/entries, got {obj!r}") from exc
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: entries must be a list of [re, im] pairs, got {entries!r}")
     if len(entries) != rows * cols:
         raise ParseError(
             f"{where}: {rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -62,9 +67,16 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return m.reshape(rows, cols)
 
 
+def _matrices(objs, name: str) -> list:
+    """The matrices of a JSON list, named name[i] in errors."""
+    if not isinstance(objs, list):
+        raise ParseError(f"{name} must be a list of matrices, got {objs!r}")
+    return [matrix_from_json(obj, f"{name}[{i}]") for i, obj in enumerate(objs)]
+
+
 def _square_matrices(objs, name: str, dim: int) -> list:
     """The dim x dim matrices of a JSON list, named name[i] in errors."""
-    mats = [matrix_from_json(obj, f"{name}[{i}]") for i, obj in enumerate(objs)]
+    mats = _matrices(objs, name)
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ParseError(f"{name}[{i}] has shape {m.shape}, expected ({dim}, {dim})")
@@ -78,7 +90,7 @@ def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return m.real
 
 
-_NAMED_RE = re.compile(r"^([a-z_]+)(?:\(([-0-9.eE]+)\))?$")
+_NAMED_RE = re.compile(r"^([a-z_]+)(?:\(([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\))?$")
 
 _PAULI = {
     "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -88,6 +100,8 @@ _PAULI = {
 
 
 def named_channel(name: str, basis: BlochBasis) -> QuantumChannel:
+    if not isinstance(name, str):
+        raise ParseError(f"channel name must be a string, got {name!r}")
     match = _NAMED_RE.match(name.strip())
     if not match:
         raise ParseError(f"cannot parse channel name {name!r}")
@@ -118,22 +132,29 @@ def channel_to_json(ch: QuantumChannel) -> dict:
     return {"kind": "choi", "choi": matrix_to_json(ch.choi), "dim_in": ch.dim_in, "dim_out": ch.dim_out}
 
 
+def _field(obj: dict, key: str, kind: str):
+    if key not in obj:
+        raise ParseError(f"{kind} channel misses its {key!r} field")
+    return obj[key]
+
+
 def channel_from_json(obj, dim_in: int, dim_out: int) -> QuantumChannel:
+    if not isinstance(obj, dict):
+        raise ParseError(f"channel must be an object, got {obj!r}")
     basis_in = bloch_basis(dim_in)
     basis_out = bloch_basis(dim_out)
     kind = obj.get("kind")
     if kind == "named":
         if dim_in != dim_out:
             raise ParseError("named channels are square")
-        return named_channel(obj["name"], basis_in)
+        return named_channel(_field(obj, "name", kind), basis_in)
     if kind == "kraus":
-        kraus = [matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(obj["kraus"])]
-        return channel_from_kraus(kraus, basis_in, basis_out)
+        return channel_from_kraus(_matrices(_field(obj, "kraus", kind), "kraus"), basis_in, basis_out)
     if kind == "choi":
-        return channel_from_choi(matrix_from_json(obj["choi"], "choi"), basis_in, basis_out)
+        return channel_from_choi(matrix_from_json(_field(obj, "choi", kind), "choi"), basis_in, basis_out)
     if kind == "measure_prepare":
-        povm = validate_povm(_square_matrices(obj["povm"], "channel.povm", dim_in))
-        states = _square_matrices(obj["states"], "channel.states", dim_out)
+        povm = validate_povm(_square_matrices(_field(obj, "povm", kind), "channel.povm", dim_in))
+        states = _square_matrices(_field(obj, "states", kind), "channel.states", dim_out)
         return measure_and_prepare_channel(povm, [state_from_matrix(basis_out, m) for m in states])
     raise ParseError(f"unknown channel kind {kind!r}")
 
@@ -157,11 +178,11 @@ def scenario_from_json(obj) -> Scenario:
         dim_out = int(obj["dim_out"])
         state_objs = obj["states"]
         povm_objs = obj["povm"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"scenario file misses or mangles a required field: {exc}") from exc
     try:
         repeat = int(obj.get("repeat", 1))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"scenario repeat must be an integer, got {obj['repeat']!r}") from exc
     basis_in = bloch_basis(dim_in)
     states = [state_from_matrix(basis_in, m) for m in _square_matrices(state_objs, "states", dim_in)]
@@ -183,52 +204,9 @@ def comm_matrix_to_json(c: CommMatrix) -> dict:
 
 
 def comm_matrix_from_json(obj) -> CommMatrix:
-    if "comm_matrix" in obj:
+    if isinstance(obj, dict) and "comm_matrix" in obj:
         obj = obj["comm_matrix"]
     return CommMatrix(entries=real_matrix_from_json(obj, "comm_matrix"))
-
-
-def frame_to_json(frame) -> dict:
-    from .tomography import TomographyFrame, UnitalFrame
-
-    if isinstance(frame, TomographyFrame):
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "full",
-            "alpha": matrix_to_json(frame.alpha),
-            "beta": matrix_to_json(frame.beta),
-            "basis_in": {"kind": "gellmann", "dim": frame.basis_in.dim},
-            "basis_out": {"kind": "gellmann", "dim": frame.basis_out.dim},
-        }
-    if isinstance(frame, UnitalFrame):
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "unital",
-            "beta": matrix_to_json(frame.beta),
-            "r_matrix": matrix_to_json(frame.r_matrix),
-            "basis": {"kind": "gellmann", "dim": frame.basis.dim},
-        }
-    raise TypeError(f"not a frame: {frame!r}")
-
-
-def frame_from_json(obj):
-    from .tomography import TomographyFrame, UnitalFrame
-
-    kind = obj.get("kind")
-    if kind == "full":
-        return TomographyFrame(
-            alpha=real_matrix_from_json(obj["alpha"], "alpha"),
-            beta=real_matrix_from_json(obj["beta"], "beta"),
-            basis_in=bloch_basis(int(obj["basis_in"]["dim"])),
-            basis_out=bloch_basis(int(obj["basis_out"]["dim"])),
-        )
-    if kind == "unital":
-        return UnitalFrame(
-            beta=real_matrix_from_json(obj["beta"], "beta"),
-            r_matrix=real_matrix_from_json(obj["r_matrix"], "r_matrix"),
-            basis=bloch_basis(int(obj["basis"]["dim"])),
-        )
-    raise ParseError(f"unknown frame kind {kind!r}")
 
 
 def channel_payload(ch: QuantumChannel) -> dict:
@@ -239,7 +217,7 @@ def channel_payload(ch: QuantumChannel) -> dict:
         "choi": matrix_to_json(ch.choi),
         "bloch_matrix": matrix_to_json(ch.bloch_matrix),
         "cptp": {
-            "is_cptp": bool(ch.is_cptp(1e-6)),
+            "is_cptp": bool(ch.is_cptp(CPTP_WARN_TOL)),
             "choi_min_eigval": float(ch.choi_min_eigval),
             "tp_deviation": float(ch.tp_deviation),
         },

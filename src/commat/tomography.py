@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frob, numerical_rank_of
+from ._linalg import RANK_REL_TOL, frob, numerical_rank_of
 from .errors import (
     CommatError,
     DimensionMismatchError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .analysis import (
     DEFAULT_SEED,
-    RANK_REL_TOL,
+    GRAM_RESIDUAL_TOL,
     SelfTestCertificate,
     numerical_rank,
     self_test,
@@ -95,7 +95,7 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
 def _warn_if_noncptp(ch: QuantumChannel):
     if not ch.is_cptp(CPTP_WARN_TOL):
         warnings.warn(
-            "reconstructed map violates CPTP beyond 1e-6 "
+            f"reconstructed map violates CPTP beyond {CPTP_WARN_TOL} "
             f"(min Choi eigenvalue {ch.choi_min_eigval:.3e}, trace deviation "
             f"{ch.tp_deviation:.3e}); treating as noisy data",
             stacklevel=3,
@@ -213,17 +213,20 @@ def reconstruct_up_to_gauge(
     d: int,
     restarts: int = 32,
     seed: int = DEFAULT_SEED,
+    residual_tol: float = GRAM_RESIDUAL_TOL,
 ) -> GaugeChannelEstimate:
     """Self-test the set-up, then run linear inversion through the canonical frame.
 
-    The returned channel equals the true one conjugated on both sides by one
-    unknown unitary or antiunitary; gauge-invariant scalars are faithful.
+    ``restarts``, ``seed`` and ``residual_tol`` are passed to ``self_test``.  The
+    returned channel equals the true one conjugated on both sides by one unknown
+    unitary or antiunitary; gauge-invariant scalars are faithful.
     """
-    if numerical_rank(c) < d * d:
+    rank = numerical_rank(c)
+    if rank < d * d:
         raise NotInformationallyCompleteError(
-            f"rank {numerical_rank(c)} < {d * d}; set-up cannot be certified complete"
+            f"rank {rank} < {d * d}; set-up cannot be certified complete"
         )
-    cert = self_test(c, d, restarts=restarts, seed=seed)
+    cert = self_test(c, d, restarts=restarts, seed=seed, residual_tol=residual_tol)
     if not cert.passes:
         if abs(cert.storability - d) <= cert.storability_tol:
             raise NotSelfTestableError(

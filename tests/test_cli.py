@@ -1,5 +1,6 @@
 """Command-line behavior: envelopes, determinism, exit codes, error objects."""
 
+import inspect
 import json
 import warnings
 
@@ -248,28 +249,93 @@ def test_restart_budget_below_one_is_validation_error(
     assert "restarts" in err["message"]
 
 
-def test_analyze_uses_the_reported_tolerances(sic_file, tmp_path, monkeypatch):
+def _record(monkeypatch, module, name, parameter, seen):
+    """Wrap module.name so that seen[name] holds the value of one parameter in its last call."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen[name] = bound.arguments[parameter]
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def test_analyze_uses_the_reported_tolerances(sic_file, identity_cprime_file, tmp_path, monkeypatch):
     import commat.cli as cli
+    import commat.tomography as tomography
 
     seen = {}
-    cli_span_dims, cli_self_test = cli.span_dims, cli.self_test
-
-    def span_dims(states, povm, rel_tol=None):
-        seen["span_dims"] = rel_tol
-        return cli_span_dims(states, povm, rel_tol)
-
-    def self_test(c, d, residual_tol=None, **kwargs):
-        seen["self_test"] = residual_tol
-        return cli_self_test(c, d, residual_tol=residual_tol, **kwargs)
-
-    monkeypatch.setattr(cli, "span_dims", span_dims)
-    monkeypatch.setattr(cli, "self_test", self_test)
+    _record(monkeypatch, cli, "span_dims", "rel_tol", seen)
+    _record(monkeypatch, cli, "self_test", "residual_tol", seen)
     out = tmp_path / "report.json"
     argv = ["analyze", "--scenario", str(sic_file), "--tol-rank", "1e-7", "--tol-fit", "1e-6"]
     assert main(argv + ["--out", str(out)]) == 0
     tolerances = json.loads(out.read_text())["tolerances"]
     assert seen == {"span_dims": tolerances["tol_rank"], "self_test": tolerances["tol_fit"]}
     assert seen == {"span_dims": 1e-7, "self_test": 1e-6}
+
+    # the other two commands whose --tol-fit reaches a search
+    cp = str(identity_cprime_file)
+    for argv, module, name in (
+        (["tomography", "--mode", "gauge", "--cprime", cp], tomography, "self_test"),
+        (["properties", "--check", "eb", "--cprime", cp, "--restarts", "1"], cli, "eb_certificate"),
+    ):
+        seen.clear()
+        _record(monkeypatch, module, name, "residual_tol", seen)
+        assert main(argv + ["--scenario", str(sic_file), "--tol-fit", "1e-5", "--out", str(out)]) == 0
+        tolerances = json.loads(out.read_text())["tolerances"]
+        assert seen == {name: tolerances["tol_fit"]} == {name: 1e-5}
+
+
+def _subcommand_options():
+    """Per subcommand, the sorted option strings (positionals by name) it accepts."""
+    import argparse
+
+    from commat.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(opt for a in p._actions if a.dest != "help" for opt in a.option_strings or [a.dest])
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    run = ["--out", "--restarts", "--seed", "--tol-fit"]
+    assert _subcommand_options() == {
+        "analyze": sorted(run + ["--scenario", "--tol-rank"]),
+        "tomography": sorted(run + ["--scenario", "--cprime", "--mode"]),
+        "properties": sorted(
+            run + ["--scenario", "--cprime", "--check", "--l-max", "--assume-povm-complete"]
+        ),
+        "fixtures": ["--out", "name"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixtures", "sic-qubit", "--out", "s.json", "--seed", "1"],
+        ["tomography", "--scenario", "s.json", "--cprime", "c.json", "--tol-rank", "1e-7"],
+        ["tomography", "--scenario", "s.json", "--cprime", "c.json", "--frame", "f.json"],
+    ],
+)
+def test_removed_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and argv[-2] in err
+
+
+def test_fixtures_report_has_no_seed_or_tolerances(tmp_path, capsys):
+    assert main(["fixtures", "sic-qubit", "--out", str(tmp_path / "s.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["seed"], report["tolerances"]) == (None, {})
+    assert report["result"] == {"fixture": "sic-qubit", "written": str(tmp_path / "s.json")}
 
 
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-fit"])
@@ -382,3 +448,30 @@ def test_infinite_matrix_entry_is_parse_error_without_warnings(sic_file, tmp_pat
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "parse-error"
     assert "states[0]" in err["message"] and "finite" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["states"][0].update(entries=3),
+        lambda doc: doc["states"][0].update(rows=-2, cols=-2),
+        lambda doc: doc.update(states=3),
+        lambda doc: doc.update(channel=[]),
+        lambda doc: doc.update(channel={"kind": "kraus"}),
+        lambda doc: doc.update(channel={"kind": "named", "name": 3}),
+        lambda doc: doc.update(channel={"kind": "named", "name": "depolarizing(1e)"}),
+    ],
+    ids=[
+        "entries-number",
+        "negative-shape",
+        "states-number",
+        "channel-list",
+        "kraus-missing",
+        "name-number",
+        "name-argument-not-a-number",
+    ],
+)
+def test_malformed_scenario_structure_is_parse_error(sic_file, tmp_path, edit, capsys):
+    code, err = _analyze_edited(sic_file, tmp_path, edit, capsys)
+    assert code == 2
+    assert err["code"] == "parse-error"

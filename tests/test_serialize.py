@@ -1,4 +1,4 @@
-"""JSON round trips for matrices, scenarios, channels, frames and reports."""
+"""JSON round trips for matrices, scenarios, channels and reports."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,10 @@ import pytest
 from commat import (
     Scenario,
     bloch_basis,
-    build_frame,
-    build_unital_frame,
     comm_matrix,
     eb_example,
     self_test,
     sic_qubit,
-    state_from_bloch,
     noisy_antidist,
 )
 from commat.errors import ParseError
@@ -22,8 +19,6 @@ from commat.serialize import (
     channel_to_json,
     comm_matrix_from_json,
     comm_matrix_to_json,
-    frame_from_json,
-    frame_to_json,
     matrix_from_json,
     matrix_to_json,
     named_channel,
@@ -104,22 +99,6 @@ def test_comm_matrix_round_trip():
     c = noisy_antidist(4, 0.5)
     back = comm_matrix_from_json(comm_matrix_to_json(c))
     assert np.abs(back.entries - c.entries).max() == 0.0
-
-
-def test_frame_round_trips(basis2):
-    states, povm = sic_qubit()
-    frame = build_frame(states, povm, basis2, basis2)
-    back = frame_from_json(frame_to_json(frame))
-    assert np.abs(back.alpha - frame.alpha).max() == 0.0
-    assert back.basis_in.dim == 2
-
-    axis_states = [
-        state_from_bloch(basis2, r)
-        for r in (np.eye(3)[2], np.eye(3)[0], np.eye(3)[1])
-    ]
-    uframe = build_unital_frame(axis_states, povm, basis2)
-    uback = frame_from_json(frame_to_json(uframe))
-    assert np.abs(uback.r_matrix - uframe.r_matrix).max() == 0.0
 
 
 def test_reports_become_json_safe():
