@@ -112,6 +112,7 @@ class SelfTestCertificate:
     canonical_vectors: tuple | None
     canonical_weights: np.ndarray | None
     gram_residual: float | None
+    restarts: int = 0
     storability_tol: float = 1e-6
     residual_tol: float = GRAM_RESIDUAL_TOL
     gauge_note: str = field(default=GAUGE_NOTE, repr=False)
@@ -128,35 +129,20 @@ class SelfTestCertificate:
         return self.overlap_matrix() * self.canonical_weights[None, :]
 
 
-def _unpack_vectors(x, n, d):
-    """The n unnormalized vectors of a packing: u_0 = e_0 (gauge), then (re, im) pairs."""
-    u = np.empty((n, d), dtype=complex)
-    u[0] = 0.0
-    u[0, 0] = 1.0
-    packed = x.reshape(n - 1, 2, d)
-    u[1:] = packed[:, 0, :] + 1j * packed[:, 1, :]
-    return u
+def _projector_objective(x, target, weight, n, d):
+    """f = sum_jk w_jk (|P_jk|^2 - T_jk)^2 and its gradient; x holds Z as (re, im) pairs.
 
-
-def _gram_objective(x, c, alpha, d, n, with_grad=True):
-    u = _unpack_vectors(x, n, d)
-    n2 = np.einsum("ji,ji->j", u.conj(), u).real
-    s_raw = u @ u.conj().T
-    p = (np.abs(s_raw) ** 2) / np.outer(n2, n2)
-    r = p * alpha[None, :] - c
-    f = float((r * r).sum())
-    if not with_grad:
-        return f
-
-    w = 2.0 * r * alpha[None, :]
-    a1 = (w * s_raw.conj()).T / n2[None, :]
-    m2 = (w * s_raw) / n2[None, :]
-    cvec = (w * p).sum(axis=0) + (w * p).sum(axis=1)
-    g = ((a1 + m2) @ u) / n2[:, None] - (cvec / n2)[:, None] * u
-    grad = np.empty((n - 1, 2, d))
-    grad[:, 0, :] = 2.0 * g[1:].real
-    grad[:, 1, :] = 2.0 * g[1:].imag
-    return f, grad.ravel()
+    P = Z (Z^dag Z)^-1 Z^dag is the rank-d projector with entries
+    sqrt(a_j a_k) <phi_j|phi_k>, T_jk its squared moduli (a_j C_jk + a_k C_kj) / 2;
+    f is unchanged under Z -> Z A for any invertible A.
+    """
+    z = x.view(complex).reshape(n, d)
+    zinv_zh = np.linalg.solve(z.conj().T @ z, z.conj().T)
+    p = z @ zinv_zh
+    r = np.abs(p) ** 2 - target
+    m = zinv_zh @ (4.0 * weight * r * p)
+    m -= m @ p
+    return float((weight * r * r).sum()), (2.0 * m.conj().T).ravel().view(float)
 
 
 def _polish_implementation(vectors, alpha):
@@ -172,18 +158,22 @@ def _polish_implementation(vectors, alpha):
 def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
     """((vectors, weights), polished Gram residual, restarts run) of the multi-start fit."""
     n = c.shape[0]
+    moduli = alpha[:, None] * c
+    # w_jk = (a_j^-2 + a_k^-2) / 2 makes f the verdict's sum_jk (|P_jk|^2 / a_j - C_jk)^2
+    inv_sq = np.divide(1.0, alpha**2, out=np.zeros(n), where=alpha > 0.0)
+    target, weight = (moduli + moduli.T) / 2.0, (inv_sq[:, None] + inv_sq[None, :]) / 2.0
 
     def solve(rng, _):
-        x0 = rng.standard_normal((n - 1) * 2 * d)
         res = minimize(
-            _gram_objective,
-            x0,
-            args=(c, alpha, d, n),
+            _projector_objective,
+            rng.standard_normal(2 * n * d),
+            args=(target, weight, n, d),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-14},
         )
-        u = _unpack_vectors(res.x, n, d)
+        z = res.x.view(complex).reshape(n, d)
+        u = (z @ herm_sqrt(z.conj().T @ z, 0.0, inverse=True)).conj()
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         vectors, weights = _polish_implementation(u, alpha)
         overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
@@ -203,11 +193,13 @@ def self_test(
     """Self-test a square set-up from its information storability.
 
     Passing requires the storability to reach the dimension d.  The canonical
-    rank-1 implementation (unit vectors phi_j, effects C_jj |phi_j><phi_j|) is
-    recovered by a multi-restart quasi-Newton fit of the squared-overlap matrix
-    with phi_1 gauge-fixed, which stops at the first restart whose polished Gram
-    residual is within ``residual_tol``; everything it certifies is modulo a
-    global unitary or antiunitary, which no statistics can resolve.
+    rank-1 implementation (unit vectors phi_j, effects a_j |phi_j><phi_j| with
+    a_j = C_jj) is recovered by a multi-restart quasi-Newton fit of the rank-d
+    projector P = Z (Z^dag Z)^-1 Z^dag, P_jk = sqrt(a_j a_k) <phi_j|phi_k>, to its
+    squared moduli a_j C_jk, so the effects sum to the identity by construction.
+    The fit stops at the first restart whose polished Gram residual is within
+    ``residual_tol``; ``restarts`` records the fits run.  Everything it certifies
+    is modulo a global unitary or antiunitary, which no statistics can resolve.
 
     ``residual_tol`` bounds the sum of squares sum_jk (a_k |<phi_j|phi_k>|^2 - C_jk)^2, so
     one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4 by default).
@@ -231,8 +223,9 @@ def self_test(
         )
     weights = c.entries.diagonal().copy()
     vectors = canon_weights = residual = None
+    ran = 0
     if abs(storability - d) <= tol:
-        (vectors, canon_weights), residual, _ = _fit_canonical_vectors(
+        (vectors, canon_weights), residual, ran = _fit_canonical_vectors(
             c.entries, weights, d, restarts, seed, residual_tol
         )
     return SelfTestCertificate(
@@ -242,6 +235,7 @@ def self_test(
         canonical_vectors=None if vectors is None else tuple(vectors),
         canonical_weights=canon_weights,
         gram_residual=residual,
+        restarts=ran,
         storability_tol=tol,
         residual_tol=residual_tol,
     )

@@ -176,7 +176,7 @@ def cmd_properties(args, docs: dict) -> dict:
         c,
         cprime,
         d,
-        l_max=args.l_max or d * d,
+        l_max=d * d if args.l_max is None else args.l_max,
         seed=args.seed,
         restarts=args.restarts,
         realization=scenario.channel.mp_realization if scenario.channel is not None else None,

@@ -492,6 +492,8 @@ def eb_certificate(
         raise ValueError(f"unknown claim level {claim!r}")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if l_max < 1:
+        raise ValidationError(f"l_max must be >= 1, got {l_max}")
     rank_c = numerical_rank(c)
     if claim == "channel" and rank_c < d * d:
         raise AmbiguityError(

@@ -38,12 +38,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": rows, "cols": cols, "entries": entries}
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer field: an int or an integral float, so not true, 2.5 or "2"."""
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"{where}: expected rows/cols/entries, got {obj!r}") from exc
+    rows, cols = _integer(rows, f"{where}: rows"), _integer(cols, f"{where}: cols")
     if rows < 1 or cols < 1:
         raise ParseError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
     if not isinstance(entries, list):
@@ -174,16 +181,12 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 def scenario_from_json(obj) -> Scenario:
     try:
-        dim_in = int(obj["dim_in"])
-        dim_out = int(obj["dim_out"])
-        state_objs = obj["states"]
-        povm_objs = obj["povm"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim_in, dim_out = obj["dim_in"], obj["dim_out"]
+        state_objs, povm_objs = obj["states"], obj["povm"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"scenario file misses or mangles a required field: {exc}") from exc
-    try:
-        repeat = int(obj.get("repeat", 1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"scenario repeat must be an integer, got {obj['repeat']!r}") from exc
+    dim_in, dim_out = _integer(dim_in, "scenario dim_in"), _integer(dim_out, "scenario dim_out")
+    repeat = _integer(obj.get("repeat", 1), "scenario repeat")
     basis_in = bloch_basis(dim_in)
     states = [state_from_matrix(basis_in, m) for m in _square_matrices(state_objs, "states", dim_in)]
     povm = validate_povm(_square_matrices(povm_objs, "povm", dim_out))

@@ -231,8 +231,8 @@ def reconstruct_up_to_gauge(
         if abs(cert.storability - d) <= cert.storability_tol:
             raise NotSelfTestableError(
                 f"storability {cert.storability:.9f} reaches dimension {d}, but the best "
-                f"canonical-vector fit has Gram residual {cert.gram_residual:.3e} above "
-                f"residual_tol {cert.residual_tol:.1e}"
+                f"canonical-vector fit ({cert.restarts} restarts run) has Gram residual "
+                f"{cert.gram_residual:.3e} above residual_tol {cert.residual_tol:.1e}"
             )
         raise NotSelfTestableError(
             f"storability {cert.storability:.9f} does not certify the set-up at dimension {d}"

@@ -20,6 +20,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def rank1_setup(rng, d, n):
+    """Random rank-1 set-up (unit vectors phi_k, weights a_k, sum_k a_k |phi_k><phi_k| = I).
+
+    A copy of ``bench/oracles.rank1_setup``, which the tests do not import, so
+    that a generator seed names the same set-up here and in the benchmark.
+    """
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    ev, u = np.linalg.eigh(v.T @ v.conj())
+    w = v @ ((u * ev ** -0.5) @ u.conj().T).T
+    a = np.einsum("ki,ki->k", w.conj(), w).real
+    return w / np.sqrt(a)[:, None], a
+
+
 def make_random_setup(basis, rng, n_states, n_outcomes):
     states = tuple(random_mixed_state(basis, rng) for _ in range(n_states))
     povm = random_povm(basis, rng, n_outcomes)

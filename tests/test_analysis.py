@@ -20,7 +20,7 @@ from commat import (
     trine_qubit,
     validate_povm,
 )
-from commat.analysis import _gram_objective, _polish_implementation
+from commat.analysis import _polish_implementation, _projector_objective
 from commat.errors import (
     DimensionMismatchError,
     DimensionViolationError,
@@ -28,7 +28,7 @@ from commat.errors import (
     PreconditionError,
     ValidationError,
 )
-from conftest import make_random_setup, make_spanning_setup
+from conftest import make_random_setup, make_spanning_setup, rank1_setup
 from commat import bloch_basis
 
 
@@ -144,13 +144,45 @@ class TestSelfTest:
         from scipy.optimize import approx_fprime
 
         c = noisy_antidist(4, 0.5).entries
-        alpha = np.diag(c).copy()
-        x0 = rng.standard_normal(12)
-        _, grad = _gram_objective(x0, c, alpha, 2, 4)
+        moduli = np.diag(c)[:, None] * c
+        target = (moduli + moduli.T) / 2
+        weight = rng.uniform(1.0, 5.0, (4, 4))
+        weight = (weight + weight.T) / 2
+        x0 = rng.standard_normal(16)
+        _, grad = _projector_objective(x0, target, weight, 4, 2)
         numeric = approx_fprime(
-            x0, lambda x: _gram_objective(x, c, alpha, 2, 4, with_grad=False), 1e-7
+            x0, lambda x: _projector_objective(x, target, weight, 4, 2)[0], 1e-7
         )
         assert np.abs(grad - numeric).max() < 1e-5
+
+    def test_projector_objective_ignores_the_basis_of_the_column_space(self, rng):
+        # f depends on Z only through P = Z (Z^dag Z)^-1 Z^dag, so Z -> Z A leaves it alone
+        n, d = 9, 3
+        target = rng.uniform(0.0, 0.3, (n, n))
+        target = (target + target.T) / 2
+        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        weight = np.ones((n, n))
+        f, _ = _projector_objective(z.ravel().view(float), target, weight, n, d)
+        f_za, _ = _projector_objective((z @ a).ravel().view(float), target, weight, n, d)
+        assert f_za == pytest.approx(f, rel=1e-10)
+
+    @pytest.mark.parametrize("d, seed", [(3, 4), (3, 11), (4, 5)])
+    def test_recovers_generated_rank_one_setups(self, d, seed):
+        # d^2-outcome set-ups of bench/oracles.rank1_setup that a fit of raw vectors
+        # (phi_0 fixed, completeness left to the polish) missed within 32 restarts
+        vecs, weights = rank1_setup(np.random.default_rng(seed), d, d * d)
+        overlaps = np.abs(vecs.conj() @ vecs.T) ** 2
+        cert = self_test(CommMatrix(entries=overlaps * weights[None, :]), d)
+        assert cert.passes
+        assert 1 <= cert.restarts <= 32
+        assert np.abs(cert.overlap_matrix() - overlaps).max() < 1e-6
+        assert np.abs(cert.canonical_weights - weights).max() < 1e-6
+
+    def test_restarts_run_are_recorded(self):
+        assert self_test(noisy_antidist(4, 0.5), 2).restarts == 1
+        assert self_test(noisy_antidist(4, 0.5), 2, restarts=3, residual_tol=0.0).restarts == 3
+        assert self_test(noisy_antidist(4, 0.8), 2).restarts == 0  # storability below d: no fit
 
     def test_sic_matrix_passes(self):
         cert = self_test(noisy_antidist(4, 0.5), 2)
@@ -179,6 +211,16 @@ class TestSelfTest:
         cert = self_test(noisy_antidist(4, 0.8), 2)
         assert not cert.passes
         assert cert.canonical_vectors is None
+
+    def test_zero_diagonal_fails_without_warnings(self):
+        # storability 2 = d, but the weights C_jj are 0: the weighted fit must stay finite
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = self_test(CommMatrix(entries=np.array([[0.0, 1.0], [1.0, 0.0]])), 2)
+        assert not cert.passes
+        assert cert.gram_residual == pytest.approx(2.0)
 
     def test_reconstruction_matches_within_residual(self):
         cert = self_test(noisy_antidist(4, 0.5), 2)

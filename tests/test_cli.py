@@ -45,6 +45,7 @@ def test_analyze_sic(sic_file, tmp_path, capsys):
     assert report["result"]["rank"] == 4
     assert report["result"]["storability"] == pytest.approx(2.0)
     assert report["result"]["self_test"]["passes"] is True
+    assert report["result"]["self_test"]["restarts"] == 1
     assert report["result"]["completeness"]["states_complete"] is True
     assert report["inputs"]["scenario"]["sha256"]
 
@@ -434,6 +435,37 @@ def test_non_integer_repeat_is_parse_error(sic_file, tmp_path, capsys):
     assert code == 2
     assert err["code"] == "parse-error"
     assert "repeat" in err["message"]
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+@pytest.mark.parametrize("field", ["dim_in", "dim_out", "rows", "cols", "repeat"])
+def test_integer_field_that_is_not_an_integer_is_parse_error(
+    sic_file, tmp_path, field, value, capsys
+):
+    # a truncating read would take 2.5 for 2 and true for 1
+    def edit(doc):
+        (doc["states"][0] if field in ("rows", "cols") else doc)[field] = value
+
+    code, err = _analyze_edited(sic_file, tmp_path, edit, capsys)
+    assert code == 2
+    assert err["code"] == "parse-error"
+    assert field in err["message"]
+
+
+@pytest.mark.parametrize("l_max", ["0", "-1"])
+@pytest.mark.parametrize("realized", [True, False])
+def test_l_max_below_one_is_validation_error(
+    sic_file, identity_cprime_file, tmp_path, realized, l_max, capsys
+):
+    # eb-six-state carries its realization; sic-qubit with a C' file needs the search
+    argv = ["--scenario", str(sic_file), "--cprime", str(identity_cprime_file)]
+    if realized:
+        argv = ["--scenario", str(tmp_path / "eb.json")]
+        assert main(["fixtures", "eb-six-state", "--out", argv[1]]) == 0
+    assert main(["properties", "--check", "eb", "--l-max", l_max] + argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "validation-error"
+    assert "l_max" in err["message"]
 
 
 def test_infinite_matrix_entry_is_parse_error_without_warnings(sic_file, tmp_path, capsys):

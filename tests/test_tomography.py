@@ -326,5 +326,6 @@ class TestReconstructUpToGauge:
             reconstruct_up_to_gauge(c, c, 2, restarts=1)
         message = str(info.value)
         assert "3.500e-03" in message
+        assert "(1 restarts run)" in message
         assert "residual_tol" in message
         assert "does not certify" not in message
