@@ -68,6 +68,12 @@ class BlochBasis:
         return np.einsum("...ij,aji->...a", m, self.elements).real / self.dim
 
 
+def _require_finite(a: np.ndarray, error: type, what: str):
+    """Raise ``error`` before any arithmetic on a NaN or infinite entry can warn or fail."""
+    if not np.isfinite(a).all():
+        raise error(f"{what} is not finite")
+
+
 def bloch_basis(d: int) -> BlochBasis:
     """Deterministic generalized Gell-Mann basis with tr(sigma_a^2) = d.
 
@@ -110,6 +116,7 @@ def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
     """Build (1/d)(identity + r . sigma) and validate positivity."""
     d = basis.dim
     r = np.asarray(r, dtype=float)
+    _require_finite(r, InvalidOperatorError, "Bloch vector")
     if r.shape != (d * d - 1,):
         raise DimensionMismatchError(
             f"Bloch vector must have length {d * d - 1}, got {r.shape}"
@@ -126,6 +133,7 @@ def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
 def bloch_from_state(basis: BlochBasis, m: np.ndarray) -> np.ndarray:
     """Bloch vector r_u = tr(m sigma_u) of a Hermitian unit-trace matrix."""
     m = np.asarray(m, dtype=complex)
+    _require_finite(m, InvalidOperatorError, "matrix")
     if not is_hermitian(m):
         raise InvalidOperatorError("matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > HERM_ATOL * 10:
@@ -176,6 +184,7 @@ def validate_povm(effects) -> Povm:
     for k, e in enumerate(effects):
         if e.shape != (d, d):
             raise PovmError(f"effect {k} has shape {e.shape}, expected ({d}, {d})")
+        _require_finite(e, PovmError, f"effect {k}")
         if not is_hermitian(e):
             raise PovmError(f"effect {k} is not Hermitian")
         ev = np.linalg.eigvalsh(e)
@@ -273,6 +282,7 @@ def channel_from_choi(
     """Build a channel from its Choi matrix, recording CPTP diagnostics."""
     di, do = basis_in.dim, basis_out.dim
     choi = np.asarray(choi, dtype=complex)
+    _require_finite(choi, InvalidChannelError, "Choi matrix")
     if choi.shape != (di * do, di * do):
         raise DimensionMismatchError(
             f"Choi matrix has shape {choi.shape}, expected {(di * do, di * do)}"
@@ -290,6 +300,7 @@ def channel_from_bloch(
     """Build a channel from its Bloch affine matrix, recording CPTP diagnostics."""
     di, do = basis_in.dim, basis_out.dim
     bloch = np.array(bloch, dtype=float)
+    _require_finite(bloch, InvalidChannelError, "Bloch matrix")
     if bloch.shape != (do * do, di * di):
         raise DimensionMismatchError(
             f"Bloch matrix has shape {bloch.shape}, expected {(do * do, di * di)}"
@@ -307,6 +318,7 @@ def channel_from_kraus(kraus, basis_in: BlochBasis, basis_out: BlochBasis) -> Qu
             raise DimensionMismatchError(
                 f"Kraus operator has shape {k.shape}, expected ({do}, {di})"
             )
+        _require_finite(k, InvalidChannelError, "Kraus operator")
     kraus = np.array(kraus).reshape(-1, do, di)
     total = np.einsum("kpi,kpj->ij", kraus.conj(), kraus)
     if frob(total - np.eye(di)) > CPTP_ATOL:
@@ -385,6 +397,7 @@ def amplitude_damping_channel(basis: BlochBasis, gamma: float) -> QuantumChannel
 
 def unitary_channel(basis: BlochBasis, u: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
+    _require_finite(u, InvalidChannelError, "unitary")
     if frob(dag(u) @ u - np.eye(basis.dim)) > CPTP_ATOL:
         raise InvalidChannelError("matrix is not unitary")
     return channel_from_kraus([u], basis, basis)

@@ -15,7 +15,6 @@ from ._linalg import (
     RANK_REL_TOL,
     born_matrix,
     frob,
-    herm_sqrt,
     multistart,
     null_space_of,
     numerical_rank_of,
@@ -341,14 +340,26 @@ class EbCertificate:
 
 
 def _unpack_mp_params(x, l, d):
-    """Raw positive effects P_i = H_i^dag H_i and unit-trace states from the packing."""
+    """Effect factors H_i and states xi_i = G_i G_i^dag / tr(G_i G_i^dag) from the packing."""
     blocks = x.reshape(2, l, 2, d, d)
     h, g = blocks[:, :, 0] + 1j * blocks[:, :, 1]
-    effects_p = h.conj().swapaxes(1, 2) @ h
     q = g @ g.conj().swapaxes(1, 2)
     traces = np.maximum(np.einsum("iaa->i", q).real, 1e-12)
-    states = q / traces[:, None, None]
-    return h, g, effects_p, states, traces
+    return h, g, q / traces[:, None, None], traces
+
+
+def _complete_effects(h):
+    """Effects N_i = T P_i T of P_i = H_i^dag H_i, T = S^(-1/2), S = sum_i P_i; they sum to I.
+
+    The stacked Y_i = H_i T is the polar factor W V^dag of the stacked H =
+    W diag(sigma) V^dag, so the effects N_i = Y_i^dag Y_i sum to the identity to
+    rounding whatever the condition of S.  The eigenvalues of S are sigma^2 and
+    its eigenvectors the rows of V^dag.  Returns N, Y, sigma and V^dag.
+    """
+    l, d, _ = h.shape
+    w, sigma, vh = np.linalg.svd(h.reshape(l * d, d), full_matrices=False)
+    y = (w @ vh).reshape(l, d, d)
+    return y.conj().swapaxes(1, 2) @ y, y, sigma, vh
 
 
 def _flat(ops):
@@ -356,64 +367,45 @@ def _flat(ops):
     return np.ascontiguousarray(ops, dtype=complex).view(float).reshape(len(ops), -1)
 
 
-def _mp_objective(x, rho_arr, eff_arr, target, l, d, mu=1.0):
-    """Squared fit error plus a completeness penalty, with its analytic gradient.
+def _mp_objective(x, rho_arr, eff_arr, target, l, d):
+    """Squared fit error ||C' - A B||^2 of a complete measurement and states, with its gradient.
 
-    Effects are optimized unnormalized (penalty mu * ||sum P_i - I||^2 keeps the
-    measurement valid at the optimum); states are trace-normalized inline.
+    A[j, i] = tr(rho_j N_i) with the complete effects of ``_complete_effects`` and
+    B[i, k] = tr(xi_i M_k) with trace-normalized states.
     """
-    h, g, effects_p, states, traces = _unpack_mp_params(x, l, d)
+    h, g, states, traces = _unpack_mp_params(x, l, d)
+    effects, y, sigma, vh = _complete_effects(h)
     rho_f, eff_f = _flat(rho_arr), _flat(eff_arr)
-    a = rho_f @ _flat(effects_p).T          # A[j, i] = tr(rho_j P_i)
+    a = rho_f @ _flat(effects).T            # A[j, i] = tr(rho_j N_i)
     b = _flat(states) @ eff_f.T             # B[i, k] = tr(xi_i M_k)
     r = target - a @ b
-    defect = effects_p.sum(axis=0) - np.eye(d)
-    f = float(r.ravel() @ r.ravel()) + mu * float(np.vdot(defect, defect).real)
+    f = float(r.ravel() @ r.ravel())
 
     w = -2.0 * (r @ b.T)                            # df/dA
     v = -2.0 * (a.T @ r) / traces[:, None]          # df/dB[i, k] / tr(Q_i)
-    # effect side: d/dP_i = sum_j w[j, i] rho_j + 2 mu defect, chained through P_i = H_i^dag H_i
-    c_eff = (w.T @ rho_f).view(complex).reshape(l, d, d) + 2.0 * mu * defect
+    # effect side: df/dN_i = W_i = sum_j w[j, i] rho_j.  Through N_i = T P_i T, df/dP_i is
+    # T W_i T plus, through T = S^(-1/2), the term E = V (Gamma o V^dag K V) V^dag common to
+    # all i, with K = sum_i (P_i T W_i + h.c.) and Gamma the Daleckii-Krein kernel of s^(-1/2)
+    yw = y @ (w.T @ rho_f).view(complex).reshape(l, d, d)
+    k = h.reshape(-1, d).conj().T @ yw.reshape(-1, d)
+    k = vh @ (k + k.conj().T) @ vh.conj().T
+    root = np.maximum(sigma, 1e-100)                # s^(1/2); 1 / s^(3/2) stays finite
+    t = (vh.conj().T / root) @ vh
+    gamma = -1.0 / (root[:, None] * root * (root[:, None] + root))
     # state side: d/dQ_i = sum_k v[i, k] M_k - (v_i . b_i) I, chained through Q_i = G_i G_i^dag
     c_state = (v @ eff_f).view(complex).reshape(l, d, d)
     c_state -= np.einsum("ik,ik->i", v, b)[:, None, None] * np.eye(d)
-    grads = np.concatenate((h, c_state)) @ np.concatenate((c_eff, g))
-    # grads stacks df/dconj(H_i), df/dconj(G_i); the packing wants 2 Re and 2 Im of each as blocks
+    # df/dconj(H_i) = H_i df/dP_i = Y_i W_i T + H_i E, and df/dconj(G_i) = c_state_i G_i
+    grads = np.concatenate((yw @ t + h @ (vh.conj().T @ (gamma * k) @ vh), c_state @ g))
+    # the packing wants 2 Re and 2 Im of each block
     return f, (2.0 * grads.view(float)).reshape(2 * l, d, d, 2).transpose(0, 3, 1, 2).ravel()
 
 
-def _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed):
-    """Warm start from a plain nonnegative factorization pulled back to operators."""
-    a0, b0, _ = nonnegative_factorization(cprime, l, restarts=4, seed=seed)
-    d = basis.dim
-    # tr(A B) = d coords(A) . coords(B), hence the 1/d on the least-squares coordinates
-    n_coords = np.linalg.pinv(basis.coords(rho_arr)) @ a0 / d
-    xi_coords = np.linalg.pinv(basis.coords(eff_arr)) @ b0.T / d
-    x = np.zeros((2, l, 2, d, d))
-    for i in range(l):
-        n_i = herm_sqrt(np.tensordot(n_coords[:, i], basis.elements, axes=1), 0.0)
-        xi_i = np.tensordot(xi_coords[:, i], basis.elements, axes=1)
-        tr = np.trace(xi_i).real
-        xi_i = np.eye(d) / d if tr < 1e-12 else xi_i / tr
-        g_i = herm_sqrt(xi_i, 0.0)
-        x[0, i, 0], x[0, i, 1] = n_i.real, n_i.imag
-        x[1, i, 0], x[1, i, 1] = g_i.real, g_i.imag
-    return x.ravel()
-
-
 def _realize_measure_prepare(x, rho_states, povm, l, target):
-    """Normalize fitted parameters into a POVM N and states xi, with the factors they induce."""
+    """The measurement N and states xi that the fit parameters stand for, with their factors."""
     basis = rho_states[0].basis
-    d = basis.dim
-    _, _, effects_p, xi, _ = _unpack_mp_params(x, l, d)
-    total = effects_p.sum(axis=0)
-    if np.linalg.eigvalsh(total)[0] > 1e-8:
-        fix = herm_sqrt(total, 1e-300, inverse=True)
-        effects_n = np.einsum("ab,ibc,cd->iad", fix, effects_p, fix)
-    else:
-        effects_n = np.stack([np.eye(d, dtype=complex) / l] * l)
-        xi = np.stack([np.eye(d, dtype=complex) / d] * l)
-    n_povm = validate_povm(list(effects_n))
+    h, _, xi, _ = _unpack_mp_params(x, l, basis.dim)
+    n_povm = validate_povm(list(_complete_effects(h)[0]))
     xi_states = [state_from_matrix(basis, m) for m in xi]
     a, b = _realization_factors(rho_states, povm, n_povm, xi_states)
     return n_povm, xi_states, a, b, frob(target - a @ b)
@@ -422,24 +414,20 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
     """Fit an l-outcome measurement and l states whose factors reproduce C'.
 
-    Start 0 is the nonnegative-factorization warm start, later ones are random.
-    Returns ((N, xi, A, B, residual), residual, restarts run) of the realization
-    with the lowest realized residual.
+    The measurement is complete by construction (``_complete_effects``), so the
+    objective is the squared residual of the realization the verdict tests.
+    Every start is a standard normal draw.  Returns ((N, xi, A, B, residual),
+    residual, restarts run) of the realization with the lowest residual.
     """
-    basis = rho_states[0].basis
-    d = basis.dim
+    d = rho_states[0].dim
     rho_arr = np.stack([s.matrix for s in rho_states])
     eff_arr = np.stack(povm.effects)
     target = cprime.entries
 
-    def solve(rng, start):
-        if start == 0:
-            x0 = _anls_seed_params(cprime, rho_arr, eff_arr, l, basis, seed)
-        else:
-            x0 = rng.standard_normal(4 * l * d * d)
+    def solve(rng, _):
         res = minimize(
             _mp_objective,
-            x0,
+            rng.standard_normal(4 * l * d * d),
             args=(rho_arr, eff_arr, target, l, d),
             jac=True,
             method="L-BFGS-B",
@@ -475,7 +463,10 @@ def eb_certificate(
     factors A[j, i] = tr(rho_j N_i) and B[i, k] = tr(xi_i M_k) reproduce C'
     within ``residual_tol``; both factors are then communication matrices of the
     trusted dimension, so their psd-rank is at most d.  Without a supplied
-    ``realization`` the inner dimension is searched from rank(C') to ``l_max``.
+    ``realization`` the inner dimension is searched from rank(C') to ``l_max``;
+    since rank(A B) <= l, rank(C') above ``l_max`` raises a precondition error
+    before any search.  Each fit keeps its measurement complete by construction
+    and minimizes exactly the squared residual that the verdict then tests.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is
     only sound when rank(C) = d^2; anything less raises an ambiguity error.
@@ -508,6 +499,11 @@ def eb_certificate(
     rho_states = c.provenance.states
     povm = c.provenance.povm
     rank_cp = numerical_rank(cprime)
+    if realization is None and rank_cp > l_max:
+        raise PreconditionError(
+            f"rank(C') = {rank_cp} exceeds l_max = {l_max}: no factorization C' = A B "
+            "with inner dimension at most l_max exists, since rank(A B) <= l"
+        )
     used_restarts = 0
     if realization is not None:
         n_povm, xi_states = realization

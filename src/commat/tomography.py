@@ -118,7 +118,7 @@ def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumCh
     first_row = np.zeros(bloch.shape[1])
     first_row[0] = frame.basis_in.dim / do
     if np.abs(bloch[0] - first_row).max() > 1e-8:
-        raise CommatError(
+        raise PreconditionError(
             "reconstructed Bloch matrix violates the fixed first-row structure; "
             "the input matrix is not row-stochastic against this frame"
         )
@@ -248,5 +248,12 @@ def reconstruct_up_to_gauge(
         [a * np.outer(v, v.conj()) for a, v in zip(cert.canonical_weights, cert.canonical_vectors)]
     )
     frame = build_frame(states, povm, basis, basis)
-    channel = reconstruct_channel(frame, cprime)
+    try:
+        channel = reconstruct_channel(frame, cprime)
+    except PreconditionError as err:
+        raise NotSelfTestableError(
+            f"the canonical-vector fit passed with Gram residual {cert.gram_residual:.3e} "
+            f"within residual_tol {cert.residual_tol:.1e}, but its frame does not fit the "
+            f"input: {err}"
+        ) from err
     return GaugeChannelEstimate(channel=channel, certificate=cert, gauge_note=cert.gauge_note)

@@ -468,6 +468,21 @@ def test_l_max_below_one_is_validation_error(
     assert "l_max" in err["message"]
 
 
+def test_rank_above_l_max_is_precondition_error(sic_file, tmp_path, capsys):
+    from commat import amplitude_damping_channel
+
+    states, povm = sic_qubit()
+    channel = amplitude_damping_channel(bloch_basis(2), 0.3)
+    cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+    path = tmp_path / "ad.json"
+    path.write_text(json.dumps(comm_matrix_to_json(cp)))
+    argv = ["properties", "--check", "eb", "--scenario", str(sic_file), "--cprime", str(path)]
+    assert main(argv + ["--l-max", "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "precondition-error"
+    assert "rank(C') = 4 exceeds l_max = 1" in err["message"]
+
+
 def test_infinite_matrix_entry_is_parse_error_without_warnings(sic_file, tmp_path, capsys):
     doc = json.loads(sic_file.read_text())
     doc["states"][0]["entries"][0][0] = 12345.5

@@ -363,3 +363,35 @@ def test_array_field_objects_compare_by_identity():
         assert x == x
         assert x != y
         assert hash(x) == hash(x)
+
+
+def _with_entry(m, value):
+    m = np.array(m, dtype=complex)
+    m.flat[1] = value
+    return m
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda b, x: state_from_matrix(b, _with_entry(np.eye(2) / 2, x)), InvalidOperatorError),
+        (lambda b, x: state_from_bloch(b, np.array([0.0, x, 0.0])), InvalidOperatorError),
+        (lambda b, x: validate_povm([_with_entry(np.eye(2), x), np.zeros((2, 2))]), PovmError),
+        (lambda b, x: channel_from_choi(_with_entry(np.eye(4) / 2, x), b, b), InvalidChannelError),
+        (lambda b, x: channel_from_kraus([_with_entry(np.eye(2), x)], b, b), InvalidChannelError),
+        (lambda b, x: channel_from_bloch(_with_entry(np.eye(4), x).real, b, b), InvalidChannelError),
+        (lambda b, x: unitary_channel(b, _with_entry(np.eye(2), x)), InvalidChannelError),
+    ],
+    ids=[
+        "state_from_matrix", "state_from_bloch", "validate_povm", "channel_from_choi",
+        "channel_from_kraus", "channel_from_bloch", "unitary_channel",
+    ],
+)
+def test_non_finite_operator_is_rejected_without_warnings(build, error, value):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="not finite"):
+            build(bloch_basis(2), value)

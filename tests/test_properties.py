@@ -436,6 +436,87 @@ class TestEbCertificate:
             assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
             assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
+    @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
+    def test_mp_objective_is_the_squared_realized_residual(self, d, l):
+        from commat.properties import _mp_objective, _realize_measure_prepare
+
+        gen = np.random.default_rng(2000 * d + l)
+        basis = bloch_basis(d)
+        states, povm = make_random_setup(basis, gen, d * d, d * d)
+        rho_arr = np.stack([s.matrix for s in states])
+        eff_arr = np.stack(povm.effects)
+        target = gen.uniform(0.0, 1.0, (d * d, d * d))
+        target /= target.sum(axis=1, keepdims=True)
+        for _ in range(3):
+            x = gen.standard_normal(4 * l * d * d)
+            f, _ = _mp_objective(x, rho_arr, eff_arr, target, l, d)
+            n_povm, _, _, _, residual = _realize_measure_prepare(x, states, povm, l, target)
+            assert abs(f - residual**2) <= 1e-12 * max(1.0, f)
+            assert np.abs(sum(n_povm.effects) - np.eye(d)).max() <= 1e-12
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_mp_objective_is_finite_with_an_all_zero_effect_block(self, l):
+        import warnings
+
+        from commat.properties import _mp_objective
+
+        states, povm = sic_qubit()
+        rho_arr = np.stack([s.matrix for s in states])
+        eff_arr = np.stack(povm.effects)
+        target = comm_matrix(states, povm).entries
+        x = np.random.default_rng(l).standard_normal((2, l, 2, 2, 2))
+        x[0, 0] = 0.0  # H_0 = 0, so P_0 = 0 (and S = 0 when l = 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, grad = _mp_objective(x.ravel(), rho_arr, eff_arr, target, l, 2)
+        assert np.isfinite(f) and np.isfinite(grad).all()
+
+    def test_qutrit_measure_prepare_channel_certifies(self, basis3):
+        # the penalized fit left this channel uncertified (best residual 1.8e-7)
+        from commat.sampling import random_povm
+
+        gen = np.random.default_rng(31)
+        states = [random_mixed_state(basis3, gen) for _ in range(9)]
+        povm = random_povm(basis3, gen, 9)
+        channel = measure_and_prepare_channel(
+            random_povm(basis3, gen, 2), [random_mixed_state(basis3, gen) for _ in range(2)]
+        )
+        c = comm_matrix(states, povm)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 3, l_max=2, restarts=4)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.inner_dim == 2
+        assert cert.residual <= 1e-8
+
+    def test_identity_search_evaluation_budget(self, monkeypatch):
+        # criterion 8's identity search: the penalized fit made 2,036 evaluations here
+        from commat import properties
+
+        calls = []
+        real = properties.minimize
+
+        def counting_minimize(fun, *args, **kwargs):
+            return real(lambda *a: calls.append(1) or fun(*a), *args, **kwargs)
+
+        monkeypatch.setattr(properties, "minimize", counting_minimize)
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        cert = eb_certificate(c, c, 2, l_max=4, restarts=8)
+        assert cert.verdict == "no-certificate-found"
+        assert cert.restarts == 8
+        assert len(calls) <= 1000
+
+    def test_rank_above_l_max_is_a_precondition_error(self, basis2, monkeypatch):
+        from commat import amplitude_damping_channel, properties
+
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        channel = amplitude_damping_channel(basis2, 0.3)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        monkeypatch.setattr(properties, "minimize", lambda *a, **k: pytest.fail("search ran"))
+        with pytest.raises(PreconditionError, match=r"rank\(C'\) = 4 exceeds l_max = 1"):
+            eb_certificate(c, cp, 2, l_max=1)
+
     def test_random_measure_prepare_channel_certifies(self, basis2):
         from commat.sampling import random_povm
 
@@ -482,27 +563,36 @@ def _mp_setup(basis, random_povm, gen, n_states, n_effects):
     return rho_arr, eff_arr, target / target.sum(axis=1, keepdims=True)
 
 
-def _mp_objective_per_outcome(x, rho_arr, eff_arr, target, l, d, mu=1.0):
-    """The EB fit objective and gradient written as a loop over outcomes (reference)."""
+def _mp_objective_per_outcome(x, rho_arr, eff_arr, target, l, d):
+    """The EB fit objective and gradient written as a loop over outcomes (reference).
+
+    N_i = T P_i T with T = S^(-1/2) from an eigendecomposition of S = sum_i P_i.
+    """
     blocks = x.reshape(2, l, 2, d, d)
     h = blocks[0, :, 0] + 1j * blocks[0, :, 1]
     g = blocks[1, :, 0] + 1j * blocks[1, :, 1]
     effects_p = np.einsum("iab,iac->ibc", h.conj(), h)
+    s, u = np.linalg.eigh(effects_p.sum(axis=0))
+    root = np.sqrt(s)
+    t = (u / root) @ u.conj().T
+    effects = np.array([t @ p @ t for p in effects_p])
     q = np.einsum("iab,icb->iac", g, g.conj())
     traces = np.maximum(np.einsum("iaa->i", q).real, 1e-12)
     states = q / traces[:, None, None]
-    a = np.einsum("jab,kba->jk", rho_arr, effects_p).real
+    a = np.einsum("jab,kba->jk", rho_arr, effects).real
     b = np.einsum("jab,kba->jk", states, eff_arr).real
     r = target - a @ b
-    defect = effects_p.sum(axis=0) - np.eye(d)
-    f = float((r * r).sum()) + mu * float(np.abs(defect * defect.conj()).sum())
+    f = float((r * r).sum())
     w = -2.0 * (r @ b.T)
     v = -2.0 * (a.T @ r)
+    w_ops = [np.einsum("j,jab->ab", w[:, i], rho_arr) for i in range(l)]
+    k = sum(p @ t @ w_i + w_i @ t @ p for p, w_i in zip(effects_p, w_ops))
+    gamma = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+    e = u @ (gamma * (u.conj().T @ k @ u)) @ u.conj().T
     grad_h = np.empty_like(h)
     grad_g = np.empty_like(g)
     for i in range(l):
-        c_eff = np.einsum("j,jab->ab", w[:, i], rho_arr) + 2.0 * mu * defect
-        grad_h[i] = h[i] @ c_eff
+        grad_h[i] = h[i] @ (t @ w_ops[i] @ t + e)
         c_state = np.einsum("k,kab->ab", v[i], eff_arr) - float(v[i] @ b[i]) * np.eye(d)
         grad_g[i] = (c_state / traces[i]) @ g[i]
     grad = np.empty((2, l, 2, d, d))

@@ -33,7 +33,7 @@ from commat.errors import (
     NotSelfTestableError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
-from conftest import make_spanning_setup
+from conftest import make_spanning_setup, rank1_setup
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -329,3 +329,34 @@ class TestReconstructUpToGauge:
         assert "(1 restarts run)" in message
         assert "residual_tol" in message
         assert "does not certify" not in message
+
+    def test_passing_fit_off_the_frame_is_not_self_testable(self, monkeypatch):
+        # a certificate within residual_tol can still miss the 1e-8 first-row check
+        import dataclasses
+
+        from commat import tomography
+
+        # with six outcomes the effect frame is overcomplete, so C' can leave its span
+        vectors, weights = rank1_setup(np.random.default_rng(21), 2, 6)
+        basis = bloch_basis(2)
+        states = [state_from_matrix(basis, np.outer(v, v.conj())) for v in vectors]
+        povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+        c = comm_matrix(states, povm)
+        real_self_test = tomography.self_test
+
+        def perturbed_fit(*args, **kwargs):
+            cert = real_self_test(*args, **kwargs)
+            w = np.sqrt(cert.canonical_weights)[:, None] * np.vstack(cert.canonical_vectors)
+            w += 1e-5 * np.random.default_rng(0).standard_normal(w.shape)
+            ev, u = np.linalg.eigh(w.T @ w.conj())
+            w = w @ ((u * ev ** -0.5) @ u.conj().T).T  # sum_k w_k w_k^dag = I again
+            a = np.einsum("ki,ki->k", w.conj(), w).real
+            vectors = tuple(w / np.sqrt(a)[:, None])
+            return dataclasses.replace(cert, canonical_vectors=vectors, canonical_weights=a)
+
+        monkeypatch.setattr(tomography, "self_test", perturbed_fit)
+        with pytest.raises(NotSelfTestableError) as info:
+            reconstruct_up_to_gauge(c, c, 2)
+        message = str(info.value)
+        assert "Gram residual" in message and "residual_tol 1.0e-08" in message
+        assert "first-row structure" in message
