@@ -9,7 +9,7 @@ factors are realized by an explicit measure-and-prepare pair.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import least_squares, minimize, nnls
 
 from ._linalg import (
     RANK_REL_TOL,
@@ -317,9 +317,14 @@ def nonnegative_factorization(
     return a, b, residual
 
 
+def _psd_rank_lower_of(a: np.ndarray) -> int:
+    """ceil(sqrt(rank a)), from sqrt(rank) <= psd-rank."""
+    return int(np.ceil(np.sqrt(numerical_rank_of(a))))
+
+
 def psd_rank_lower_bound(c: CommMatrix) -> int:
     """ceil(sqrt(rank C)), from sqrt(rank) <= psd-rank."""
-    return int(np.ceil(np.sqrt(numerical_rank(c))))
+    return _psd_rank_lower_of(c.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,38 +372,82 @@ def _flat(ops):
     return np.ascontiguousarray(ops, dtype=complex).view(float).reshape(len(ops), -1)
 
 
-def _mp_objective(x, rho_arr, eff_arr, target, l, d):
-    """Squared fit error ||C' - A B||^2 of a complete measurement and states, with its gradient.
+class _MeasurePrepareFit:
+    """The EB fit at inner dimension l: r(x) = vec(C' - A B), its Jacobian, ||r||^2, its gradient.
 
     A[j, i] = tr(rho_j N_i) with the complete effects of ``_complete_effects`` and
-    B[i, k] = tr(xi_i M_k) with trace-normalized states.
+    B[i, k] = tr(xi_i M_k) with trace-normalized states.  All three share one
+    forward pass and one pullback, and the set-up's rows are flattened once.
     """
-    h, g, states, traces = _unpack_mp_params(x, l, d)
-    effects, y, sigma, vh = _complete_effects(h)
-    rho_f, eff_f = _flat(rho_arr), _flat(eff_arr)
-    a = rho_f @ _flat(effects).T            # A[j, i] = tr(rho_j N_i)
-    b = _flat(states) @ eff_f.T             # B[i, k] = tr(xi_i M_k)
-    r = target - a @ b
-    f = float(r.ravel() @ r.ravel())
 
-    w = -2.0 * (r @ b.T)                            # df/dA
-    v = -2.0 * (a.T @ r) / traces[:, None]          # df/dB[i, k] / tr(Q_i)
-    # effect side: df/dN_i = W_i = sum_j w[j, i] rho_j.  Through N_i = T P_i T, df/dP_i is
-    # T W_i T plus, through T = S^(-1/2), the term E = V (Gamma o V^dag K V) V^dag common to
-    # all i, with K = sum_i (P_i T W_i + h.c.) and Gamma the Daleckii-Krein kernel of s^(-1/2)
-    yw = y @ (w.T @ rho_f).view(complex).reshape(l, d, d)
-    k = h.reshape(-1, d).conj().T @ yw.reshape(-1, d)
-    k = vh @ (k + k.conj().T) @ vh.conj().T
-    root = np.maximum(sigma, 1e-100)                # s^(1/2); 1 / s^(3/2) stays finite
-    t = (vh.conj().T / root) @ vh
-    gamma = -1.0 / (root[:, None] * root * (root[:, None] + root))
-    # state side: d/dQ_i = sum_k v[i, k] M_k - (v_i . b_i) I, chained through Q_i = G_i G_i^dag
-    c_state = (v @ eff_f).view(complex).reshape(l, d, d)
-    c_state -= np.einsum("ik,ik->i", v, b)[:, None, None] * np.eye(d)
-    # df/dconj(H_i) = H_i df/dP_i = Y_i W_i T + H_i E, and df/dconj(G_i) = c_state_i G_i
-    grads = np.concatenate((yw @ t + h @ (vh.conj().T @ (gamma * k) @ vh), c_state @ g))
-    # the packing wants 2 Re and 2 Im of each block
-    return f, (2.0 * grads.view(float)).reshape(2 * l, d, d, 2).transpose(0, 3, 1, 2).ravel()
+    def __init__(self, rho_arr, eff_arr, target, l):
+        self.rho, self.eff, self.target, self.l = rho_arr, eff_arr, target, l
+        self.d = rho_arr.shape[-1]
+        self.rho_f, self.eff_f = _flat(rho_arr), _flat(eff_arr)
+
+    def _forward(self, x):
+        h, g, states, traces = _unpack_mp_params(x, self.l, self.d)
+        effects, y, sigma, vh = _complete_effects(h)
+        a = self.rho_f @ _flat(effects).T       # A[j, i] = tr(rho_j N_i)
+        b = _flat(states) @ self.eff_f.T        # B[i, k] = tr(xi_i M_k)
+        return (h, g, traces, y, sigma, vh), a, b, self.target - a @ b
+
+    def _pullback(self, chain, w_ops, c_state):
+        """Gradients in the packing of x of a batch (leading axes) of cotangents.
+
+        w_ops[..., i] = W_i is the cotangent of the effect N_i and c_state[..., i]
+        that of Q_i = G_i G_i^dag.  Through N_i = T P_i T, the cotangent of P_i is
+        T W_i T plus, through T = S^(-1/2), the term E = V (Gamma o V^dag K V) V^dag
+        common to all i, with K = sum_i (P_i T W_i + h.c.) and Gamma the
+        Daleckii-Krein kernel of s^(-1/2).
+        """
+        h, g, _, y, sigma, vh = chain
+        l, d = self.l, self.d
+        batch = w_ops.shape[:-3]
+        yw = y @ w_ops
+        k = h.reshape(l * d, d).conj().T @ yw.reshape(*batch, l * d, d)
+        k = vh @ (k + k.conj().swapaxes(-1, -2)) @ vh.conj().T
+        root = np.maximum(sigma, 1e-100)                # s^(1/2); 1 / s^(3/2) stays finite
+        t = (vh.conj().T / root) @ vh
+        gamma = -1.0 / (root[:, None] * root * (root[:, None] + root))
+        e = vh.conj().T @ (gamma * k) @ vh
+        # d/dconj(H_i) = H_i d/dP_i = Y_i W_i T + H_i E, and d/dconj(G_i) = c_state_i G_i
+        grads = np.concatenate((yw @ t + h @ e[..., None, :, :], c_state @ g), axis=-3)
+        # the packing wants 2 Re and 2 Im of each block
+        grads = (2.0 * grads.view(float)).reshape(*batch, 2 * l, d, d, 2)
+        return grads.swapaxes(-1, -2).swapaxes(-2, -3).reshape(*batch, -1)
+
+    def objective(self, x):
+        chain, a, b, r = self._forward(x)
+        l, d, traces = self.l, self.d, chain[2]
+        w = -2.0 * (r @ b.T)                            # df/dA
+        v = -2.0 * (a.T @ r) / traces[:, None]          # df/dB[i, k] / tr(Q_i)
+        w_ops = (w.T @ self.rho_f).view(complex).reshape(l, d, d)
+        # d/dQ_i = sum_k v[i, k] M_k - (v_i . b_i) I, from the trace normalization
+        c_state = (v @ self.eff_f).view(complex).reshape(l, d, d)
+        c_state -= np.einsum("ik,ik->i", v, b)[:, None, None] * np.eye(d)
+        return float(r.ravel() @ r.ravel()), self._pullback(chain, w_ops, c_state)
+
+    def residual(self, x):
+        return self._forward(x)[3].ravel()
+
+    def jacobian(self, x):
+        """d r_jk / dx, batched over the unit cotangents of the m n residual entries.
+
+        The cotangent of r_jk puts W_i = -B[i, k] rho_j on the effects and
+        -A[j, i] (M_k - B[i, k] I) / tr(Q_i) on Q_i.
+        """
+        chain, a, b, _ = self._forward(x)
+        traces = chain[2]
+        w_ops = -b.T[None, :, :, None, None] * self.rho[:, None, None]
+        dq = (self.eff - b[:, :, None, None] * np.eye(self.d)) / traces[:, None, None, None]
+        c_state = -a[:, None, :, None, None] * dq.swapaxes(0, 1)
+        return self._pullback(chain, w_ops, c_state).reshape(-1, x.size)
+
+
+def _mp_objective(x, rho_arr, eff_arr, target, l, d):
+    """Squared fit error ||C' - A B||^2 of a complete measurement and states, with its gradient."""
+    return _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x)
 
 
 def _realize_measure_prepare(x, rho_states, povm, l, target):
@@ -411,29 +460,54 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
     return n_povm, xi_states, a, b, frob(target - a @ b)
 
 
+# L-BFGS-B's ftol test divides by max(|f|, 1), so below f = 1 it bounds the
+# absolute decrease per iteration: a fit nearing residual_tol (f about 1e-16)
+# stops short of it unless ftol is below about 1e-18, and at such an ftol the
+# fits that end far from zero grind on to rounding.  So L-BFGS-B stops at
+# working precision and an end point within the gate is polished by
+# trust-region least squares on r(x), quadratically convergent at zero residual.
+# The Jacobian always has gauge null directions (and often fewer rows than
+# columns); there scipy's exact trust-region solver never tries the Gauss-Newton
+# step and always steps to the region's boundary, while lsmr's does.  The polish
+# runs to rounding, so a tighter residual_tol is still decided by the fit.
+_LBFGS_FTOL = 1e-12
+_POLISH_GATE = 1e-3
+_POLISH_TOL = 1e-15
+_POLISH_MAX_NFEV = 100
+
+
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
     """Fit an l-outcome measurement and l states whose factors reproduce C'.
 
     The measurement is complete by construction (``_complete_effects``), so the
     objective is the squared residual of the realization the verdict tests.
-    Every start is a standard normal draw.  Returns ((N, xi, A, B, residual),
-    residual, restarts run) of the realization with the lowest residual.
+    Every start is a standard normal draw and runs in two phases: L-BFGS-B on
+    ||r||^2 to working precision, then, only if its end point's residual is at
+    most ``_POLISH_GATE``, a least-squares polish of r(x) with the analytic
+    Jacobian.  The end point with the lower residual is realized.  Returns
+    ((N, xi, A, B, residual), residual, restarts run) of the realization with
+    the lowest residual.
     """
-    d = rho_states[0].dim
     rho_arr = np.stack([s.matrix for s in rho_states])
-    eff_arr = np.stack(povm.effects)
-    target = cprime.entries
+    fit = _MeasurePrepareFit(rho_arr, np.stack(povm.effects), cprime.entries, l)
 
     def solve(rng, _):
         res = minimize(
-            _mp_objective,
-            rng.standard_normal(4 * l * d * d),
-            args=(rho_arr, eff_arr, target, l, d),
+            fit.objective,
+            rng.standard_normal(4 * l * fit.d * fit.d),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": 2000, "ftol": 1e-18, "gtol": 1e-14},
+            options={"maxiter": 2000, "ftol": _LBFGS_FTOL, "gtol": 1e-14},
         )
-        realized = _realize_measure_prepare(res.x, rho_states, povm, l, target)
+        x = res.x
+        if res.fun <= _POLISH_GATE**2:
+            polished = least_squares(
+                fit.residual, x, jac=fit.jacobian, method="trf", tr_solver="lsmr",
+                ftol=_POLISH_TOL, xtol=_POLISH_TOL, gtol=_POLISH_TOL, max_nfev=_POLISH_MAX_NFEV,
+            )
+            if 2.0 * polished.cost < res.fun:
+                x = polished.x
+        realized = _realize_measure_prepare(x, rho_states, povm, l, fit.target)
         return realized, realized[4]
 
     return multistart(solve, restarts, seed, residual_tol)
@@ -466,7 +540,10 @@ def eb_certificate(
     ``realization`` the inner dimension is searched from rank(C') to ``l_max``;
     since rank(A B) <= l, rank(C') above ``l_max`` raises a precondition error
     before any search.  Each fit keeps its measurement complete by construction
-    and minimizes exactly the squared residual that the verdict then tests.
+    and minimizes exactly the squared residual that the verdict then tests:
+    L-BFGS-B to working precision, then, for fits that end within 1e-3 of zero,
+    a Gauss-Newton-type least-squares polish that reaches ``residual_tol`` where
+    L-BFGS's stop rule cannot.  Fits that end far from zero are not polished.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is
     only sound when rank(C) = d^2; anything less raises an ambiguity error.
@@ -543,8 +620,8 @@ def eb_certificate(
         factor_b=b,
         inner_dim=l,
         residual=residual,
-        psd_rank_lower_a=int(np.ceil(np.sqrt(numerical_rank_of(a)))),
-        psd_rank_lower_b=int(np.ceil(np.sqrt(numerical_rank_of(b)))),
+        psd_rank_lower_a=_psd_rank_lower_of(a),
+        psd_rank_lower_b=_psd_rank_lower_of(b),
         verdict="certified-EB-implementable" if certified else "no-certificate-found",
         rank_bounds_report=bounds,
         dim_v_n=dim_v_n,

@@ -335,6 +335,12 @@ class TestEbCertificate:
         assert cert.rank_bounds_report == (True, True)
         assert max(cert.psd_rank_lower_a, cert.psd_rank_lower_b) <= 2
 
+    def test_psd_rank_bounds_are_those_of_the_factors(self, eb_setup):
+        _, _, channel, c, cp, _, _ = eb_setup
+        cert = eb_certificate(c, cp, 2, l_max=4, realization=channel.mp_realization)
+        assert cert.psd_rank_lower_a == psd_rank_lower_bound(CommMatrix(entries=cert.factor_a))
+        assert cert.psd_rank_lower_b == psd_rank_lower_bound(CommMatrix(entries=cert.factor_b))
+
     def test_rank_nullity_identity_on_printed_factors(self, eb_setup):
         from commat._linalg import null_space_of, numerical_rank_of
 
@@ -505,6 +511,110 @@ class TestEbCertificate:
         assert cert.verdict == "no-certificate-found"
         assert cert.restarts == 8
         assert len(calls) <= 1000
+
+    @pytest.mark.parametrize("d, l", [(2, 1), (2, 2), (2, 4), (3, 2)])
+    def test_mp_jacobian_matches_central_differences(self, d, l):
+        from commat.properties import _MeasurePrepareFit
+        from commat.sampling import random_povm
+
+        gen = np.random.default_rng(3000 * d + l)
+        rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
+        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
+        x = gen.standard_normal(4 * l * d * d)
+        step = 1e-6
+        numeric = np.stack(
+            [(fit.residual(x + step * e) - fit.residual(x - step * e)) / (2 * step)
+             for e in np.eye(x.size)],
+            axis=1,
+        )
+        jac = fit.jacobian(x)
+        assert jac.shape == (d**4, x.size)
+        assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+    @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
+    def test_mp_residual_and_jacobian_agree_with_the_objective(self, d, l):
+        from commat.properties import _MeasurePrepareFit, _mp_objective
+        from commat.sampling import random_povm
+
+        gen = np.random.default_rng(4000 * d + l)
+        rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
+        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
+        for _ in range(3):
+            x = gen.standard_normal(4 * l * d * d)
+            f, grad = _mp_objective(x, rho_arr, eff_arr, target, l, d)
+            r = fit.residual(x)
+            assert abs(r @ r - f) <= 1e-12 * max(1.0, f)
+            assert np.abs(2.0 * fit.jacobian(x).T @ r - grad).max() <= 1e-10 * max(
+                1.0, np.abs(grad).max()
+            )
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_mp_jacobian_is_finite_with_an_all_zero_effect_block(self, l):
+        import warnings
+
+        from commat.properties import _MeasurePrepareFit
+
+        states, povm = sic_qubit()
+        rho_arr = np.stack([s.matrix for s in states])
+        fit = _MeasurePrepareFit(
+            rho_arr, np.stack(povm.effects), comm_matrix(states, povm).entries, l
+        )
+        x = np.random.default_rng(l).standard_normal((2, l, 2, 2, 2))
+        x[0, 0] = 0.0  # H_0 = 0, so P_0 = 0 (and S = 0 when l = 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jac = fit.jacobian(x.ravel())
+        assert np.isfinite(jac).all()
+
+    def test_depolarizing_two_thirds_certifies_as_a_channel(self, basis2):
+        # Choi matrix PPT, hence EB at 2x2; L-BFGS alone stopped at residual 1.1e-8 after 8 restarts
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        channel = depolarizing_channel(basis2, 2.0 / 3.0)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 2, l_max=4, claim="channel")
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.residual <= 1e-8
+
+    @pytest.mark.parametrize("seed", [35, 37])
+    def test_qutrit_three_outcome_measure_prepare_channel_certifies(self, basis3, seed):
+        # L-BFGS alone ended every restart at residual 1.4e-8 (seed 35) and 1.5e-8 (seed 37)
+        from commat.sampling import random_povm
+
+        gen = np.random.default_rng(seed)
+        states = [random_mixed_state(basis3, gen) for _ in range(9)]
+        povm = random_povm(basis3, gen, 9)
+        channel = measure_and_prepare_channel(
+            random_povm(basis3, gen, 3), [random_mixed_state(basis3, gen) for _ in range(3)]
+        )
+        c = comm_matrix(states, povm)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 3, l_max=3, restarts=4)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.inner_dim == 3
+        assert cert.residual <= 1e-8
+
+    def test_identity_search_never_polishes(self, monkeypatch):
+        # criterion 8's identity search: every L-BFGS end point is far from zero, so no
+        # restart may pay for the least-squares polish (443 evaluations with ftol=1e-18)
+        from commat import properties
+
+        calls = []
+        real = properties.minimize
+
+        def counting_minimize(fun, *args, **kwargs):
+            return real(lambda *a: calls.append(1) or fun(*a), *args, **kwargs)
+
+        monkeypatch.setattr(properties, "minimize", counting_minimize)
+        monkeypatch.setattr(
+            properties, "least_squares", lambda *a, **k: pytest.fail("polish ran")
+        )
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        cert = eb_certificate(c, c, 2, l_max=4, restarts=8)
+        assert cert.verdict == "no-certificate-found"
+        assert cert.restarts == 8
+        assert len(calls) <= 300
 
     def test_rank_above_l_max_is_a_precondition_error(self, basis2, monkeypatch):
         from commat import amplitude_damping_channel, properties
