@@ -1,9 +1,11 @@
-"""Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices, restarts."""
+"""Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices,
+restarts and a Gauss-Newton polish."""
 
 import numpy as np
 
 HERM_ATOL = 1e-12
 RANK_REL_TOL = 1e-9
+GN_STEP_RTOL = 1e-12
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -59,6 +61,32 @@ def null_space_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
 def born_matrix(states, effects) -> np.ndarray:
     """Born-rule probabilities tr(states[j] effects[k]) for two stacks of operators."""
     return np.einsum("jab,kba->jk", np.asarray(states), np.asarray(effects)).real
+
+
+def gauss_newton(residual, jacobian, x: np.ndarray, max_steps: int) -> tuple:
+    """Minimum-norm Gauss-Newton steps ``x -= lstsq(J, r)`` on ``residual(x)`` from ``x``.
+
+    No line search or trust region: a step may climb, which lets the iteration
+    leave a shallow basin on its way to a zero, so the best iterate seen (the
+    start included) is returned with its squared norm ||r||^2.  The loop stops
+    at a step of at most ``GN_STEP_RTOL`` times ||x||, at a non-finite residual,
+    or after ``max_steps`` Jacobians.  The minimum-norm step ignores directions
+    the residual does not depend on, such as gauge freedoms of the packing.
+    """
+    r = residual(x)
+    best, best_f = x, float(r @ r)
+    for _ in range(max_steps):
+        step = np.linalg.lstsq(jacobian(x), r, rcond=None)[0]
+        x = x - step
+        r = residual(x)
+        f = float(r @ r)
+        if not np.isfinite(f):
+            break
+        if f < best_f:
+            best, best_f = x, f
+        if np.linalg.norm(step) <= GN_STEP_RTOL * np.linalg.norm(x):
+            break
+    return best, best_f
 
 
 def multistart(solve, restarts: int, seed: int, tol: float) -> tuple:

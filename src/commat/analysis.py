@@ -10,7 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from ._linalg import RANK_REL_TOL, herm_sqrt, min_eigval, multistart, numerical_rank_of
+from ._linalg import (
+    RANK_REL_TOL,
+    gauss_newton,
+    herm_sqrt,
+    min_eigval,
+    multistart,
+    numerical_rank_of,
+)
 from .errors import (
     DimensionMismatchError,
     DimensionViolationError,
@@ -19,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .operators import GAUGE_NOTE, Povm
+from .operators import GAUGE_NOTE, Povm, bloch_basis
 from .scenario import CommMatrix, Scenario, comm_matrix
 
 GRAM_RESIDUAL_TOL = 1e-8
@@ -129,6 +136,13 @@ class SelfTestCertificate:
         return self.overlap_matrix() * self.canonical_weights[None, :]
 
 
+def _projector(x, n, d):
+    """P = Z (Z^dag Z)^-1 Z^dag and (Z^dag Z)^-1 Z^dag of Z given as (re, im) pairs."""
+    z = x.view(complex).reshape(n, d)
+    zinv_zh = np.linalg.solve(z.conj().T @ z, z.conj().T)
+    return z @ zinv_zh, zinv_zh
+
+
 def _projector_objective(x, target, weight, n, d):
     """f = sum_jk w_jk (|P_jk|^2 - T_jk)^2 and its gradient; x holds Z as (re, im) pairs.
 
@@ -136,13 +150,49 @@ def _projector_objective(x, target, weight, n, d):
     sqrt(a_j a_k) <phi_j|phi_k>, T_jk its squared moduli (a_j C_jk + a_k C_kj) / 2;
     f is unchanged under Z -> Z A for any invertible A.
     """
-    z = x.view(complex).reshape(n, d)
-    zinv_zh = np.linalg.solve(z.conj().T @ z, z.conj().T)
-    p = z @ zinv_zh
+    p, zinv_zh = _projector(x, n, d)
     r = np.abs(p) ** 2 - target
     m = zinv_zh @ (4.0 * weight * r * p)
     m -= m @ p
     return float((weight * r * r).sum()), (2.0 * m.conj().T).ravel().view(float)
+
+
+def _projector_residual(x, target, root_weight, n, d):
+    """r = sqrt(w) o (|P|^2 - T), flattened, so that ||r||^2 is the objective f."""
+    return (root_weight * (np.abs(_projector(x, n, d)[0]) ** 2 - target)).ravel()
+
+
+def _projector_jacobian(x, root_weight, n, d):
+    """d r_jk / dx, with rows in the order of ``_projector_residual`` and x as (re, im) pairs.
+
+    dP = Q dZ B^dag + B dZ^dag Q with Q = I - P and B = Z (Z^dag Z)^-1, so
+    d|P_jk|^2 = 2 Re(G_jk . dZ) with G = F + F^T over (j, k) and
+    F[j, k, p, c] = conj(P_jk) Q_jp conj(B_kc).  A real dZ_pc then contributes
+    2 Re G and an imaginary one -2 Im G: the (re, im) view of 2 conj(G).
+    """
+    p, zinv_zh = _projector(x, n, d)
+    f = p.conj()[:, :, None, None] * (np.eye(n) - p)[:, None, :, None] * zinv_zh.T[None, :, None, :]
+    jac = 2.0 * root_weight[:, :, None, None] * (f + f.swapaxes(0, 1)).conj()
+    return jac.reshape(n * n, n * d).view(float)
+
+
+def _gram_start(target, alpha, d):
+    """Z of the set-up rebuilt from the Gram matrix of its effects, or None if its rank is below d.
+
+    The effects M_j = a_j |phi_j><phi_j| have tr(M_j M_k) = T_jk, so T - a a^T / d
+    is the Gram matrix of their traceless parts.  Its top d^2 - 1 eigenpairs give
+    those parts in an orthonormal traceless basis up to an orthogonal map.  At
+    d = 2 every such map is a unitary or an antiunitary, so the rebuilt effects
+    are the set-up's in another gauge and Z is an exact zero of the fit.  Row j
+    of Z is sqrt(a_j) times the conjugate of the top eigenvector of M_j.
+    """
+    k = min(len(alpha), d * d - 1)
+    ev, evec = np.linalg.eigh(target - np.outer(alpha, alpha) / d)
+    coords = evec[:, -k:] * np.sqrt(np.clip(ev[-k:], 0.0, None))
+    traceless = bloch_basis(d).elements[1 : k + 1] / np.sqrt(d)
+    effects = alpha[:, None, None] * np.eye(d) / d + np.tensordot(coords, traceless, axes=1)
+    z = np.sqrt(alpha)[:, None] * np.linalg.eigh(effects)[1][:, :, -1].conj()
+    return z if numerical_rank_of(z) == d else None
 
 
 def _polish_implementation(vectors, alpha):
@@ -155,6 +205,17 @@ def _polish_implementation(vectors, alpha):
     return w / np.sqrt(nw2)[:, None], alpha * nw2
 
 
+# The self-test fit runs in two phases, like the EB fit: L-BFGS-B to working
+# precision, then, for an end point with f <= _POLISH_GATE^2, a Gauss-Newton
+# polish of r = sqrt(w) o (|P|^2 - T), which converges quadratically to a zero
+# fit in 3 to 4 Jacobians.  L-BFGS-B alone needs ftol near 1e-18 to get there,
+# and at that ftol the restarts that end in local minima (f of 1e-4 to 1e-2,
+# above the gate) grind on long after they have stopped moving.
+_LBFGS_FTOL = 1e-8
+_POLISH_GATE = 1e-3
+_POLISH_MAX_STEPS = 20
+
+
 def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
     """((vectors, weights), polished Gram residual, restarts run) of the multi-start fit."""
     n = c.shape[0]
@@ -162,17 +223,31 @@ def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
     # w_jk = (a_j^-2 + a_k^-2) / 2 makes f the verdict's sum_jk (|P_jk|^2 / a_j - C_jk)^2
     inv_sq = np.divide(1.0, alpha**2, out=np.zeros(n), where=alpha > 0.0)
     target, weight = (moduli + moduli.T) / 2.0, (inv_sq[:, None] + inv_sq[None, :]) / 2.0
+    root_weight = np.sqrt(weight)
+    gram_start = _gram_start(target, alpha, d) if d == 2 else None
 
-    def solve(rng, _):
+    def solve(rng, start):
+        if start == 0 and gram_start is not None:
+            x0 = gram_start.ravel().view(float)
+        else:
+            x0 = rng.standard_normal(2 * n * d)
         res = minimize(
             _projector_objective,
-            rng.standard_normal(2 * n * d),
+            x0,
             args=(target, weight, n, d),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-14},
+            options={"maxiter": 5000, "ftol": _LBFGS_FTOL, "gtol": 1e-14},
         )
-        z = res.x.view(complex).reshape(n, d)
+        x = res.x
+        if res.fun <= _POLISH_GATE**2:
+            x, _ = gauss_newton(
+                lambda v: _projector_residual(v, target, root_weight, n, d),
+                lambda v: _projector_jacobian(v, root_weight, n, d),
+                x,
+                _POLISH_MAX_STEPS,
+            )
+        z = x.view(complex).reshape(n, d)
         u = (z @ herm_sqrt(z.conj().T @ z, 0.0, inverse=True)).conj()
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         vectors, weights = _polish_implementation(u, alpha)
@@ -194,12 +269,16 @@ def self_test(
 
     Passing requires the storability to reach the dimension d.  The canonical
     rank-1 implementation (unit vectors phi_j, effects a_j |phi_j><phi_j| with
-    a_j = C_jj) is recovered by a multi-restart quasi-Newton fit of the rank-d
-    projector P = Z (Z^dag Z)^-1 Z^dag, P_jk = sqrt(a_j a_k) <phi_j|phi_k>, to its
-    squared moduli a_j C_jk, so the effects sum to the identity by construction.
-    The fit stops at the first restart whose polished Gram residual is within
-    ``residual_tol``; ``restarts`` records the fits run.  Everything it certifies
-    is modulo a global unitary or antiunitary, which no statistics can resolve.
+    a_j = C_jj) is recovered by a multi-restart fit of the rank-d projector
+    P = Z (Z^dag Z)^-1 Z^dag, P_jk = sqrt(a_j a_k) <phi_j|phi_k>, to its squared
+    moduli a_j C_jk, so the effects sum to the identity by construction.  Each
+    restart runs L-BFGS-B to working precision and, if it ends near zero, a
+    Gauss-Newton polish with the analytic Jacobian.  Starts are standard normal
+    draws, except that at d = 2 the first start is the set-up rebuilt exactly
+    from the Gram matrix of its effects.  The fit stops at the first restart
+    whose polished Gram residual is within ``residual_tol``; ``restarts``
+    records the fits run.  Everything it certifies is modulo a global unitary
+    or antiunitary, which no statistics can resolve.
 
     ``residual_tol`` bounds the sum of squares sum_jk (a_k |<phi_j|phi_k>|^2 - C_jk)^2, so
     one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4 by default).

@@ -9,12 +9,13 @@ factors are realized by an explicit measure-and-prepare pair.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize, nnls
+from scipy.optimize import minimize, nnls
 
 from ._linalg import (
     RANK_REL_TOL,
     born_matrix,
     frob,
+    gauss_newton,
     multistart,
     null_space_of,
     numerical_rank_of,
@@ -465,15 +466,15 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
 # stops short of it unless ftol is below about 1e-18, and at such an ftol the
 # fits that end far from zero grind on to rounding.  So L-BFGS-B stops at
 # working precision and an end point within the gate is polished by
-# trust-region least squares on r(x), quadratically convergent at zero residual.
-# The Jacobian always has gauge null directions (and often fewer rows than
-# columns); there scipy's exact trust-region solver never tries the Gauss-Newton
-# step and always steps to the region's boundary, while lsmr's does.  The polish
-# runs to rounding, so a tighter residual_tol is still decided by the fit.
+# Gauss-Newton on r(x), quadratically convergent at zero residual.  Its steps
+# are minimum-norm, so the gauge null directions of the Jacobian (and its
+# often fewer rows than columns) cost nothing, and it has no trust region: a
+# step may climb out of the shallow basin where L-BFGS stopped before it
+# converges to a zero.  The polish runs to rounding, so a tighter
+# residual_tol is still decided by the fit.
 _LBFGS_FTOL = 1e-12
 _POLISH_GATE = 1e-3
-_POLISH_TOL = 1e-15
-_POLISH_MAX_NFEV = 100
+_POLISH_MAX_STEPS = 20
 
 
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
@@ -483,8 +484,9 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
     objective is the squared residual of the realization the verdict tests.
     Every start is a standard normal draw and runs in two phases: L-BFGS-B on
     ||r||^2 to working precision, then, only if its end point's residual is at
-    most ``_POLISH_GATE``, a least-squares polish of r(x) with the analytic
-    Jacobian.  The end point with the lower residual is realized.  Returns
+    most ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the analytic
+    Jacobian (``_linalg.gauss_newton``).  The best iterate of the polish, which
+    is never worse than the L-BFGS end point, is realized.  Returns
     ((N, xi, A, B, residual), residual, restarts run) of the realization with
     the lowest residual.
     """
@@ -501,12 +503,7 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
         )
         x = res.x
         if res.fun <= _POLISH_GATE**2:
-            polished = least_squares(
-                fit.residual, x, jac=fit.jacobian, method="trf", tr_solver="lsmr",
-                ftol=_POLISH_TOL, xtol=_POLISH_TOL, gtol=_POLISH_TOL, max_nfev=_POLISH_MAX_NFEV,
-            )
-            if 2.0 * polished.cost < res.fun:
-                x = polished.x
+            x, _ = gauss_newton(fit.residual, fit.jacobian, x, _POLISH_MAX_STEPS)
         realized = _realize_measure_prepare(x, rho_states, povm, l, fit.target)
         return realized, realized[4]
 
@@ -542,11 +539,13 @@ def eb_certificate(
     before any search.  Each fit keeps its measurement complete by construction
     and minimizes exactly the squared residual that the verdict then tests:
     L-BFGS-B to working precision, then, for fits that end within 1e-3 of zero,
-    a Gauss-Newton-type least-squares polish that reaches ``residual_tol`` where
-    L-BFGS's stop rule cannot.  Fits that end far from zero are not polished.
+    a Gauss-Newton polish with minimum-norm steps that reaches ``residual_tol``
+    where L-BFGS's stop rule cannot.  Fits that end far from zero are not polished.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is
     only sound when rank(C) = d^2; anything less raises an ambiguity error.
+    ``claim`` is ``"matrix"`` or ``"channel"``; any other value is a
+    validation error.
 
     A failed search is non-exhaustive evidence only (exact nonnegative
     factorization is NP-hard); the restart budget and best residual are
@@ -557,7 +556,7 @@ def eb_certificate(
     if d < 2:
         raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
     if claim not in ("matrix", "channel"):
-        raise ValueError(f"unknown claim level {claim!r}")
+        raise ValidationError(f"unknown claim level {claim!r}; expected 'matrix' or 'channel'")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if l_max < 1:

@@ -20,7 +20,13 @@ from commat import (
     trine_qubit,
     validate_povm,
 )
-from commat.analysis import _polish_implementation, _projector_objective
+from commat.analysis import (
+    _gram_start,
+    _polish_implementation,
+    _projector_jacobian,
+    _projector_objective,
+    _projector_residual,
+)
 from commat.errors import (
     DimensionMismatchError,
     DimensionViolationError,
@@ -166,6 +172,50 @@ class TestSelfTest:
         f, _ = _projector_objective(z.ravel().view(float), target, weight, n, d)
         f_za, _ = _projector_objective((z @ a).ravel().view(float), target, weight, n, d)
         assert f_za == pytest.approx(f, rel=1e-10)
+
+    @pytest.mark.parametrize("n, d", [(4, 2), (6, 2), (9, 3)])
+    def test_jacobian_matches_central_differences(self, rng, n, d):
+        target = rng.uniform(0.0, 0.3, (n, n))
+        target = (target + target.T) / 2
+        weight = rng.uniform(1.0, 5.0, (n, n))
+        root_weight = np.sqrt((weight + weight.T) / 2)
+        x = rng.standard_normal(2 * n * d)
+        step = 1e-6
+        numeric = np.stack(
+            [(_projector_residual(x + step * e, target, root_weight, n, d)
+              - _projector_residual(x - step * e, target, root_weight, n, d)) / (2 * step)
+             for e in np.eye(x.size)],
+            axis=1,
+        )
+        jac = _projector_jacobian(x, root_weight, n, d)
+        assert jac.shape == (n * n, 2 * n * d)
+        assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(numeric).max()
+        # r is the objective's residual: ||r||^2 = f and 2 J^T r = grad f
+        f, grad = _projector_objective(x, target, root_weight**2, n, d)
+        r = _projector_residual(x, target, root_weight, n, d)
+        assert r @ r == pytest.approx(f, rel=1e-12)
+        assert np.abs(2.0 * jac.T @ r - grad).max() <= 1e-10 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
+    def test_qubit_gram_start_certifies_without_an_iteration(self, monkeypatch, n, seed):
+        # n = 2 has fewer states than d^2 - 1 = 3, so the Gram matrix is padded
+        import commat.analysis as analysis
+
+        fits = []
+        real = analysis.minimize
+        monkeypatch.setattr(analysis, "minimize", lambda *a, **k: fits.append(real(*a, **k)) or fits[-1])
+        vecs, weights = rank1_setup(np.random.default_rng(seed), 2, n)
+        overlaps = np.abs(vecs.conj() @ vecs.T) ** 2
+        cert = self_test(CommMatrix(entries=overlaps * weights[None, :]), 2)
+        assert cert.passes and cert.restarts == 1
+        assert [fit.nit for fit in fits] == [0]
+        assert np.abs(cert.overlap_matrix() - overlaps).max() < 1e-12
+
+    @pytest.mark.parametrize("alpha", [[0.0, 0.0], [1.0, 0.0]])
+    def test_zero_weights_give_no_singular_gram_start(self, alpha):
+        # a zero weight zeroes its row of Z; below rank d the fit draws its start instead
+        alpha = np.array(alpha)
+        assert _gram_start(np.outer(alpha, alpha), alpha, 2) is None
 
     @pytest.mark.parametrize("d, seed", [(3, 4), (3, 11), (4, 5)])
     def test_recovers_generated_rank_one_setups(self, d, seed):

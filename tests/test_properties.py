@@ -479,17 +479,7 @@ class TestEbCertificate:
 
     def test_qutrit_measure_prepare_channel_certifies(self, basis3):
         # the penalized fit left this channel uncertified (best residual 1.8e-7)
-        from commat.sampling import random_povm
-
-        gen = np.random.default_rng(31)
-        states = [random_mixed_state(basis3, gen) for _ in range(9)]
-        povm = random_povm(basis3, gen, 9)
-        channel = measure_and_prepare_channel(
-            random_povm(basis3, gen, 2), [random_mixed_state(basis3, gen) for _ in range(2)]
-        )
-        c = comm_matrix(states, povm)
-        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
-        cert = eb_certificate(c, cp, 3, l_max=2, restarts=4)
+        cert = _qutrit_measure_prepare_certificate(basis3, 31, 2)
         assert cert.verdict == "certified-EB-implementable"
         assert cert.inner_dim == 2
         assert cert.residual <= 1e-8
@@ -579,24 +569,25 @@ class TestEbCertificate:
     @pytest.mark.parametrize("seed", [35, 37])
     def test_qutrit_three_outcome_measure_prepare_channel_certifies(self, basis3, seed):
         # L-BFGS alone ended every restart at residual 1.4e-8 (seed 35) and 1.5e-8 (seed 37)
-        from commat.sampling import random_povm
-
-        gen = np.random.default_rng(seed)
-        states = [random_mixed_state(basis3, gen) for _ in range(9)]
-        povm = random_povm(basis3, gen, 9)
-        channel = measure_and_prepare_channel(
-            random_povm(basis3, gen, 3), [random_mixed_state(basis3, gen) for _ in range(3)]
-        )
-        c = comm_matrix(states, povm)
-        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
-        cert = eb_certificate(c, cp, 3, l_max=3, restarts=4)
+        cert = _qutrit_measure_prepare_certificate(basis3, seed, 3)
         assert cert.verdict == "certified-EB-implementable"
         assert cert.inner_dim == 3
         assert cert.residual <= 1e-8
 
+    @pytest.mark.parametrize("seed, l", [(34, 2), (46, 3)])
+    def test_qutrit_measure_prepare_channel_left_by_a_trust_region_polish_certifies(
+        self, basis3, seed, l
+    ):
+        # a trust-region polish only accepts descent steps and stayed in the basin where
+        # L-BFGS stopped (best residuals 2.8e-6 and 1.3e-6 after 4 restarts)
+        cert = _qutrit_measure_prepare_certificate(basis3, seed, l)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.inner_dim == l
+        assert cert.residual <= 1e-8
+
     def test_identity_search_never_polishes(self, monkeypatch):
         # criterion 8's identity search: every L-BFGS end point is far from zero, so no
-        # restart may pay for the least-squares polish (443 evaluations with ftol=1e-18)
+        # restart may pay for the Gauss-Newton polish (443 evaluations with ftol=1e-18)
         from commat import properties
 
         calls = []
@@ -607,7 +598,7 @@ class TestEbCertificate:
 
         monkeypatch.setattr(properties, "minimize", counting_minimize)
         monkeypatch.setattr(
-            properties, "least_squares", lambda *a, **k: pytest.fail("polish ran")
+            properties, "gauss_newton", lambda *a, **k: pytest.fail("polish ran")
         )
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
@@ -657,12 +648,34 @@ class TestEbCertificate:
         with pytest.raises(AmbiguityError):
             eb_certificate(c, c, 2, l_max=3, claim="channel")
 
+    def test_unknown_claim_is_a_validation_error(self):
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        with pytest.raises(ValidationError, match="claim"):
+            eb_certificate(c, c, 2, l_max=4, claim="implementation")
+
     def test_provenance_required(self):
         from commat import noisy_antidist
 
         bare = noisy_antidist(4, 0.5)
         with pytest.raises(PreconditionError, match="implementation"):
             eb_certificate(bare, bare, 2, l_max=4)
+
+
+def _qutrit_measure_prepare_certificate(basis3, seed, l):
+    """eb_certificate(l_max=l, restarts=4) for 9 random qutrit states, a random 9-outcome
+    measurement and a random l-outcome measure-and-prepare channel drawn from ``seed``."""
+    from commat.sampling import random_povm
+
+    gen = np.random.default_rng(seed)
+    states = [random_mixed_state(basis3, gen) for _ in range(9)]
+    povm = random_povm(basis3, gen, 9)
+    channel = measure_and_prepare_channel(
+        random_povm(basis3, gen, l), [random_mixed_state(basis3, gen) for _ in range(l)]
+    )
+    c = comm_matrix(states, povm)
+    cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+    return eb_certificate(c, cp, 3, l_max=l, restarts=4)
 
 
 def _mp_setup(basis, random_povm, gen, n_states, n_effects):

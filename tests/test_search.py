@@ -1,8 +1,8 @@
-"""The multi-start driver shared by the self-test, EB and nonnegative-factorization searches."""
+"""The multi-start driver and the Gauss-Newton polish shared by the optimizer searches."""
 
 import numpy as np
 
-from commat._linalg import herm_sqrt, multistart
+from commat._linalg import gauss_newton, herm_sqrt, multistart
 
 
 def scripted(residuals):
@@ -66,3 +66,23 @@ def test_herm_sqrt_clips_at_the_floor():
     m = np.diag([-1e-3, 4.0]).astype(complex)
     assert np.allclose(herm_sqrt(m, 0.0), np.diag([0.0, 2.0]))
     assert np.allclose(herm_sqrt(m, 1e-2, inverse=True), np.diag([10.0, 0.5]))
+
+
+def test_gauss_newton_keeps_its_best_iterate_when_a_step_climbs():
+    # Newton on arctan from |x| > 1.39 overshoots further at every step: 2, -3.5, 14, ...
+    x, f = gauss_newton(np.arctan, lambda v: np.array([[1.0 / (1.0 + v[0] ** 2)]]),
+                        np.array([2.0]), 5)
+    assert x[0] == 2.0
+    assert f == np.arctan(2.0) ** 2
+
+
+def test_gauss_newton_stops_once_the_step_vanishes():
+    # a consistent linear residual with a null direction: one minimum-norm step solves it
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]])
+    b = np.array([3.0, 1.0])
+    jacobians = []
+    x, f = gauss_newton(lambda v: a @ v - b, lambda v: jacobians.append(1) or a,
+                        np.array([5.0, -4.0, 0.0]), 20)
+    assert f <= 1e-28
+    assert np.allclose(x, [1.0, 1.0, 0.0])
+    assert len(jacobians) == 2  # the solving step, then the zero step that stops the loop
