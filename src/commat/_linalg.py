@@ -69,14 +69,18 @@ def gauss_newton(residual, jacobian, x: np.ndarray, max_steps: int) -> tuple:
     No line search or trust region: a step may climb, which lets the iteration
     leave a shallow basin on its way to a zero, so the best iterate seen (the
     start included) is returned with its squared norm ||r||^2.  The loop stops
-    at a step of at most ``GN_STEP_RTOL`` times ||x||, at a non-finite residual,
-    or after ``max_steps`` Jacobians.  The minimum-norm step ignores directions
-    the residual does not depend on, such as gauge freedoms of the packing.
+    at a step of at most ``GN_STEP_RTOL`` times ||x||, at a non-finite residual
+    or Jacobian, or after ``max_steps`` Jacobians.  The minimum-norm step
+    ignores directions the residual does not depend on, such as gauge freedoms
+    of the packing.
     """
     r = residual(x)
     best, best_f = x, float(r @ r)
     for _ in range(max_steps):
-        step = np.linalg.lstsq(jacobian(x), r, rcond=None)[0]
+        jac = jacobian(x)
+        if not np.isfinite(jac).all():
+            break
+        step = np.linalg.lstsq(jac, r, rcond=None)[0]
         x = x - step
         r = residual(x)
         f = float(r @ r)

@@ -585,6 +585,14 @@ class TestEbCertificate:
         assert cert.inner_dim == l
         assert cert.residual <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(31, 51))
+    def test_qutrit_measure_prepare_panel_certifies(self, basis3, seed):
+        l = 2 if (seed - 31) % 8 < 4 else 3
+        cert = _qutrit_measure_prepare_certificate(basis3, seed, l)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.inner_dim == l
+        assert cert.residual <= 1e-8
+
     def test_identity_search_never_polishes(self, monkeypatch):
         # criterion 8's identity search: every L-BFGS end point is far from zero, so no
         # restart may pay for the Gauss-Newton polish (443 evaluations with ftol=1e-18)
@@ -606,6 +614,27 @@ class TestEbCertificate:
         assert cert.verdict == "no-certificate-found"
         assert cert.restarts == 8
         assert len(calls) <= 300
+
+    @pytest.mark.parametrize("p, verdict", [(0.0, "no-certificate-found"),
+                                            (0.8, "certified-EB-implementable")])
+    def test_search_realizes_only_its_best_restart(self, basis2, monkeypatch, p, verdict):
+        # rank(C') = 4 = l_max, so one inner dimension; the identity (p = 0) is criterion
+        # 8's search and runs all 8 restarts, depolarizing(0.8) is EB
+        from commat import properties
+
+        calls = []
+        real = properties._realize_measure_prepare
+        monkeypatch.setattr(
+            properties, "_realize_measure_prepare", lambda *a: calls.append(1) or real(*a)
+        )
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        channel = depolarizing_channel(basis2, p)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 2, l_max=4, restarts=8)
+        assert cert.verdict == verdict
+        assert len(calls) == 1
+        assert cert.residual == np.linalg.norm(cp.entries - cert.factor_a @ cert.factor_b)
 
     def test_rank_above_l_max_is_a_precondition_error(self, basis2, monkeypatch):
         from commat import amplitude_damping_channel, properties

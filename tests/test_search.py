@@ -86,3 +86,16 @@ def test_gauss_newton_stops_once_the_step_vanishes():
     assert f <= 1e-28
     assert np.allclose(x, [1.0, 1.0, 0.0])
     assert len(jacobians) == 2  # the solving step, then the zero step that stops the loop
+
+
+def test_gauss_newton_stops_at_a_non_finite_jacobian():
+    # Newton on arctan from 1 converges; the second Jacobian is NaN, as when sigma -> 0
+    # overflows the S^-1/2 term, and must end the loop instead of reaching lstsq
+    scripted = iter([np.array([[0.5]]), np.array([[np.nan]])])
+    jacobians = []
+    x, f = gauss_newton(np.arctan, lambda v: jacobians.append(1) or next(scripted),
+                        np.array([1.0]), 20)
+    first = 1.0 - np.arctan(1.0) / 0.5
+    assert len(jacobians) == 2
+    assert x[0] == first
+    assert f == np.arctan(first) ** 2
