@@ -1,11 +1,13 @@
 """Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices,
-restarts and a Gauss-Newton polish."""
+restarts, and the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches."""
 
 import numpy as np
+from scipy.optimize import minimize
 
 HERM_ATOL = 1e-12
 RANK_REL_TOL = 1e-9
 GN_STEP_RTOL = 1e-12
+POLISH_MAX_STEPS = 20
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -93,19 +95,50 @@ def gauss_newton(residual, jacobian, x: np.ndarray, max_steps: int) -> tuple:
     return best, best_f
 
 
+def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tuple:
+    """Minimize ``objective`` (f = ||residual||^2 and its gradient) from ``x0`` in two phases.
+
+    L-BFGS-B runs first, to ``ftol`` or ``maxiter`` iterations.  Its stop test
+    divides by max(|f|, 1), so below f = 1 it bounds the absolute decrease per
+    iteration: a fit nearing a residual of 1e-8 (f about 1e-16) stops short
+    unless ftol is below about 1e-18, and at such an ftol the fits that end far
+    from zero grind on to rounding.  So L-BFGS-B only hands over a start, and an
+    end point with f at most ``gate``^2 is polished by ``gauss_newton`` with the
+    analytic ``jacobian``, quadratically convergent at a zero residual.  Its
+    minimum-norm steps make the Jacobian's null directions (gauge freedoms of the
+    packing, fewer rows than columns) cost nothing, and without a trust region a
+    step may climb out of the shallow basin where L-BFGS-B stopped.  The polish
+    runs to rounding, so a tighter residual tolerance is still decided by the
+    fit, and its best iterate is never worse than the L-BFGS-B end point.  An end
+    point outside the gate, or with a NaN f, is returned as it is.  Returns x and
+    f = ||residual(x)||^2.
+    """
+    res = minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": maxiter, "ftol": ftol, "gtol": 1e-14},
+    )
+    if res.fun <= gate**2:
+        return gauss_newton(residual, jacobian, res.x, POLISH_MAX_STEPS)
+    return res.x, res.fun
+
+
 def multistart(solve, restarts: int, seed: int, tol: float) -> tuple:
     """Call ``solve(rng, start)`` for start = 0, 1, ... with one generator seeded by ``seed``.
 
     Each call returns ``(candidate, residual)``, the residual being the number the
     verdict tests.  The lowest residual is kept (ties keep the earlier start) and
     the search stops at the first residual within ``tol``.  Returns the best
-    candidate, its residual and the number of starts run.  ``restarts`` must be
-    at least 1; the public entry points check it.
+    candidate, its residual and the number of starts run.  A finite residual
+    replaces a NaN best, and a NaN one never replaces a best.  ``restarts`` must
+    be at least 1; the public entry points check it.
     """
     rng = np.random.default_rng(seed)
     for start in range(restarts):
         candidate, residual = solve(rng, start)
-        if start == 0 or residual < best_residual:
+        if start == 0 or residual < best_residual or (np.isnan(best_residual) and not np.isnan(residual)):
             best, best_residual = candidate, residual
         if residual <= tol:
             break

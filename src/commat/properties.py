@@ -9,16 +9,16 @@ factors are realized by an explicit measure-and-prepare pair.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import nnls
 
 from ._linalg import (
     RANK_REL_TOL,
     born_matrix,
     frob,
-    gauss_newton,
     multistart,
     null_space_of,
     numerical_rank_of,
+    two_phase_fit,
 )
 from .errors import (
     AmbiguityError,
@@ -461,11 +461,6 @@ class _MeasurePrepareFit:
         return self._pullback(chain, w_ops, c_state).reshape(-1, x.size)
 
 
-def _mp_objective(x, rho_arr, eff_arr, target, l, d):
-    """Squared fit error ||C' - A B||^2 of a complete measurement and states, with its gradient."""
-    return _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x)
-
-
 def _realize_measure_prepare(x, rho_states, povm, l, target):
     """The measurement N and states xi that the fit parameters stand for, with their factors."""
     basis = rho_states[0].basis
@@ -476,26 +471,15 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
     return n_povm, xi_states, a, b, frob(target - a @ b)
 
 
-# L-BFGS-B's ftol test divides by max(|f|, 1), so below f = 1 it bounds the
-# absolute decrease per iteration: a fit nearing residual_tol (f about 1e-16)
-# stops short of it unless ftol is below about 1e-18, and at such an ftol the
-# fits that end far from zero grind on to rounding.  So L-BFGS-B only hands
-# over a start, and an end point within the gate is polished by Gauss-Newton
-# on r(x), quadratically convergent at zero residual.  Its steps are
-# minimum-norm, so the gauge null directions of the Jacobian (and its often
-# fewer rows than columns) cost nothing, and it has no trust region: a step
-# may climb out of the shallow basin where L-BFGS stopped before it converges
-# to a zero.  The polish runs to rounding, so a tighter residual_tol is still
-# decided by the fit.  Sweep (eb-search seeds 1-8, 96 EB inputs; the qutrit
-# panel of the tests, 20 inputs): ftol 1e-12 with a gate of 1e-3 certifies
-# 96/96 and 20/20 in 33,615 and 10,584 objective evaluations, ftol 1e-7 with a
-# gate of 1e-2 the same in 21,794 and 1,402.  The fits break at ftol 1e-5
-# (panel 13/20) and with the gate at 1e-3 (ftol 1e-6: 80/96).  No non-EB end
-# point came within 4.8e-2 of zero at either setting.  An uncertified search
-# reports its floor only to about ftol / (2 r).
+# The EB fit is ``_linalg.two_phase_fit``.  Sweep (eb-search seeds 1-8, 96 EB
+# inputs; the qutrit panel of the tests, 20 inputs): ftol 1e-12 with a gate of
+# 1e-3 certifies 96/96 and 20/20 in 33,615 and 10,584 objective evaluations,
+# ftol 1e-7 with a gate of 1e-2 the same in 21,794 and 1,402.  The fits break
+# at ftol 1e-5 (panel 13/20) and with the gate at 1e-3 (ftol 1e-6: 80/96).  No
+# non-EB end point came within 4.8e-2 of zero at either setting.  An
+# uncertified search reports its floor only to about ftol / (2 r).
 _LBFGS_FTOL = 1e-7
 _POLISH_GATE = 1e-2
-_POLISH_MAX_STEPS = 20
 
 
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
@@ -503,28 +487,20 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
 
     The measurement is complete by construction (``_complete_effects``), so the
     objective is the squared residual of the realization the verdict tests.
-    Every start is a standard normal draw and runs in two phases: L-BFGS-B on
-    ||r||^2 to ``_LBFGS_FTOL``, then, only if its end point's residual is at
-    most ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the analytic
-    Jacobian (``_linalg.gauss_newton``).  The polish's best iterate is never
-    worse than the L-BFGS end point.  Only the best start is realized, once,
-    after the search.  Returns its realization (N, xi, A, B, residual) and the
-    number of restarts run.
+    Every start is a standard normal draw and runs ``_linalg.two_phase_fit``:
+    L-BFGS-B on ||r||^2 to ``_LBFGS_FTOL``, then, only if its end point's
+    residual is at most ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the
+    analytic Jacobian.  Only the best start is realized, once, after the search.
+    Returns its realization (N, xi, A, B, residual) and the number of restarts run.
     """
     rho_arr = np.stack([s.matrix for s in rho_states])
     fit = _MeasurePrepareFit(rho_arr, np.stack(povm.effects), cprime.entries, l)
 
     def solve(rng, _):
-        res = minimize(
-            fit.objective,
-            rng.standard_normal(4 * l * fit.d * fit.d),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 2000, "ftol": _LBFGS_FTOL, "gtol": 1e-14},
+        x, f = two_phase_fit(
+            fit.objective, fit.residual, fit.jacobian, rng.standard_normal(4 * l * fit.d * fit.d),
+            _LBFGS_FTOL, _POLISH_GATE, 2000,
         )
-        x, f = res.x, res.fun
-        if f <= _POLISH_GATE**2:
-            x, f = gauss_newton(fit.residual, fit.jacobian, x, _POLISH_MAX_STEPS)
         return x, np.sqrt(f)                            # f = ||r(x)||^2
 
     x, _, ran = multistart(solve, restarts, seed, residual_tol)

@@ -62,6 +62,15 @@ class TomographyFrame:
         return self.beta.shape[1]
 
 
+def _dual_frame(ops, basis: BlochBasis, side: str) -> np.ndarray:
+    """Minimum-norm dual pinv(coords)^T of the operators' Bloch coordinates; they must span d^2."""
+    coords = basis.coords(ops).T
+    rank = numerical_rank_of(coords, RANK_REL_TOL)
+    if rank < basis.dim**2:
+        raise FrameDeficientError(f"{side} span only {rank} of {basis.dim**2} dimensions")
+    return np.linalg.pinv(coords).T
+
+
 def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
     """Minimum-norm expansion coefficients via pseudoinverse of the coordinate matrices.
 
@@ -69,21 +78,9 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     the error.
     """
     state_mats = np.array([s.matrix for s in states])
-    coords_in = basis_in.coords(state_mats).T
-    coords_out = basis_out.coords(np.array(povm.effects)).T
-    di, do = basis_in.dim, basis_out.dim
-    rank_in = numerical_rank_of(coords_in, RANK_REL_TOL)
-    if rank_in < di * di:
-        raise FrameDeficientError(
-            f"states span only {rank_in} of {di * di} dimensions"
-        )
-    rank_out = numerical_rank_of(coords_out, RANK_REL_TOL)
-    if rank_out < do * do:
-        raise FrameDeficientError(
-            f"effects span only {rank_out} of {do * do} dimensions"
-        )
-    alpha = np.linalg.pinv(coords_in).T
-    beta = np.linalg.pinv(coords_out).T
+    alpha = _dual_frame(state_mats, basis_in, "states")
+    beta = _dual_frame(np.array(povm.effects), basis_out, "effects")
+    di = basis_in.dim
     synth = np.tensordot(alpha, state_mats, axes=1)
     errors = np.linalg.norm((synth - basis_in.elements).reshape(di * di, -1), axis=1)
     bad = np.flatnonzero(errors > FRAME_ATOL)
@@ -147,13 +144,7 @@ class UnitalFrame:
 def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
     """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors."""
     d = basis.dim
-    coords_out = basis.coords(np.array(povm.effects)).T
-    rank_out = numerical_rank_of(coords_out, RANK_REL_TOL)
-    if rank_out < d * d:
-        raise FrameDeficientError(
-            f"effects span only {rank_out} of {d * d} dimensions"
-        )
-    beta = np.linalg.pinv(coords_out).T
+    beta = _dual_frame(np.array(povm.effects), basis, "effects")
     r = np.column_stack([s.bloch for s in states])
     rank_r = numerical_rank_of(r, RANK_REL_TOL)
     if rank_r < d * d - 1:

@@ -199,11 +199,11 @@ class TestSelfTest:
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
     def test_qubit_gram_start_certifies_without_an_iteration(self, monkeypatch, n, seed):
         # n = 2 has fewer states than d^2 - 1 = 3, so the Gram matrix is padded
-        import commat.analysis as analysis
+        import commat._linalg as _linalg
 
         fits = []
-        real = analysis.minimize
-        monkeypatch.setattr(analysis, "minimize", lambda *a, **k: fits.append(real(*a, **k)) or fits[-1])
+        real = _linalg.minimize
+        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: fits.append(real(*a, **k)) or fits[-1])
         vecs, weights = rank1_setup(np.random.default_rng(seed), 2, n)
         overlaps = np.abs(vecs.conj() @ vecs.T) ** 2
         cert = self_test(CommMatrix(entries=overlaps * weights[None, :]), 2)
@@ -328,11 +328,11 @@ class TestSelfTest:
             self_test(c, 2, restarts=restarts)
 
     def test_fit_stops_at_first_certifying_restart(self, monkeypatch):
-        import commat.analysis as analysis
+        import commat._linalg as _linalg
 
         calls = []
-        real = analysis.minimize
-        monkeypatch.setattr(analysis, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = _linalg.minimize
+        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
         cert = self_test(noisy_antidist(4, 0.5), 2)
         assert cert.passes
         assert len(calls) == 1  # not the whole budget of 32

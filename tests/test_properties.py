@@ -400,51 +400,49 @@ class TestEbCertificate:
     def test_mp_fit_gradient_matches_finite_differences(self, rng):
         from scipy.optimize import approx_fprime
 
-        from commat.properties import _mp_objective
+        from commat.properties import _MeasurePrepareFit
 
         states, povm = sic_qubit()
         rho_arr = np.stack([s.matrix for s in states])
         eff_arr = np.stack(povm.effects)
         target = comm_matrix(states, povm).entries
         x0 = rng.standard_normal(2 * 4 * 2 * 2 * 2)
-        _, grad = _mp_objective(x0, rho_arr, eff_arr, target, 4, 2)
-        numeric = approx_fprime(
-            x0, lambda x: _mp_objective(x, rho_arr, eff_arr, target, 4, 2)[0], 1e-7
-        )
+        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, 4)
+        _, grad = fit.objective(x0)
+        numeric = approx_fprime(x0, lambda x: fit.objective(x)[0], 1e-7)
         assert np.abs(grad - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-5
 
     def test_mp_fit_gradient_matches_finite_differences_qutrit(self, basis3, rng):
         from scipy.optimize import approx_fprime
 
-        from commat.properties import _mp_objective
+        from commat.properties import _MeasurePrepareFit
         from commat.sampling import random_povm
 
         rho_arr, eff_arr, target = _mp_setup(basis3, random_povm, rng, n_states=9, n_effects=9)
         x0 = rng.standard_normal(2 * 2 * 2 * 3 * 3)
-        _, grad = _mp_objective(x0, rho_arr, eff_arr, target, 2, 3)
-        numeric = approx_fprime(
-            x0, lambda x: _mp_objective(x, rho_arr, eff_arr, target, 2, 3)[0], 1e-7
-        )
+        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, 2)
+        _, grad = fit.objective(x0)
+        numeric = approx_fprime(x0, lambda x: fit.objective(x)[0], 1e-7)
         assert np.abs(grad - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-5
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_mp_objective_matches_the_per_outcome_formula(self, d, l):
-        from commat.properties import _mp_objective
+        from commat.properties import _MeasurePrepareFit
         from commat.sampling import random_povm
 
         gen = np.random.default_rng(1000 * d + l)
         rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
         for _ in range(3):
             x = gen.standard_normal(4 * l * d * d)
-            f, grad = _mp_objective(x, rho_arr, eff_arr, target, l, d)
+            f, grad = _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x)
             f_ref, grad_ref = _mp_objective_per_outcome(x, rho_arr, eff_arr, target, l, d)
             assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
             assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
     @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
     def test_mp_objective_is_the_squared_realized_residual(self, d, l):
-        from commat.properties import _mp_objective, _realize_measure_prepare
+        from commat.properties import _MeasurePrepareFit, _realize_measure_prepare
 
         gen = np.random.default_rng(2000 * d + l)
         basis = bloch_basis(d)
@@ -455,7 +453,7 @@ class TestEbCertificate:
         target /= target.sum(axis=1, keepdims=True)
         for _ in range(3):
             x = gen.standard_normal(4 * l * d * d)
-            f, _ = _mp_objective(x, rho_arr, eff_arr, target, l, d)
+            f, _ = _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x)
             n_povm, _, _, _, residual = _realize_measure_prepare(x, states, povm, l, target)
             assert abs(f - residual**2) <= 1e-12 * max(1.0, f)
             assert np.abs(sum(n_povm.effects) - np.eye(d)).max() <= 1e-12
@@ -464,7 +462,7 @@ class TestEbCertificate:
     def test_mp_objective_is_finite_with_an_all_zero_effect_block(self, l):
         import warnings
 
-        from commat.properties import _mp_objective
+        from commat.properties import _MeasurePrepareFit
 
         states, povm = sic_qubit()
         rho_arr = np.stack([s.matrix for s in states])
@@ -474,7 +472,7 @@ class TestEbCertificate:
         x[0, 0] = 0.0  # H_0 = 0, so P_0 = 0 (and S = 0 when l = 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, grad = _mp_objective(x.ravel(), rho_arr, eff_arr, target, l, 2)
+            f, grad = _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x.ravel())
         assert np.isfinite(f) and np.isfinite(grad).all()
 
     def test_qutrit_measure_prepare_channel_certifies(self, basis3):
@@ -486,15 +484,15 @@ class TestEbCertificate:
 
     def test_identity_search_evaluation_budget(self, monkeypatch):
         # criterion 8's identity search: the penalized fit made 2,036 evaluations here
-        from commat import properties
+        from commat import _linalg
 
         calls = []
-        real = properties.minimize
+        real = _linalg.minimize
 
         def counting_minimize(fun, *args, **kwargs):
             return real(lambda *a: calls.append(1) or fun(*a), *args, **kwargs)
 
-        monkeypatch.setattr(properties, "minimize", counting_minimize)
+        monkeypatch.setattr(_linalg, "minimize", counting_minimize)
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         cert = eb_certificate(c, c, 2, l_max=4, restarts=8)
@@ -523,7 +521,7 @@ class TestEbCertificate:
 
     @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
     def test_mp_residual_and_jacobian_agree_with_the_objective(self, d, l):
-        from commat.properties import _MeasurePrepareFit, _mp_objective
+        from commat.properties import _MeasurePrepareFit
         from commat.sampling import random_povm
 
         gen = np.random.default_rng(4000 * d + l)
@@ -531,7 +529,7 @@ class TestEbCertificate:
         fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
         for _ in range(3):
             x = gen.standard_normal(4 * l * d * d)
-            f, grad = _mp_objective(x, rho_arr, eff_arr, target, l, d)
+            f, grad = fit.objective(x)
             r = fit.residual(x)
             assert abs(r @ r - f) <= 1e-12 * max(1.0, f)
             assert np.abs(2.0 * fit.jacobian(x).T @ r - grad).max() <= 1e-10 * max(
@@ -596,17 +594,17 @@ class TestEbCertificate:
     def test_identity_search_never_polishes(self, monkeypatch):
         # criterion 8's identity search: every L-BFGS end point is far from zero, so no
         # restart may pay for the Gauss-Newton polish (443 evaluations with ftol=1e-18)
-        from commat import properties
+        from commat import _linalg
 
         calls = []
-        real = properties.minimize
+        real = _linalg.minimize
 
         def counting_minimize(fun, *args, **kwargs):
             return real(lambda *a: calls.append(1) or fun(*a), *args, **kwargs)
 
-        monkeypatch.setattr(properties, "minimize", counting_minimize)
+        monkeypatch.setattr(_linalg, "minimize", counting_minimize)
         monkeypatch.setattr(
-            properties, "gauss_newton", lambda *a, **k: pytest.fail("polish ran")
+            _linalg, "gauss_newton", lambda *a, **k: pytest.fail("polish ran")
         )
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
@@ -637,13 +635,13 @@ class TestEbCertificate:
         assert cert.residual == np.linalg.norm(cp.entries - cert.factor_a @ cert.factor_b)
 
     def test_rank_above_l_max_is_a_precondition_error(self, basis2, monkeypatch):
-        from commat import amplitude_damping_channel, properties
+        from commat import _linalg, amplitude_damping_channel
 
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         channel = amplitude_damping_channel(basis2, 0.3)
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
-        monkeypatch.setattr(properties, "minimize", lambda *a, **k: pytest.fail("search ran"))
+        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: pytest.fail("search ran"))
         with pytest.raises(PreconditionError, match=r"rank\(C'\) = 4 exceeds l_max = 1"):
             eb_certificate(c, cp, 2, l_max=1)
 

@@ -1,8 +1,10 @@
-"""The multi-start driver and the Gauss-Newton polish shared by the optimizer searches."""
+"""The multi-start driver, the two-phase fit and the Gauss-Newton polish shared by the searches."""
 
 import numpy as np
+import pytest
 
-from commat._linalg import gauss_newton, herm_sqrt, multistart
+from commat import _linalg
+from commat._linalg import gauss_newton, herm_sqrt, multistart, two_phase_fit
 
 
 def scripted(residuals):
@@ -37,6 +39,11 @@ def test_first_start_is_kept_even_with_a_nan_residual():
     solve, _ = scripted([np.nan, np.nan])
     best, residual, ran = multistart(solve, 2, 0, 1e-8)
     assert best == "candidate 0" and np.isnan(residual) and ran == 2
+
+
+def test_a_finite_residual_replaces_a_nan_best():
+    solve, _ = scripted([np.nan, 1e-12])
+    assert multistart(solve, 2, 0, 1e-8) == ("candidate 1", 1e-12, 2)
 
 
 def test_one_generator_per_seed():
@@ -99,3 +106,47 @@ def test_gauss_newton_stops_at_a_non_finite_jacobian():
     assert len(jacobians) == 2
     assert x[0] == first
     assert f == np.arctan(first) ** 2
+
+
+def least_squares(a, b):
+    """objective, residual and Jacobian of r(x) = a x - b, with f = ||r||^2."""
+
+    def residual(x):
+        return a @ x - b
+
+    def objective(x):
+        r = residual(x)
+        return float(r @ r), 2.0 * a.T @ r
+
+    return objective, residual, lambda x: a
+
+
+def test_two_phase_fit_returns_an_end_point_outside_the_gate_unpolished(monkeypatch):
+    # an inconsistent system: the least-squares floor is f = 2 (x = 0), far above the gate
+    monkeypatch.setattr(_linalg, "gauss_newton", lambda *a, **k: pytest.fail("polish ran"))
+    objective, residual, jacobian = least_squares(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
+    x, f = two_phase_fit(objective, residual, jacobian, np.array([3.0]), 1e-8, 1e-2, 100)
+    r = residual(x)
+    assert f == r @ r
+    assert f > 1e-2**2
+
+
+def test_two_phase_fit_polishes_an_end_point_inside_the_gate_to_rounding(monkeypatch):
+    # a consistent, underdetermined system: L-BFGS-B stops loosely inside the gate, and the
+    # minimum-norm Gauss-Newton step solves it
+    objective, residual, jacobian = least_squares(
+        np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), np.array([3.0, 1.0])
+    )
+    end_points = []
+    real = _linalg.gauss_newton
+
+    def recording(res, jac, x, steps):
+        end_points.append(res(x) @ res(x))
+        return real(res, jac, x, steps)
+
+    monkeypatch.setattr(_linalg, "gauss_newton", recording)
+    x, f = two_phase_fit(objective, residual, jacobian, np.array([5.0, -4.0, 0.0]), 1e-2, 1.0, 100)
+    r = residual(x)
+    assert len(end_points) == 1 and 1e-20 < end_points[0] <= 1.0
+    assert f == r @ r
+    assert f <= 1e-28
