@@ -39,30 +39,38 @@ def herm_sqrt(a: np.ndarray, floor: float, inverse: bool = False) -> np.ndarray:
     return (evec * (1.0 / root if inverse else root)) @ dag(evec)
 
 
+def rank_of_spectrum(s: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+    """Number of singular values ``s`` (descending) above rel_tol times the largest one."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rel_tol * s[0]))
+
+
 def numerical_rank_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Number of singular values above rel_tol times the largest one."""
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return rank_of_spectrum(np.linalg.svd(a, compute_uv=False), rel_tol)
 
 
 def null_space_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a real matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, vt = np.linalg.svd(a)
-    ncols = a.shape[1]
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(ncols)
-    rank = int(np.count_nonzero(s > rel_tol * s[0]))
+    rank = rank_of_spectrum(s, rel_tol)
+    if rank == 0:
+        return np.eye(a.shape[1])
     return vt[rank:].T
 
 
 def born_matrix(states, effects) -> np.ndarray:
-    """Born-rule probabilities tr(states[j] effects[k]) for two stacks of operators."""
-    return np.einsum("jab,kba->jk", np.asarray(states), np.asarray(effects)).real
+    """Born-rule probabilities tr(states[j] effects[k]) for two stacks of operators.
+
+    One product of the flattened states with the flattened transposed effects.
+    """
+    states, effects = np.asarray(states), np.asarray(effects)
+    flat_t = effects.transpose(0, 2, 1).reshape(len(effects), -1)
+    return (states.reshape(len(states), -1) @ flat_t.T).real
 
 
 def gauss_newton(residual, jacobian, x: np.ndarray, max_steps: int) -> tuple:

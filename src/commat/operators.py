@@ -6,8 +6,9 @@ stored both as a Choi matrix (input-major block convention, partial trace over
 the output equals the input identity) and as the real affine matrix
 Phi[b, a] = tr(Phi(sigma_a) sigma'_b) / d_out.  Both are coordinates of one
 linear map: reshaped to (d_in, d_out, d_in, d_out), the Choi matrix holds
-Phi(E_ij)[p, q] at [i, p, j, q], so each conversion is a single contraction
-with the stacked basis.
+Phi(E_ij)[p, q] at [i, p, j, q].  Permuted to K[(i, j), (p, q)], it is the
+matrix of the map on flattened operators, and each conversion is two matrix
+products of K or Phi with the basis flattened to (d^2, d^2).
 """
 
 from dataclasses import dataclass, field
@@ -58,14 +59,27 @@ class BlochBasis:
                 f"expected {d * d} basis elements of shape ({d}, {d}), got {elements.shape}"
             )
         object.__setattr__(self, "elements", elements)
+        # row a is sigma_a^T flattened: flat(x) @ _flat_t.T = tr(x sigma_a)
+        object.__setattr__(
+            self, "_flat_t", _freeze(elements.transpose(0, 2, 1).reshape(d * d, d * d).copy())
+        )
 
     @property
     def traceless(self) -> np.ndarray:
         return self.elements[1:]
 
     def coords(self, m: np.ndarray) -> np.ndarray:
-        """Real coordinates tr(m sigma_a) / d of a Hermitian matrix, or of a stack of them."""
-        return np.einsum("...ij,aji->...a", m, self.elements).real / self.dim
+        """Real coordinates tr(m sigma_a) / d of a Hermitian matrix, or of a stack of them.
+
+        Re tr(m sigma_a) = Re(m).Re(sigma_a) + Im(m).Im(sigma_a) entrywise, a real
+        dot product of the interleaved float views.  It stays an einsum, not a
+        matmul: BLAS rounds a single matrix (gemv) and a stack (gemm) differently,
+        and a matrix's coordinates must not depend on the stack it came in.
+        """
+        d = self.dim
+        m = np.ascontiguousarray(m, dtype=complex)
+        flat = m.reshape(*m.shape[:-2], d * d).view(float)
+        return np.einsum("...k,ak->...a", flat, self.elements.reshape(d * d, d * d).view(float)) / d
 
 
 def _require_finite(a: np.ndarray, error: type, what: str):
@@ -227,20 +241,37 @@ def _choi4(choi: np.ndarray, di: int, do: int) -> np.ndarray:
     return choi.reshape(di, do, di, do)
 
 
+def _choi_kernel(choi: np.ndarray, di: int, do: int) -> np.ndarray:
+    """K[(i, j), (p, q)] = Phi(E_ij)[p, q], so that flat(Phi(x)) = flat(x) @ K."""
+    return _choi4(choi, di, do).transpose(0, 2, 1, 3).reshape(di * di, do * do)
+
+
+def _kernel_to_choi(k: np.ndarray, di: int, do: int) -> np.ndarray:
+    """Inverse of ``_choi_kernel``: the same swap of the middle axes."""
+    return k.reshape(di, di, do, do).transpose(0, 2, 1, 3).reshape(di * do, di * do)
+
+
 def _choi_to_bloch(choi: np.ndarray, basis_in: BlochBasis, basis_out: BlochBasis) -> np.ndarray:
+    """Phi[b, a] = tr(Phi(sigma_a) sigma'_b) / d_out = (T' K^T F^T)[b, a] / d_out.
+
+    F and T hold the flattened sigma_a and sigma_a^T as rows, (d^2, d^2) each.
+    """
     di, do = basis_in.dim, basis_out.dim
-    return np.einsum(
-        "aij,ipjq,bqp->ba", basis_in.elements, _choi4(choi, di, do), basis_out.elements,
-        optimize=True,
-    ).real / do
+    flat_in = basis_in.elements.reshape(di * di, di * di)
+    return (basis_out._flat_t @ _choi_kernel(choi, di, do).T @ flat_in.T).real / do
 
 
 def _bloch_to_choi(bloch: np.ndarray, basis_in: BlochBasis, basis_out: BlochBasis) -> np.ndarray:
+    """K = T^T Phi^T F' / d_in, with F and T as in ``_choi_to_bloch``; its inverse."""
     di, do = basis_in.dim, basis_out.dim
-    choi4 = np.einsum(
-        "ba,aji,bpq->ipjq", bloch, basis_in.elements, basis_out.elements, optimize=True
-    ) / di
-    return choi4.reshape(di * do, di * do)
+    flat_out = basis_out.elements.reshape(do * do, do * do)
+    return _kernel_to_choi(basis_in._flat_t.T @ (bloch.T @ flat_out) / di, di, do)
+
+
+def _channel_images(ch: QuantumChannel, xs: np.ndarray) -> np.ndarray:
+    """Phi(x) of each (d_in, d_in) matrix in the stack xs, flattened: one row per matrix."""
+    xs = np.asarray(xs, dtype=complex)
+    return xs.reshape(len(xs), -1) @ _choi_kernel(ch.choi, ch.dim_in, ch.dim_out)
 
 
 def _channel(
@@ -320,12 +351,15 @@ def channel_from_kraus(kraus, basis_in: BlochBasis, basis_out: BlochBasis) -> Qu
             )
         _require_finite(k, InvalidChannelError, "Kraus operator")
     kraus = np.array(kraus).reshape(-1, do, di)
-    total = np.einsum("kpi,kpj->ij", kraus.conj(), kraus)
+    stacked = kraus.reshape(-1, di)
+    total = dag(stacked) @ stacked
     if frob(total - np.eye(di)) > CPTP_ATOL:
         raise InvalidChannelError(
             f"Kraus operators violate trace preservation by {frob(total - np.eye(di)):.3e}"
         )
-    choi = np.einsum("kpi,kqj->ipjq", kraus, kraus.conj()).reshape(di * do, di * do)
+    # row k is K_k^T flattened, whose entry (i, p) is K_k[p, i]
+    rows = kraus.transpose(0, 2, 1).reshape(len(kraus), di * do)
+    choi = rows.T @ rows.conj()
     return channel_from_choi(choi, basis_in, basis_out)
 
 
@@ -355,7 +389,7 @@ def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"input has shape {x.shape}, channel expects ({ch.dim_in}, {ch.dim_in})"
         )
-    return np.einsum("ij,ipjq->pq", x, _choi4(ch.choi, ch.dim_in, ch.dim_out))
+    return _channel_images(ch, x[None]).reshape(ch.dim_out, ch.dim_out)
 
 
 def is_unital_map(ch: QuantumChannel, tol: float = CPTP_ATOL) -> bool:
@@ -371,12 +405,15 @@ def identity_channel(basis: BlochBasis) -> QuantumChannel:
 
 
 def depolarizing_channel(basis: BlochBasis, p: float) -> QuantumChannel:
-    """Mix with the maximally mixed state: X -> (1-p) X + p tr(X) identity / d."""
+    """Mix with the maximally mixed state: X -> (1-p) X + p tr(X) identity / d.
+
+    The identity's Bloch matrix is the identity in an orthogonal basis with
+    sigma_0 = identity, so this one is (1-p) identity with Phi[0, 0] = 1.
+    """
     d = basis.dim
     if not 0.0 <= p <= 1.0 + 1e-12:
         raise InvalidChannelError(f"depolarizing strength {p} outside [0, 1]")
-    ident = identity_channel(basis)
-    bloch = (1.0 - p) * ident.bloch_matrix
+    bloch = (1.0 - p) * np.eye(d * d)
     bloch[0, 0] = 1.0
     return channel_from_bloch(bloch, basis, basis)
 

@@ -9,7 +9,7 @@ from .errors import CommMatrixError, DimensionMismatchError, InvalidChannelError
 from .operators import (
     Povm,
     QuantumChannel,
-    apply_channel,
+    _channel_images,
     channel_from_bloch,
 )
 
@@ -132,14 +132,19 @@ def compose_channels(outer: QuantumChannel, inner: QuantumChannel) -> QuantumCha
 
 
 def comm_matrix_with_channel(scenario: Scenario) -> CommMatrix:
-    """C'[j, k] = tr(Phi^repeat(rho_j) M_k); reduces to comm_matrix without a channel."""
+    """C'[j, k] = tr(Phi^repeat(rho_j) M_k); reduces to comm_matrix without a channel.
+
+    With the states flattened to rows R and the channel as its matrix K on
+    flattened operators, C' = R K M^T: two products for all the states at once.
+    """
     if scenario.channel is None:
         return comm_matrix(scenario.states, scenario.povm, provenance=scenario)
     ch = scenario.channel
     if scenario.repeat > 1:
         ch = iterate_channel(ch, scenario.repeat)
-    transformed = [apply_channel(ch, s.matrix) for s in scenario.states]
-    entries = born_matrix(transformed, scenario.povm.effects)
+    do = ch.dim_out
+    images = _channel_images(ch, [s.matrix for s in scenario.states])
+    entries = born_matrix(images.reshape(-1, do, do), scenario.povm.effects)
     return CommMatrix(entries=entries, provenance=scenario)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, frob, numerical_rank_of
+from ._linalg import RANK_REL_TOL, frob, numerical_rank_of, rank_of_spectrum
 from .errors import (
     CommatError,
     DimensionMismatchError,
@@ -63,12 +63,16 @@ class TomographyFrame:
 
 
 def _dual_frame(ops, basis: BlochBasis, side: str) -> np.ndarray:
-    """Minimum-norm dual pinv(coords)^T of the operators' Bloch coordinates; they must span d^2."""
-    coords = basis.coords(ops).T
-    rank = numerical_rank_of(coords, RANK_REL_TOL)
+    """Minimum-norm dual pinv(coords)^T of the operators' Bloch coordinates; they must span d^2.
+
+    One SVD coords = U S V^T gives both the rank and, at full row rank, the
+    dual (U / S) V^T.
+    """
+    u, s, vt = np.linalg.svd(basis.coords(ops).T, full_matrices=False)
+    rank = rank_of_spectrum(s, RANK_REL_TOL)
     if rank < basis.dim**2:
         raise FrameDeficientError(f"{side} span only {rank} of {basis.dim**2} dimensions")
-    return np.linalg.pinv(coords).T
+    return (u / s) @ vt
 
 
 def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:

@@ -11,6 +11,7 @@ from commat import (
     channel_from_choi,
     channel_from_kraus,
     completely_depolarizing_channel,
+    depolarizing_channel,
     identity_channel,
     inball_radius,
     is_unital_map,
@@ -28,6 +29,7 @@ from commat.errors import (
     NotAStateError,
     PovmError,
 )
+from commat.operators import _bloch_to_choi, _choi_to_bloch
 from commat.sampling import random_channel, random_mixed_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -320,6 +322,31 @@ class TestChannels:
             assert np.abs(ch.bloch_matrix - reference).max() < 1e-12
             back = channel_from_bloch(reference, basis_in, basis_out)
             assert np.abs(back.choi - ch.choi).max() < 1e-12
+
+    @pytest.mark.parametrize("di,do", [(2, 2), (2, 3), (3, 2), (6, 6)])
+    def test_choi_to_bloch_matches_the_kraus_formula(self, di, do, rng):
+        # oracle: Phi[b, a] = tr(Phi(sigma_a) sigma'_b) / d_out with Phi(x) = sum K x K^dag
+        basis_in, basis_out = bloch_basis(di), bloch_basis(do)
+        g = rng.standard_normal((3 * do, di)) + 1j * rng.standard_normal((3 * do, di))
+        kraus = np.linalg.qr(g)[0].reshape(3, do, di)
+        ch = channel_from_kraus(list(kraus), basis_in, basis_out)
+        images = [sum(k @ sa @ k.conj().T for k in kraus) for sa in basis_in.elements]
+        reference = np.array(
+            [[np.trace(im @ sb).real / do for im in images] for sb in basis_out.elements]
+        )
+        assert np.abs(_choi_to_bloch(ch.choi, basis_in, basis_out) - reference).max() < 1e-13
+        back = _bloch_to_choi(reference, basis_in, basis_out)
+        assert np.abs(back - ch.choi).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_depolarizing_matches_the_identity_channel_construction(self, d, p):
+        basis = bloch_basis(d)
+        bloch = (1.0 - p) * identity_channel(basis).bloch_matrix
+        bloch[0, 0] = 1.0
+        dep = depolarizing_channel(basis, p)
+        assert np.abs(dep.bloch_matrix - bloch).max() <= 1e-15
+        assert np.abs(dep.choi - channel_from_bloch(bloch, basis, basis).choi).max() <= 1e-15
 
     def test_bloch_constructor_keeps_its_matrix(self, basis2, basis3, rng):
         bloch = random_channel(basis2, basis3, rng).bloch_matrix.copy()

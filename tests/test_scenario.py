@@ -97,6 +97,27 @@ def test_repeated_channel_equals_repeatedly_transformed_states(basis2, rng):
     assert np.abs(via_scenario.entries - via_states.entries).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "di,do,repeat", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1), (6, 6, 1), (6, 6, 2)]
+)
+def test_batched_cprime_matches_a_per_state_loop(di, do, repeat, rng):
+    basis_in, basis_out = bloch_basis(di), bloch_basis(do)
+    states = [random_mixed_state(basis_in, rng) for _ in range(di * di + 1)]
+    povm = random_povm(basis_out, rng, do * do)
+    ch = random_channel(basis_in, basis_out, rng, kraus_rank=2)
+    cprime = comm_matrix_with_channel(
+        Scenario(states=states, povm=povm, channel=ch, repeat=repeat)
+    )
+    reference = np.empty((len(states), len(povm)))
+    for j, s in enumerate(states):
+        image = s.matrix
+        for _ in range(repeat):
+            image = apply_channel(ch, image)
+        for k, m in enumerate(povm.effects):
+            reference[j, k] = np.trace(image @ m).real
+    assert np.abs(cprime.entries - reference).max() < 1e-13
+
+
 def test_scenario_json_named_channel(basis2):
     from commat.serialize import scenario_from_json, scenario_to_json
 

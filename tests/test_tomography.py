@@ -33,7 +33,8 @@ from commat.errors import (
     NotSelfTestableError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
-from conftest import make_spanning_setup, rank1_setup
+from commat.tomography import _dual_frame
+from conftest import make_random_setup, make_spanning_setup, rank1_setup
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -102,6 +103,30 @@ class TestBuildFrame:
                     build_frame(states, povm, basis, basis)
             else:
                 build_frame(states, povm, basis, basis)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_dual_frame_is_the_transposed_pseudoinverse(self, d, rng):
+        basis = bloch_basis(d)
+        states, povm = make_random_setup(basis, rng, d * d + 2, d * d + 1)
+        for side, ops in (("states", np.array([s.matrix for s in states])),
+                          ("effects", np.array(povm.effects))):
+            dual = _dual_frame(ops, basis, side)
+            assert np.abs(dual - np.linalg.pinv(basis.coords(ops).T).T).max() < 1e-12
+
+    def test_deficient_sides_keep_their_messages(self, basis2):
+        sic_states, sic_povm = sic_qubit()
+        states = [
+            state_from_bloch(basis2, np.array(r))
+            for r in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0])
+        ]
+        povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions$"):
+            build_frame(states, sic_povm, basis2, basis2)
+        with pytest.raises(FrameDeficientError, match=r"^effects span only 2 of 4 dimensions$"):
+            build_frame(sic_states, povm, basis2, basis2)
+        # both sides fall short: the states are checked first
+        with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions$"):
+            build_frame(states, povm, basis2, basis2)
 
 
 class TestReconstruct:
