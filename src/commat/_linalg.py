@@ -2,7 +2,6 @@
 restarts, and the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches."""
 
 import numpy as np
-from scipy.optimize import minimize
 
 HERM_ATOL = 1e-12
 RANK_REL_TOL = 1e-9
@@ -101,6 +100,14 @@ def gauss_newton(residual, jacobian, x: np.ndarray, max_steps: int) -> tuple:
         if np.linalg.norm(step) <= GN_STEP_RTOL * np.linalg.norm(x):
             break
     return best, best_f
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call, so that a process
+    that runs no fit never loads ``scipy.optimize``."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tuple:

@@ -4,11 +4,12 @@ Every command writes one self-describing JSON envelope (inputs with digests,
 the seed and tolerances the command passed to the library, tool version,
 result payload); rerunning on the same inputs with the same seed reproduces the
 payload byte for byte.  The cmd_* functions return library objects, which main
-serializes once.  Exit codes: 0 ok, 2 validation error, 3 precondition error,
-4 numerical failure.
+serializes once; every file and report is written by ``serialize.dumps``.
+Exit codes: 0 ok, 2 validation error, 3 precondition error, 4 numerical failure.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -42,7 +43,13 @@ from .properties import (
     eb_certificate,
 )
 from .scenario import Scenario, comm_matrix, comm_matrix_with_channel
-from .serialize import comm_matrix_from_json, scenario_from_json, scenario_to_json, to_jsonable
+from .serialize import (
+    comm_matrix_from_json,
+    dumps,
+    scenario_from_json,
+    scenario_to_json,
+    to_jsonable,
+)
 from .tomography import (
     build_frame,
     build_unital_frame,
@@ -193,7 +200,7 @@ def cmd_fixtures(args, docs: dict) -> dict:
         )
     states, povm, *extra = FIXTURE_BUILDERS[name]()
     scenario = Scenario(states=states, povm=povm, channel=extra[0] if extra else None)
-    _emit(json.dumps(scenario_to_json(scenario), sort_keys=True, indent=2), args.scenario_out)
+    _emit(dumps(scenario_to_json(scenario)), args.scenario_out)
     return {"fixture": name, "written": args.scenario_out}
 
 
@@ -213,7 +220,10 @@ def _add_run_options(p: argparse.ArgumentParser, tol_fit: float):
     p.add_argument("--out", default=None, help="write the report here instead of to stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each command names its cmd_*
+    function, which main looks up in this module when the command runs."""
     parser = argparse.ArgumentParser(
         prog="commat",
         description="Certify and reconstruct quantum channels from prepare-and-measure statistics",
@@ -225,14 +235,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--tol-rank", type=float, default=RANK_REL_TOL, dest="tol_rank")
     _add_run_options(p, GRAM_RESIDUAL_TOL)
-    p.set_defaults(func=cmd_analyze, roles=("scenario",))
+    p.set_defaults(func="cmd_analyze", roles=("scenario",))
 
     p = sub.add_parser("tomography", help="reconstruct a channel from C'")
     p.add_argument("--scenario", required=True)
     p.add_argument("--cprime", required=True)
     p.add_argument("--mode", choices=["full", "unital", "gauge"], default="full")
     _add_run_options(p, GRAM_RESIDUAL_TOL)
-    p.set_defaults(func=cmd_tomography, roles=("scenario", "cprime"))
+    p.set_defaults(func="cmd_tomography", roles=("scenario", "cprime"))
 
     p = sub.add_parser("properties", help="unitality / EB / witness checks")
     p.add_argument("--scenario", required=True)
@@ -245,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="assert measurement informational completeness when rank cannot certify it",
     )
     _add_run_options(p, EB_RESIDUAL_TOL)
-    p.set_defaults(func=cmd_properties, roles=("scenario", "cprime"))
+    p.set_defaults(func="cmd_properties", roles=("scenario", "cprime"))
 
     p = sub.add_parser("fixtures", help="write a canonical scenario file")
     p.add_argument("name")
@@ -253,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", required=True, dest="scenario_out", metavar="FILE", help="the scenario file to write"
     )
     # the report envelope goes to stdout, not over the scenario file
-    p.set_defaults(func=cmd_fixtures, roles=(), out=None)
+    p.set_defaults(func="cmd_fixtures", roles=(), out=None)
     return parser
 
 
@@ -265,7 +275,7 @@ def main(argv=None) -> int:
         _check_tolerances(tolerances)
         paths = {role: options[role] for role in args.roles if options[role]}
         loaded = {role: _load_json(path, role) for role, path in paths.items()}
-        result = args.func(args, {role: doc for role, (doc, _) in loaded.items()})
+        result = globals()[args.func](args, {role: doc for role, (doc, _) in loaded.items()})
         report = {
             "schema": REPORT_SCHEMA,
             "command": args.command,
@@ -277,7 +287,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "result": to_jsonable(result),
         }
-        _emit(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), args.out)
+        _emit(dumps(report), args.out)
     except CommatError as exc:
         json.dump(exc.to_json_dict(), sys.stderr, sort_keys=True, default=str)
         sys.stderr.write("\n")

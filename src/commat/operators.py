@@ -11,6 +11,8 @@ matrix of the map on flattened operators, and each conversion is two matrix
 products of K or Phi with the basis flattened to (d^2, d^2).
 """
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +94,15 @@ def bloch_basis(d: int) -> BlochBasis:
     """Deterministic generalized Gell-Mann basis with tr(sigma_a^2) = d.
 
     Ordering after the identity: symmetric pair operators (j < k, lexicographic),
-    then antisymmetric pairs, then the diagonal ladder.
+    then antisymmetric pairs, then the diagonal ladder.  Built once per dimension
+    and process; its arrays are read-only.  ``d`` must be an integer: a float
+    such as 2.0 raises TypeError instead of reaching the integer 2's basis.
     """
+    return _bloch_basis(operator.index(d))
+
+
+@functools.lru_cache(maxsize=16)
+def _bloch_basis(d: int) -> BlochBasis:
     if d < 2:
         raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
     scale = np.sqrt(d / 2.0)

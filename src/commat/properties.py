@@ -9,7 +9,6 @@ factors are realized by an explicit measure-and-prepare pair.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ._linalg import (
     RANK_REL_TOL,
@@ -284,6 +283,8 @@ def nonnegative_factorization(
     norm of C - A B after renormalization.  A poor fit is reported through the
     residual, never through an exception.
     """
+    from scipy.optimize import nnls  # only this search needs scipy.optimize
+
     if l < 1:
         raise InvalidDimensionError(f"inner dimension must be >= 1, got {l}")
     if restarts < 1:

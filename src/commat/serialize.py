@@ -3,9 +3,13 @@
 The same matrix encoding is shared by scenario files, channel payloads and
 report envelopes, so any certificate can be re-verified by replaying trace
 computations on its serialized operators.  Malformed input raises ParseError.
+Every document is written by ``dumps``.
 """
 
+import json
+import math
 import re
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,11 +35,15 @@ from .tomography import CPTP_WARN_TOL
 SCHEMA_VERSION = "commat/1"
 
 
+def _pairs(a: np.ndarray) -> list:
+    """The entries of a complex or real array, row-major, as [re, im] lists of Python floats."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m)
     rows, cols = m.shape
-    entries = [[float(z.real), float(z.imag)] for z in m.astype(complex).ravel()]
-    return {"rows": rows, "cols": cols, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": _pairs(m)}
 
 
 def _integer(value, what: str) -> int:
@@ -59,6 +67,36 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         raise ParseError(
             f"{where}: {rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
         )
+    m = _numeric_pairs(entries)
+    if m is None:
+        m = _complex_entries(entries, where)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        raise ParseError(f"{where}: entry {bad[0]} is not finite: {entries[bad[0]]!r}")
+    return m.reshape(rows, cols)
+
+
+def _numeric_pairs(entries: list):
+    """The complex vector of a list of [re, im] lists of numbers, in one array
+    conversion, or None if ``entries`` is anything else (for ``_complex_entries``).
+
+    A bool or an int converts to the same float as under ``float()``.  Strings,
+    objects, ragged or nested pairs, and ints beyond the int64 and uint64 ranges
+    give no numeric (n, 2) array.
+    """
+    if {*map(type, entries)} != {list}:
+        return None
+    try:
+        a = np.array(entries)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.shape != (len(entries), 2) or a.dtype.kind not in "biuf":
+        return None
+    return np.ascontiguousarray(a, dtype=float).view(complex).reshape(-1)
+
+
+def _complex_entries(entries: list, where: str) -> np.ndarray:
+    """The complex vector of ``entries`` one pair at a time, naming the first bad entry."""
     flat = []
     for idx, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -67,11 +105,7 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
             flat.append(complex(float(pair[0]), float(pair[1])))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: entry {idx} is not a pair of numbers: {pair!r}") from exc
-    m = np.array(flat, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(m))
-    if bad.size:
-        raise ParseError(f"{where}: entry {bad[0]} is not finite: {entries[bad[0]]!r}")
-    return m.reshape(rows, cols)
+    return np.array(flat, dtype=complex)
 
 
 def _matrices(objs, name: str) -> list:
@@ -255,8 +289,8 @@ def to_jsonable(obj):
         if obj.ndim == 2:
             return matrix_to_json(obj)
         if np.iscomplexobj(obj):
-            return [[float(z.real), float(z.imag)] for z in obj]
-        return [float(v) for v in obj]
+            return _pairs(obj)
+        return obj.astype(float).tolist()
     if dataclasses.is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -264,3 +298,68 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# the encoder json.dumps(sort_keys=True, indent=2, allow_nan=False) builds; with an
+# indent it runs in pure Python
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+
+    The json module writes an indented document with its pure-Python encoder.
+    This writer walks dicts and lists itself and renders each list of
+    [re, im] pairs (a matrix's ``entries``) from one compact dump by the C
+    encoder, whose numbers are the same ``float.__repr__`` text.  NaN and
+    infinities raise ``ValueError`` as under ``json.dumps``.
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline: str) -> str:
+    """``obj`` as ``dumps`` writes it inside a document, where its own line
+    starts with ``newline`` (a line break and the indent of its depth)."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        items = [
+            encode_basestring_ascii(key) + ": " + _dumps(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return _pair_list(obj, newline) or (
+            "[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj) + newline + "]"
+        )
+    # non-finite floats (which raise), subclasses, empty containers, dicts with
+    # keys that are not strings, and objects json rejects; strings hold no raw line break
+    return _INDENTED.encode(obj).replace("\n", newline)
+
+
+def _pair_list(value, newline: str):
+    """A non-empty list of two-item lists of numbers as ``_dumps`` writes it, or
+    None for any other list, which ``_dumps`` then walks (and rejects, if it must)."""
+    if {*map(type, value)} != {list} or {*map(len, value)} != {2}:
+        return None
+    try:
+        text = json.dumps(value, allow_nan=False)
+    except (TypeError, ValueError):
+        return None
+    # no string (an object's keys are strings too) and no bracket but the pairs'
+    # own: the items are numbers, literals or {}, whose text holds no separator
+    if '"' in text or text.count("[") != len(value) + 1:
+        return None
+    pair, number = newline + "  ", newline + "    "
+    body = text[2:-2].replace("], [", pair + "]," + pair + "[" + number).replace(", ", "," + number)
+    return "[" + pair + "[" + number + body + pair + "]" + newline + "]"

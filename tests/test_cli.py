@@ -2,6 +2,9 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +19,9 @@ from commat import (
     unitary_channel,
 )
 from commat.cli import main
-from commat.serialize import comm_matrix_to_json
+from commat.sampling import random_channel
+from commat.serialize import comm_matrix_to_json, scenario_to_json
+from conftest import make_random_setup
 
 
 @pytest.fixture
@@ -522,3 +527,91 @@ def test_malformed_scenario_structure_is_parse_error(sic_file, tmp_path, edit, c
     code, err = _analyze_edited(sic_file, tmp_path, edit, capsys)
     assert code == 2
     assert err["code"] == "parse-error"
+
+
+@pytest.fixture
+def d6_files(tmp_path):
+    """A seeded d = 6 scenario with 36 states and outcomes, and C' under a random channel."""
+    rng = np.random.default_rng(6)
+    basis = bloch_basis(6)
+    states, povm = make_random_setup(basis, rng, 36, 36)
+    cp = comm_matrix_with_channel(
+        Scenario(states=states, povm=povm, channel=random_channel(basis, basis, rng))
+    )
+    scenario, cprime = tmp_path / "d6.json", tmp_path / "cp6.json"
+    scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
+    cprime.write_text(json.dumps(comm_matrix_to_json(cp)))
+    return str(scenario), str(cprime)
+
+
+def test_every_file_is_written_as_json_dumps_writes_it(
+    tmp_path, identity_cprime_file, d6_files, monkeypatch
+):
+    import commat.cli as cli
+    from commat import serialize
+
+    written = []
+
+    def checking(obj):
+        text = serialize.dumps(obj)
+        assert text == json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", checking)
+    names = ("sic-qubit", "d3-trine", "eb-six-state")
+    fixtures = {name: str(tmp_path / f"{name}.json") for name in names}
+    sic, cp = fixtures["sic-qubit"], ["--cprime", str(identity_cprime_file)]
+    scenario6, cprime6 = d6_files
+    runs = [
+        *(["analyze", "--scenario", path] for path in fixtures.values()),
+        *(["tomography", "--mode", mode, "--scenario", sic, *cp] for mode in ("full", "unital", "gauge")),
+        *(["properties", "--check", check, "--scenario", sic, *cp] for check in ("unitality", "eb")),
+        ["properties", "--check", "witness", "--scenario", fixtures["d3-trine"]],
+        ["properties", "--check", "eb", "--scenario", fixtures["eb-six-state"]],
+        ["tomography", "--mode", "full", "--scenario", scenario6, "--cprime", cprime6],
+        ["analyze", "--scenario", scenario6, "--restarts", "1"],
+    ]
+    for name, path in fixtures.items():
+        assert main(["fixtures", name, "--out", path]) == 0
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0, argv
+    # each fixtures command writes a scenario file and a report
+    assert len(written) == 2 * len(fixtures) + len(runs)
+
+
+def test_main_runs_the_command_function_it_finds_at_call_time(sic_file, monkeypatch, capsys):
+    import commat.cli as cli
+
+    # sic_file ran main, which built the one parser of this process
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args, docs: seen.append(docs) or {"rank": 0})
+    assert main(["analyze", "--scenario", str(sic_file)]) == 0
+    assert [list(docs) for docs in seen] == [["scenario"]]
+    assert json.loads(capsys.readouterr().out)["result"] == {"rank": 0}
+
+
+def test_commands_that_run_no_fit_do_not_import_scipy_optimize(tmp_path):
+    import commat
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(commat.__file__)))
+    fixture = ["-m", "commat.cli", "fixtures", "sic-qubit", "--out", str(tmp_path / "sic.json")]
+    for args in (["-c", "import commat"], fixture):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "commat.operators" in imported
+        assert "scipy.optimize" not in imported, args

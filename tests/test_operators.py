@@ -29,7 +29,7 @@ from commat.errors import (
     NotAStateError,
     PovmError,
 )
-from commat.operators import _bloch_to_choi, _choi_to_bloch
+from commat.operators import BlochBasis, _bloch_to_choi, _choi_to_bloch
 from commat.sampling import random_channel, random_mixed_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +81,14 @@ class TestBlochBasis:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(InvalidDimensionError):
             bloch_basis(1)
+
+    def test_one_basis_per_dimension(self):
+        assert bloch_basis(3) is bloch_basis(3) is bloch_basis(np.int64(3))
+        assert bloch_basis(3).dim == 3 and type(bloch_basis(np.int64(3)).dim) is int
+        with pytest.raises(TypeError):
+            bloch_basis(3.0)
+        with pytest.raises(InvalidDimensionError):
+            bloch_basis(True)
 
     def test_elements_are_one_frozen_array(self, basis3):
         assert basis3.elements.shape == (9, 3, 3)
@@ -360,7 +368,8 @@ def _array_field_objects():
     """One of each object type with array fields, built afresh on every call."""
     import commat as cm
 
-    basis = bloch_basis(2)
+    # bloch_basis returns one basis per dimension, so this one is made directly
+    basis = BlochBasis(dim=2, elements=bloch_basis(2).elements)
     states, povm = sic_qubit()
     c = cm.comm_matrix(states, povm)
     scenario = cm.Scenario(states=states, povm=povm)
