@@ -12,7 +12,6 @@ import numpy as np
 from ._linalg import (
     RANK_REL_TOL,
     herm_sqrt,
-    min_eigval,
     multistart,
     numerical_rank_of,
     two_phase_fit,
@@ -22,8 +21,10 @@ from .errors import (
     DimensionViolationError,
     InconsistentDimensionClaimError,
     InvalidDimensionError,
+    NotSelfTestableError,
     PreconditionError,
     ValidationError,
+    check_tolerance,
 )
 from .operators import GAUGE_NOTE, Povm, bloch_basis
 from .scenario import CommMatrix, Scenario, comm_matrix
@@ -121,18 +122,19 @@ class SelfTestCertificate:
     restarts: int = 0
     storability_tol: float = 1e-6
     residual_tol: float = GRAM_RESIDUAL_TOL
+    pairing: tuple | None = None
     gauge_note: str = field(default=GAUGE_NOTE, repr=False)
 
     def overlap_matrix(self) -> np.ndarray:
-        """Gauge-invariant squared overlaps |<phi_j|phi_k>|^2 of the canonical vectors."""
+        """Gauge-invariant squared overlaps |<phi_k|phi_l>|^2 of the canonical vectors."""
         if self.canonical_vectors is None:
             raise PreconditionError("certificate did not pass; no canonical vectors")
         v = np.vstack(self.canonical_vectors)
         return np.abs(v.conj() @ v.T) ** 2
 
     def reconstructed_matrix(self) -> np.ndarray:
-        """C rebuilt from the canonical implementation: C[j, k] = a_k |<phi_k|phi_j>|^2."""
-        return self.overlap_matrix() * self.canonical_weights[None, :]
+        """C rebuilt in the caller's state order: C[pairing[k], l] = a_l |<phi_k|phi_l>|^2."""
+        return (self.overlap_matrix() * self.canonical_weights[None, :])[np.argsort(self.pairing)]
 
 
 def _projector(x, n, d):
@@ -194,16 +196,6 @@ def _gram_start(target, alpha, d):
     return z if numerical_rank_of(z) == d else None
 
 
-def _polish_implementation(vectors, alpha):
-    """Symmetrize so the rank-1 effects sum to the identity at machine precision."""
-    s = (vectors.T * alpha) @ vectors.conj()
-    if min_eigval(s) <= 1e-12:
-        return vectors, np.asarray(alpha, dtype=float)
-    w = vectors @ herm_sqrt(s, 0.0, inverse=True).T
-    nw2 = np.einsum("ji,ji->j", w.conj(), w).real
-    return w / np.sqrt(nw2)[:, None], alpha * nw2
-
-
 # The self-test fit is ``_linalg.two_phase_fit``.  Its polish of
 # r = sqrt(w) o (|P|^2 - T) reaches a zero fit in 3 to 4 Jacobians, and the
 # restarts that end in local minima (f of 1e-4 to 1e-2) stay above the gate.
@@ -215,11 +207,11 @@ _POLISH_GATE = 1e-3
 
 
 def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
-    """((vectors, weights), polished Gram residual, restarts run) of the multi-start fit."""
+    """((vectors, weights), Gram residual, restarts run); row j of ``c`` is paired with effect j."""
     n = c.shape[0]
     moduli = alpha[:, None] * c
     # w_jk = (a_j^-2 + a_k^-2) / 2 makes f the verdict's sum_jk (|P_jk|^2 / a_j - C_jk)^2
-    inv_sq = np.divide(1.0, alpha**2, out=np.zeros(n), where=alpha > 0.0)
+    inv_sq = 1.0 / alpha**2
     target, weight = (moduli + moduli.T) / 2.0, (inv_sq[:, None] + inv_sq[None, :]) / 2.0
     root_weight = np.sqrt(weight)
     gram_start = _gram_start(target, alpha, d) if d == 2 else None
@@ -236,9 +228,9 @@ def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
             x0, _LBFGS_FTOL, _POLISH_GATE, 5000,
         )
         z = x.view(complex).reshape(n, d)
-        u = (z @ herm_sqrt(z.conj().T @ z, 0.0, inverse=True)).conj()
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        vectors, weights = _polish_implementation(u, alpha)
+        w = z @ herm_sqrt(z.conj().T @ z, 0.0, inverse=True)
+        weights = np.einsum("ji,ji->j", w.conj(), w).real
+        vectors = w.conj() / np.sqrt(weights)[:, None]
         overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
         return (vectors, weights), float(((overlaps * weights[None, :] - c) ** 2).sum())
 
@@ -255,21 +247,24 @@ def self_test(
 ) -> SelfTestCertificate:
     """Self-test a square set-up from its information storability.
 
-    Passing requires the storability to reach the dimension d.  The canonical
-    rank-1 implementation (unit vectors phi_j, effects a_j |phi_j><phi_j| with
-    a_j = C_jj) is recovered by a multi-restart fit of the rank-d projector
-    P = Z (Z^dag Z)^-1 Z^dag, P_jk = sqrt(a_j a_k) <phi_j|phi_k>, to its squared
-    moduli a_j C_jk, so the effects sum to the identity by construction.  Each
-    restart runs L-BFGS-B to working precision and, if it ends near zero, a
-    Gauss-Newton polish with the analytic Jacobian.  Starts are standard normal
-    draws, except that at d = 2 the first start is the set-up rebuilt exactly
-    from the Gram matrix of its effects.  The fit stops at the first restart
-    whose polished Gram residual is within ``residual_tol``; ``restarts``
-    records the fits run.  Everything it certifies is modulo a global unitary
-    or antiunitary, which no statistics can resolve.
+    The weights a_k = max_j C_jk sum to the storability, and passing requires it
+    to reach the dimension d.  Effect k is then paired one-to-one with a state
+    ``pairing[k]`` attaining a_k (without one, ``NotSelfTestableError`` is raised
+    before any fit).  The canonical rank-1 implementation, effects
+    a_k |phi_k><phi_k| and state ``pairing[k]`` = |phi_k><phi_k|, is fitted as
+    the rank-d projector P = Z (Z^dag Z)^-1 Z^dag, P_kl = sqrt(a_k a_l) <phi_k|phi_l>,
+    to its squared moduli a_k C[pairing[k], l].  Rows w_k of the isometry
+    Z (Z^dag Z)^-1/2 give the weights |w_k|^2 and vectors conj(w_k) / |w_k|, so
+    the effects sum to the identity for every Z.  Each restart runs L-BFGS-B
+    and, if it ends near zero, a Gauss-Newton polish; at d = 2 the first start
+    is the set-up rebuilt exactly from the Gram matrix of its effects.  The fit
+    stops at the first restart whose Gram residual is within ``residual_tol``;
+    ``restarts`` records the fits run.  All is certified modulo a global
+    unitary or antiunitary, which no statistics can resolve.
 
-    ``residual_tol`` bounds the sum of squares sum_jk (a_k |<phi_j|phi_k>|^2 - C_jk)^2, so
-    one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4 by default).
+    ``residual_tol`` bounds sum_kl (a_l |<phi_k|phi_l>|^2 - C[pairing[k], l])^2,
+    so one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4
+    by default).  ``tol`` and ``residual_tol`` must be finite and non-negative.
     """
     m, n = c.shape
     if m != n:
@@ -278,22 +273,32 @@ def self_test(
         raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    col_max = c.entries.max(axis=0)
-    if col_max.min() <= 0.0:
-        k = int(col_max.argmin())
-        raise PreconditionError(f"column {k} is zero; outcome never occurs")
-    storability = information_storability(c)
+    check_tolerance("tol", tol)
+    check_tolerance("residual_tol", residual_tol)
+    weights = c.entries.max(axis=0)
+    if weights.min() <= 0.0:
+        raise PreconditionError(f"column {int(weights.argmin())} is zero; outcome never occurs")
+    storability = float(weights.sum())
     if storability > d + tol:
         raise DimensionViolationError(
             f"storability {storability:.9f} exceeds dimension {d}; no {d}-dimensional "
             "implementation exists"
         )
-    weights = c.entries.diagonal().copy()
-    vectors = canon_weights = residual = None
+    vectors = canon_weights = residual = pairing = None
     ran = 0
     if abs(storability - d) <= tol:
+        from scipy.optimize import linear_sum_assignment
+
+        # a maximum-weight assignment attains every column maximum at once if any pairing does
+        pairing = linear_sum_assignment(c.entries.T, maximize=True)[1]
+        attained = c.entries[pairing, np.arange(n)].sum()
+        if attained < storability - tol:
+            raise NotSelfTestableError(
+                f"storability {storability:.9f} reaches dimension {d}, but no one-to-one pairing "
+                f"of states with effects attains the column maxima (best pairing: {attained:.9f})"
+            )
         (vectors, canon_weights), residual, ran = _fit_canonical_vectors(
-            c.entries, weights, d, restarts, seed, residual_tol
+            c.entries[pairing], weights, d, restarts, seed, residual_tol
         )
     return SelfTestCertificate(
         storability=storability,
@@ -305,6 +310,7 @@ def self_test(
         restarts=ran,
         storability_tol=tol,
         residual_tol=residual_tol,
+        pairing=None if pairing is None else tuple(int(j) for j in pairing),
     )
 
 
@@ -335,18 +341,13 @@ def robustness_gap(scenario: Scenario, slack: float = 1e-10) -> RobustnessReport
         raise DimensionMismatchError(f"robustness needs a square matrix, got {m}x{n}")
     d = povm.dim
     eps = d - information_storability(c)
-    tails = np.empty(n)
-    rob1_max = -np.inf
-    rob2_max = -np.inf
-    for k, effect in enumerate(povm.effects):
-        ev, evec = np.linalg.eigh(effect)
-        ev, evec = ev[::-1], evec[:, ::-1]
-        tails[k] = float(ev[1:].sum())
-        jk = int(np.argmax(c.entries[:, k]))
-        rho = states[jk].matrix
-        fid = np.einsum("ij,jk,ki->i", evec.conj().T, rho, evec).real
-        rob1_max = max(rob1_max, float((ev * (1.0 - fid)).max()))
-        rob2_max = max(rob2_max, float(((ev[0] - ev) * fid).max()))
+    ev, evec = np.linalg.eigh(np.array(povm.effects))
+    ev, evec = ev[:, ::-1], evec[:, :, ::-1]
+    tails = ev[:, 1:].sum(axis=1)
+    rhos = np.array([states[j].matrix for j in c.entries.argmax(axis=0)])
+    fid = np.einsum("kji,kjl,kli->ki", evec.conj(), rhos, evec).real
+    rob1_max = float((ev * (1.0 - fid)).max())
+    rob2_max = float(((ev[:, :1] - ev) * fid).max())
     return RobustnessReport(
         epsilon=float(eps),
         per_effect_tail=tails,

@@ -27,6 +27,12 @@ class ValidationError(CommatError):
     exit_code = 2
 
 
+def check_tolerance(name: str, value: float):
+    """Raise ``ValidationError`` unless ``value`` is finite and non-negative (NaN fails too)."""
+    if not 0.0 <= value < float("inf"):
+        raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+
+
 class InvalidDimensionError(ValidationError):
     code = "invalid-dimension"
 

@@ -28,6 +28,7 @@ from .errors import (
     BadReferenceError,
     PreconditionError,
     ValidationError,
+    check_tolerance,
 )
 from .analysis import DEFAULT_SEED, numerical_rank
 from .operators import (
@@ -83,12 +84,7 @@ def _basis_projector_states(basis, indices=(0, 1)):
     return tuple(out)
 
 
-def construct_indistinguishable_pair(
-    states,
-    povm: Povm,
-    output_states: tuple | None = None,
-    dichotomic_effect: np.ndarray | None = None,
-) -> IndistinguishablePair:
+def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePair:
     """Constructive counterexample for an informationally incomplete set-up.
 
     States-incomplete case: a witness A orthogonal to every state splits as
@@ -98,10 +94,9 @@ def construct_indistinguishable_pair(
     invisibly.  Both channels are measure-and-prepare and produce identical
     statistics on the given set-up.
 
-    ``output_states`` overrides the prepared pair in the first case.  By
-    default two sufficiently distinct input states are reused when dimensions
-    allow (this keeps the statistics equal for any number of channel uses);
-    otherwise the first two computational-basis projectors are taken.
+    The first case prepares two sufficiently distinct input states when
+    dimensions allow (this keeps the statistics equal for any number of channel
+    uses), and otherwise the first two computational-basis projectors.
     """
     states = tuple(states)
     di = states[0].dim
@@ -120,11 +115,8 @@ def construct_indistinguishable_pair(
         n_plus = 0.5 * (np.eye(di) + t * b1)
         n_minus = 0.5 * (np.eye(di) - t * b1)
         p = 0.5 * (1.0 - t * alpha / beta)
-        if output_states is not None:
-            xi1, xi2 = output_states
-        else:
-            pair = _first_distinct_states(states) if di == do else None
-            xi1, xi2 = pair if pair is not None else _basis_projector_states(basis_out)
+        pair = _first_distinct_states(states) if di == do else None
+        xi1, xi2 = pair if pair is not None else _basis_projector_states(basis_out)
         mix = state_from_matrix(basis_out, p * xi1.matrix + (1.0 - p) * xi2.matrix)
         phi1 = measure_and_prepare_channel(
             validate_povm([np.eye(di)]), [mix]
@@ -146,11 +138,8 @@ def construct_indistinguishable_pair(
         r1 = 1.0 / np.sqrt(do - 1.0)
         zeta_plus = state_from_matrix(basis_out, (np.eye(do) + r1 * b1) / do)
         zeta_minus = state_from_matrix(basis_out, (np.eye(do) - r1 * b1) / do)
-        if dichotomic_effect is not None:
-            n_plus = np.asarray(dichotomic_effect, dtype=complex)
-        else:
-            n_plus = np.zeros((di, di), dtype=complex)
-            n_plus[0, 0] = 1.0
+        n_plus = np.zeros((di, di), dtype=complex)
+        n_plus[0, 0] = 1.0
         phi1 = completely_depolarizing_channel(basis_out) if di == do else (
             measure_and_prepare_channel(
                 validate_povm([np.eye(di)]),
@@ -545,7 +534,8 @@ def eb_certificate(
     With ``claim="channel"`` the verdict is about the channel itself, which is
     only sound when rank(C) = d^2; anything less raises an ambiguity error.
     ``claim`` is ``"matrix"`` or ``"channel"``; any other value is a
-    validation error.
+    validation error, and so is a ``residual_tol`` that is not finite and
+    non-negative.
 
     A failed search is non-exhaustive evidence only (exact nonnegative
     factorization is NP-hard); the restart budget and best residual are
@@ -563,6 +553,7 @@ def eb_certificate(
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if l_max < 1:
         raise ValidationError(f"l_max must be >= 1, got {l_max}")
+    check_tolerance("residual_tol", residual_tol)
     rank_c = numerical_rank(c)
     if claim == "channel" and rank_c < d * d:
         raise AmbiguityError(

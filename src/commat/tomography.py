@@ -213,6 +213,7 @@ def reconstruct_up_to_gauge(
     """Self-test the set-up, then run linear inversion through the canonical frame.
 
     ``restarts``, ``seed`` and ``residual_tol`` are passed to ``self_test``.  The
+    canonical frame keeps the caller's order of states and effects.  The
     returned channel equals the true one conjugated on both sides by one unknown
     unitary or antiunitary; gauge-invariant scalars are faithful.
     """
@@ -236,9 +237,9 @@ def reconstruct_up_to_gauge(
         basis = c.provenance.states[0].basis
     else:
         basis = bloch_basis(d)
-    states = [
-        state_from_matrix(basis, np.outer(v, v.conj())) for v in cert.canonical_vectors
-    ]
+    # state pairing[k] is |phi_k><phi_k|
+    vectors = np.asarray(cert.canonical_vectors)[np.argsort(cert.pairing)]
+    states = [state_from_matrix(basis, np.outer(v, v.conj())) for v in vectors]
     povm = validate_povm(
         [a * np.outer(v, v.conj()) for a, v in zip(cert.canonical_weights, cert.canonical_vectors)]
     )

@@ -1,5 +1,7 @@
 """Rank, storability, completeness certification, self-testing, robustness."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from commat import (
 )
 from commat.analysis import (
     _gram_start,
-    _polish_implementation,
     _projector_jacobian,
     _projector_objective,
     _projector_residual,
@@ -31,11 +32,18 @@ from commat.errors import (
     DimensionMismatchError,
     DimensionViolationError,
     InconsistentDimensionClaimError,
+    NotSelfTestableError,
     PreconditionError,
     ValidationError,
 )
 from conftest import make_random_setup, make_spanning_setup, rank1_setup
 from commat import bloch_basis
+
+
+def rank1_matrix(seed, d, n):
+    """C of the rank-1 set-up drawn by ``rank1_setup`` from ``seed``, states in effect order."""
+    vecs, weights = rank1_setup(np.random.default_rng(seed), d, n)
+    return CommMatrix(entries=np.abs(vecs.conj() @ vecs.T) ** 2 * weights[None, :])
 
 
 class TestRankAndStorability:
@@ -262,15 +270,88 @@ class TestSelfTest:
         assert not cert.passes
         assert cert.canonical_vectors is None
 
-    def test_zero_diagonal_fails_without_warnings(self):
-        # storability 2 = d, but the weights C_jj are 0: the weighted fit must stay finite
+    def test_swapped_qubit_identity_passes_without_warnings(self):
+        # a basis listed in the opposite order to its effects: C_jj = 0, the maxima off the diagonal
         import warnings
 
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = self_test(CommMatrix(entries=np.array([[0.0, 1.0], [1.0, 0.0]])), 2)
-        assert not cert.passes
-        assert cert.gram_residual == pytest.approx(2.0)
+            cert = self_test(CommMatrix(entries=c), 2)
+        assert cert.passes
+        assert cert.pairing == (1, 0)
+        assert np.array_equal(cert.weights, [1.0, 1.0])
+        assert np.abs(cert.reconstructed_matrix() - c).max() < 1e-12
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_every_order_of_the_sic_states_passes(self, order):
+        states, povm = sic_qubit()
+        c = comm_matrix([states[j] for j in order], povm)
+        cert = self_test(c, 2)
+        assert cert.passes
+        assert cert.pairing == tuple(np.argsort(order))
+        assert np.abs(cert.reconstructed_matrix() - c.entries).max() < 1e-12
+
+    def test_row_permutation_only_changes_the_pairing(self):
+        c = rank1_matrix(4, 3, 9).entries
+        perm = np.random.default_rng(7).permutation(9)
+        ref = self_test(CommMatrix(entries=c), 3)
+        cert = self_test(CommMatrix(entries=c[perm]), 3)
+        assert ref.passes and ref.pairing == tuple(range(9))
+        assert cert.pairing == tuple(np.argsort(perm))
+        assert cert.restarts == ref.restarts
+        assert cert.gram_residual == ref.gram_residual
+        assert all(map(np.array_equal, cert.canonical_vectors, ref.canonical_vectors))
+        assert np.array_equal(cert.reconstructed_matrix(), ref.reconstructed_matrix()[perm])
+
+    def test_tied_column_maxima_pass(self):
+        # rows 0 and 1 both attain the maxima of columns 0 and 1: argmax alone pairs both with row 0
+        c = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        cert = self_test(CommMatrix(entries=c), 2)
+        assert cert.passes
+        assert sorted(cert.pairing) == [0, 1, 2]
+        assert np.abs(cert.reconstructed_matrix() - c).max() < 1e-12
+
+    def test_no_pairing_attaining_the_maxima_is_rejected_before_any_fit(self, monkeypatch):
+        # storability 2 = d, but only row 0 attains the maxima of columns 0 and 1 (row 1 is a
+        # mixed state), so no bijection attains them all
+        import commat._linalg as _linalg
+
+        calls = []
+        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: calls.append(1))
+        c = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
+        assert information_storability(CommMatrix(entries=c)) == pytest.approx(2.0)
+        with pytest.raises(NotSelfTestableError, match="pairing"):
+            self_test(CommMatrix(entries=c), 2)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "c, d",
+        [
+            (noisy_antidist(4, 0.5), 2),
+            (noisy_antidist(3, 1 / 3), 2),
+            (dist_matrix(2), 2),
+            (CommMatrix(entries=np.array([[0.0, 1.0], [1.0, 0.0]])), 2),
+            (rank1_matrix(4, 3, 9), 3),
+        ],
+    )
+    def test_canonical_effects_sum_to_the_identity(self, c, d):
+        cert = self_test(c, d)
+        assert cert.passes
+        v = np.vstack(cert.canonical_vectors)
+        total = np.einsum("k,ka,kb->ab", cert.canonical_weights, v, v.conj())
+        assert np.abs(total - np.eye(d)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["tol", "residual_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_tolerances_must_be_finite_and_non_negative(self, monkeypatch, name, value):
+        import commat._linalg as _linalg
+
+        calls = []
+        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValidationError, match=name):
+            self_test(noisy_antidist(4, 0.5), 2, **{name: value})
+        assert calls == []
 
     def test_reconstruction_matches_within_residual(self):
         cert = self_test(noisy_antidist(4, 0.5), 2)
@@ -336,29 +417,6 @@ class TestSelfTest:
         cert = self_test(noisy_antidist(4, 0.5), 2)
         assert cert.passes
         assert len(calls) == 1  # not the whole budget of 32
-
-    def test_polish_matches_loop_reference(self, rng):
-        vectors = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        alpha = rng.uniform(0.2, 1.0, 5)
-        # loop reference: S = sum_k a_k |v_k><v_k|, w_k = S^(-1/2) v_k, weights a_k |w_k|^2
-        s = sum(a * np.outer(v, v.conj()) for a, v in zip(alpha, vectors))
-        ev, evec = np.linalg.eigh(s)
-        s_inv_half = evec @ np.diag(1.0 / np.sqrt(ev)) @ evec.conj().T
-        w = [s_inv_half @ v for v in vectors]
-        ref_vecs = np.vstack([x / np.linalg.norm(x) for x in w])
-        ref_alpha = np.array([a * np.linalg.norm(x) ** 2 for a, x in zip(alpha, w)])
-        out_vecs, out_alpha = _polish_implementation(vectors, alpha)
-        assert np.abs(out_vecs - ref_vecs).max() < 1e-12
-        assert np.abs(out_alpha - ref_alpha).max() < 1e-12
-        total = np.einsum("k,ka,kb->ab", out_alpha, out_vecs, out_vecs.conj())
-        assert np.abs(total - np.eye(3)).max() < 1e-12
-
-    def test_polish_leaves_a_singular_sum_alone(self):
-        vectors = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
-        out_vecs, out_alpha = _polish_implementation(vectors, np.array([0.5, 0.5]))
-        assert np.array_equal(out_vecs, vectors)
-        assert np.array_equal(out_alpha, [0.5, 0.5])
 
     def test_deterministic_given_seed(self):
         c = noisy_antidist(4, 0.5)

@@ -55,6 +55,17 @@ def test_analyze_sic(sic_file, tmp_path, capsys):
     assert report["inputs"]["scenario"]["sha256"]
 
 
+def test_analyze_pairs_reversed_states_with_their_effects(sic_file, tmp_path, capsys):
+    scenario = json.loads(sic_file.read_text())
+    scenario["states"].reverse()
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]["self_test"]
+    assert result["passes"] is True
+    assert result["pairing"] == [3, 2, 1, 0]
+
+
 def test_analyze_trine(tmp_path):
     fixture = tmp_path / "trine.json"
     report = tmp_path / "report.json"

@@ -397,6 +397,15 @@ class TestEbCertificate:
         with pytest.raises(ValidationError, match="restarts"):
             eb_certificate(c, cp, 2, l_max=4, restarts=restarts, realization=channel.mp_realization)
 
+    @pytest.mark.parametrize("residual_tol", [float("nan"), float("inf"), -1e-8])
+    def test_residual_tol_must_be_finite_and_non_negative(self, eb_setup, residual_tol):
+        # a NaN tolerance used to turn the EB channel's exact realization into no-certificate-found
+        _, _, channel, c, cp, _, _ = eb_setup
+        with pytest.raises(ValidationError, match="residual_tol"):
+            eb_certificate(
+                c, cp, 2, l_max=4, realization=channel.mp_realization, residual_tol=residual_tol
+            )
+
     def test_mp_fit_gradient_matches_finite_differences(self, rng):
         from scipy.optimize import approx_fprime
 

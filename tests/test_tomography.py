@@ -316,6 +316,28 @@ class TestReconstructUpToGauge:
         assert abs(abs(np.linalg.det(block)) - 1.0) < 1e-6
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-6
 
+    def test_permuted_states_rebuild_the_callers_cprime(self, basis2, rng):
+        # states listed in reverse order of their effects: the canonical frame keeps that order
+        states, povm = sic_qubit()
+        states = states[::-1]
+        ch = random_channel(basis2, basis2, rng)
+        c = comm_matrix(states, povm)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch))
+        estimate = reconstruct_up_to_gauge(c, cp, 2)
+        cert = estimate.certificate
+        assert cert.pairing == (3, 2, 1, 0)
+        vectors = np.vstack(cert.canonical_vectors)
+        canon_states = [state_from_matrix(basis2, np.outer(v, v.conj())) for v in vectors[::-1]]
+        canon_povm = validate_povm(
+            [a * np.outer(v, v.conj()) for a, v in zip(cert.canonical_weights, vectors)]
+        )
+        rebuilt = comm_matrix_with_channel(
+            Scenario(states=canon_states, povm=canon_povm, channel=estimate.channel)
+        )
+        assert np.abs(rebuilt.entries - cp.entries).max() < 1e-10
+        assert np.abs(estimate.gauge_invariant_singular_values()
+                      - np.linalg.svd(ch.bloch_matrix[1:, 1:], compute_uv=False)).max() < 1e-8
+
     def test_incomplete_matrix_rejected(self):
         trine_states, trine_povm = trine_qubit()
         c = comm_matrix(trine_states, trine_povm)
