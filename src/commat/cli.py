@@ -22,10 +22,8 @@ from .analysis import (
     GRAM_RESIDUAL_TOL,
     certify_info_completeness,
     information_storability,
-    numerical_rank,
     robustness_gap,
     self_test,
-    span_dims,
 )
 from .errors import (
     CommatError,
@@ -110,11 +108,15 @@ def cmd_analyze(args, docs: dict) -> dict:
     if c is None:
         result["note"] = "input and output dimensions differ; set-up analysis needs a channel"
         return result
-    result["rank"] = numerical_rank(c, rel_tol=args.tol_rank)
+    completeness = certify_info_completeness(c, d, (states, povm), rel_tol=args.tol_rank)
+    result["rank"] = completeness.rank
     result["storability"] = information_storability(c)
-    dim_s, dim_m, dim_int = span_dims(states, povm, rel_tol=args.tol_rank)
-    result["span_dims"] = {"dim_v_rho": dim_s, "dim_v_m": dim_m, "dim_intersection": dim_int}
-    result["completeness"] = certify_info_completeness(c, d, (states, povm), rel_tol=args.tol_rank)
+    result["span_dims"] = {
+        "dim_v_rho": completeness.dim_v_rho,
+        "dim_v_m": completeness.dim_v_m,
+        "dim_intersection": completeness.dim_intersection,
+    }
+    result["completeness"] = completeness
     m, n = c.shape
     if m == n:
         result["self_test"] = self_test(

@@ -156,12 +156,15 @@ def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
 def bloch_from_state(basis: BlochBasis, m: np.ndarray) -> np.ndarray:
     """Bloch vector r_u = tr(m sigma_u) of a Hermitian unit-trace matrix."""
     m = np.asarray(m, dtype=complex)
+    d = basis.dim
+    if m.shape != (d, d):
+        raise DimensionMismatchError(f"matrix has shape {m.shape}, expected ({d}, {d})")
     _require_finite(m, InvalidOperatorError, "matrix")
     if not is_hermitian(m):
         raise InvalidOperatorError("matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > HERM_ATOL * 10:
         raise InvalidOperatorError(f"matrix trace {np.trace(m):.6g} is not 1")
-    return basis.dim * basis.coords(m)[1:]
+    return d * basis.coords(m)[1:]
 
 
 def state_from_matrix(basis: BlochBasis, m: np.ndarray) -> DensityOperator:
@@ -203,7 +206,10 @@ def validate_povm(effects) -> Povm:
     effects = [np.asarray(e, dtype=complex) for e in effects]
     if not effects:
         raise PovmError("measurement needs at least one effect")
-    d = effects[0].shape[0]
+    shape = effects[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise PovmError(f"effect 0 has shape {shape}, expected a nonempty square matrix")
+    d = shape[0]
     for k, e in enumerate(effects):
         if e.shape != (d, d):
             raise PovmError(f"effect {k} has shape {e.shape}, expected ({d}, {d})")

@@ -335,20 +335,13 @@ class EbCertificate:
     note: str = ""
 
 
-def _mp_index(l, d):
-    """Index of shape (2, l, d, d, 2) into the packing x = (H_i, G_i) x (re, im) x d x d.
+def _unpack_mp_params(x, l, d):
+    """Effect factors H_i and states xi_i = G_i G_i^dag / tr(G_i G_i^dag) from the packing.
 
-    ``x[index].view(complex)[..., 0]`` is the stack of the H_i and the stack of
-    the G_i in one gather; the inverse permutation, ``np.argsort(index, axis=None)``,
-    takes the real and imaginary parts of complex block gradients back to the packing.
+    x is the float view of the stacked complex blocks (H_1 .. H_l, G_1 .. G_l),
+    so a complex gradient of the same blocks, viewed as float, is in x's order.
     """
-    packing = np.arange(4 * l * d * d).reshape(2, l, 2, d, d)
-    return np.ascontiguousarray(packing.transpose(0, 1, 3, 4, 2))
-
-
-def _unpack_mp_params(x, index):
-    """Effect factors H_i and states xi_i = G_i G_i^dag / tr(G_i G_i^dag) from the packing."""
-    h, g = x[index].view(complex)[..., 0]
+    h, g = x.view(complex).reshape(2, l, d, d)
     q = g @ g.conj().swapaxes(1, 2)
     traces = np.maximum(np.einsum("iaa->i", q).real, 1e-12)
     return h, g, q / traces[:, None, None], traces
@@ -378,20 +371,17 @@ class _MeasurePrepareFit:
 
     A[j, i] = tr(rho_j N_i) with the complete effects of ``_complete_effects`` and
     B[i, k] = tr(xi_i M_k) with trace-normalized states.  All three share one
-    forward pass and one pullback; the set-up's rows, the packing index and the
-    identity are built once.
+    forward pass and one pullback; the set-up's rows and the identity are built once.
     """
 
     def __init__(self, rho_arr, eff_arr, target, l):
         self.rho, self.eff, self.target, self.l = rho_arr, eff_arr, target, l
         self.d = rho_arr.shape[-1]
         self.rho_f, self.eff_f = _flat(rho_arr), _flat(eff_arr)
-        self.index = _mp_index(l, self.d)
-        self.unindex = np.argsort(self.index, axis=None)
         self.eye = np.eye(self.d)
 
     def _forward(self, x):
-        h, g, states, traces = _unpack_mp_params(x, self.index)
+        h, g, states, traces = _unpack_mp_params(x, self.l, self.d)
         effects, y, sigma, vh = _complete_effects(h)
         a = self.rho_f @ _flat(effects).T       # A[j, i] = tr(rho_j N_i)
         b = _flat(states) @ self.eff_f.T        # B[i, k] = tr(xi_i M_k)
@@ -419,9 +409,8 @@ class _MeasurePrepareFit:
         e = v @ (gamma * k) @ vh
         # d/dconj(H_i) = H_i d/dP_i = Y_i W_i T + H_i E, and d/dconj(G_i) = c_state_i G_i
         grads = np.concatenate((yw @ t + h @ e[..., None, :, :], c_state @ g), axis=-3)
-        # the packing wants 2 Re and 2 Im of each block
-        grads = grads.view(float).reshape(*batch, -1)
-        return 2.0 * np.take(grads, self.unindex, axis=-1)
+        # the packing wants 2 Re and 2 Im of each block, which is its float view
+        return 2.0 * grads.view(float).reshape(*batch, -1)
 
     def objective(self, x):
         chain, a, b, r = self._forward(x)
@@ -454,7 +443,7 @@ class _MeasurePrepareFit:
 def _realize_measure_prepare(x, rho_states, povm, l, target):
     """The measurement N and states xi that the fit parameters stand for, with their factors."""
     basis = rho_states[0].basis
-    h, _, xi, _ = _unpack_mp_params(x, _mp_index(l, basis.dim))
+    h, _, xi, _ = _unpack_mp_params(x, l, basis.dim)
     n_povm = validate_povm(list(_complete_effects(h)[0]))
     xi_states = [state_from_matrix(basis, m) for m in xi]
     a, b = _realization_factors(rho_states, povm, n_povm, xi_states)
@@ -487,9 +476,10 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
     fit = _MeasurePrepareFit(rho_arr, np.stack(povm.effects), cprime.entries, l)
 
     def solve(rng, _):
+        # drawing in the order (H, G) x (re, im) x d x d fixes each seed's starts
+        x0 = rng.standard_normal((2, l, 2, fit.d, fit.d)).transpose(0, 1, 3, 4, 2).ravel()
         x, f = two_phase_fit(
-            fit.objective, fit.residual, fit.jacobian, rng.standard_normal(4 * l * fit.d * fit.d),
-            _LBFGS_FTOL, _POLISH_GATE, 2000,
+            fit.objective, fit.residual, fit.jacobian, x0, _LBFGS_FTOL, _POLISH_GATE, 2000
         )
         return x, np.sqrt(f)                            # f = ||r(x)||^2
 

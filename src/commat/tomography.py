@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, frob, numerical_rank_of, rank_of_spectrum
+from ._linalg import RANK_REL_TOL, frob, rank_of_spectrum
 from .errors import (
     CommatError,
     DimensionMismatchError,
@@ -62,16 +62,17 @@ class TomographyFrame:
         return self.beta.shape[1]
 
 
-def _dual_frame(ops, basis: BlochBasis, side: str) -> np.ndarray:
-    """Minimum-norm dual pinv(coords)^T of the operators' Bloch coordinates; they must span d^2.
+def _dual_frame(coords: np.ndarray, error: type, name: str, detail: str = "") -> np.ndarray:
+    """Minimum-norm dual pinv(coords)^T of a coordinate matrix, one column per operator.
 
     One SVD coords = U S V^T gives both the rank and, at full row rank, the
-    dual (U / S) V^T.
+    dual (U / S) V^T.  A smaller rank raises ``error``: "<name> span only <rank>
+    of <rows> dimensions<detail>".
     """
-    u, s, vt = np.linalg.svd(basis.coords(ops).T, full_matrices=False)
+    u, s, vt = np.linalg.svd(coords, full_matrices=False)
     rank = rank_of_spectrum(s, RANK_REL_TOL)
-    if rank < basis.dim**2:
-        raise FrameDeficientError(f"{side} span only {rank} of {basis.dim**2} dimensions")
+    if rank < len(coords):
+        raise error(f"{name} span only {rank} of {len(coords)} dimensions{detail}")
     return (u / s) @ vt
 
 
@@ -82,8 +83,8 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     the error.
     """
     state_mats = np.array([s.matrix for s in states])
-    alpha = _dual_frame(state_mats, basis_in, "states")
-    beta = _dual_frame(np.array(povm.effects), basis_out, "effects")
+    alpha = _dual_frame(basis_in.coords(state_mats).T, FrameDeficientError, "states")
+    beta = _dual_frame(basis_out.coords(np.array(povm.effects)).T, FrameDeficientError, "effects")
     di = basis_in.dim
     synth = np.tensordot(alpha, state_mats, axes=1)
     errors = np.linalg.norm((synth - basis_in.elements).reshape(di * di, -1), axis=1)
@@ -91,6 +92,14 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     if bad.size:
         raise CommatError(f"frame reconstruction identity fails at index {bad[0]}")
     return TomographyFrame(alpha=alpha, beta=beta, basis_in=basis_in, basis_out=basis_out)
+
+
+def _check_shape(frame, cprime: CommMatrix):
+    m, n = cprime.shape
+    if (m, n) != (frame.n_states, frame.n_effects):
+        raise DimensionMismatchError(
+            f"matrix is {m}x{n} but frame expects {frame.n_states}x{frame.n_effects}"
+        )
 
 
 def _warn_if_noncptp(ch: QuantumChannel):
@@ -109,11 +118,7 @@ def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumCh
     The result is returned even when slightly non-CPTP (a warning is emitted
     and the Choi diagnostics stay attached); no projection is applied.
     """
-    m, n = cprime.shape
-    if (m, n) != (frame.n_states, frame.n_effects):
-        raise DimensionMismatchError(
-            f"matrix is {m}x{n} but frame expects {frame.n_states}x{frame.n_effects}"
-        )
+    _check_shape(frame, cprime)
     do = frame.basis_out.dim
     bloch = frame.beta @ cprime.entries.T @ frame.alpha.T / do
     first_row = np.zeros(bloch.shape[1])
@@ -130,10 +135,11 @@ def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumCh
 
 @dataclass(frozen=True, eq=False)
 class UnitalFrame:
-    """Effect coefficients plus the state Bloch vectors as columns of R."""
+    """Effect coefficients, the state Bloch vectors as columns of R, and (R^+)^T."""
 
     beta: np.ndarray
     r_matrix: np.ndarray
+    r_dual: np.ndarray
     basis: BlochBasis = field(repr=False)
 
     @property
@@ -147,16 +153,12 @@ class UnitalFrame:
 
 def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
     """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors."""
-    d = basis.dim
-    beta = _dual_frame(np.array(povm.effects), basis, "effects")
+    beta = _dual_frame(basis.coords(np.array(povm.effects)).T, FrameDeficientError, "effects")
     r = np.column_stack([s.bloch for s in states])
-    rank_r = numerical_rank_of(r, RANK_REL_TOL)
-    if rank_r < d * d - 1:
-        raise InsufficientStatesError(
-            f"state Bloch vectors span only {rank_r} of {d * d - 1} dimensions; "
-            "right pseudoinverse does not exist"
-        )
-    return UnitalFrame(beta=beta, r_matrix=r, basis=basis)
+    r_dual = _dual_frame(
+        r, InsufficientStatesError, "state Bloch vectors", "; right pseudoinverse does not exist"
+    )
+    return UnitalFrame(beta=beta, r_matrix=r, r_dual=r_dual, basis=basis)
 
 
 def reconstruct_unital(frame: UnitalFrame, c: CommMatrix, cprime: CommMatrix) -> QuantumChannel:
@@ -167,19 +169,14 @@ def reconstruct_unital(frame: UnitalFrame, c: CommMatrix, cprime: CommMatrix) ->
     """
     if c.shape != cprime.shape:
         raise DimensionMismatchError(f"shapes differ: {c.shape} vs {cprime.shape}")
-    m, n = cprime.shape
-    if (m, n) != (frame.n_states, frame.n_effects):
-        raise DimensionMismatchError(
-            f"matrix is {m}x{n} but frame expects {frame.n_states}x{frame.n_effects}"
-        )
+    _check_shape(frame, cprime)
     d = frame.basis.dim
     b = frame.beta[1:, :].T
     if frob((c.entries @ b).T - frame.r_matrix) > 1e-8:
         raise PreconditionError(
             "pre-channel matrix is inconsistent with the frame's states and effects"
         )
-    r_pinv = np.linalg.pinv(frame.r_matrix)
-    t = (cprime.entries @ b).T @ r_pinv
+    t = (cprime.entries @ b).T @ frame.r_dual.T
     bloch = np.zeros((d * d, d * d))
     bloch[0, 0] = 1.0
     bloch[1:, 1:] = t
@@ -224,7 +221,7 @@ def reconstruct_up_to_gauge(
         )
     cert = self_test(c, d, restarts=restarts, seed=seed, residual_tol=residual_tol)
     if not cert.passes:
-        if abs(cert.storability - d) <= cert.storability_tol:
+        if cert.gram_residual is not None:  # the fit ran: the storability reached d
             raise NotSelfTestableError(
                 f"storability {cert.storability:.9f} reaches dimension {d}, but the best "
                 f"canonical-vector fit ({cert.restarts} restarts run) has Gram residual "

@@ -285,14 +285,17 @@ def test_analyze_uses_the_reported_tolerances(sic_file, identity_cprime_file, tm
     import commat.tomography as tomography
 
     seen = {}
-    _record(monkeypatch, cli, "span_dims", "rel_tol", seen)
+    # the rank and span dimensions of the report come from certify_info_completeness
+    _record(monkeypatch, cli, "certify_info_completeness", "rel_tol", seen)
     _record(monkeypatch, cli, "self_test", "residual_tol", seen)
     out = tmp_path / "report.json"
     argv = ["analyze", "--scenario", str(sic_file), "--tol-rank", "1e-7", "--tol-fit", "1e-6"]
     assert main(argv + ["--out", str(out)]) == 0
     tolerances = json.loads(out.read_text())["tolerances"]
-    assert seen == {"span_dims": tolerances["tol_rank"], "self_test": tolerances["tol_fit"]}
-    assert seen == {"span_dims": 1e-7, "self_test": 1e-6}
+    assert seen == {
+        "certify_info_completeness": tolerances["tol_rank"], "self_test": tolerances["tol_fit"]
+    }
+    assert seen == {"certify_info_completeness": 1e-7, "self_test": 1e-6}
 
     # the other two commands whose --tol-fit reaches a search
     cp = str(identity_cprime_file)

@@ -1,5 +1,7 @@
 """Operator-basis, state, measurement and channel foundations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from commat import (
     validate_povm,
 )
 from commat.errors import (
+    DimensionMismatchError,
     InvalidChannelError,
     InvalidDimensionError,
     InvalidOperatorError,
@@ -163,6 +166,13 @@ class TestStates:
         with pytest.raises(InvalidOperatorError):
             bloch_from_state(basis2, np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("build", [state_from_matrix, bloch_from_state])
+    @pytest.mark.parametrize("m", [np.eye(3) / 3, np.array([0.5, 0.5]), np.array(1.0)])
+    def test_wrong_shape_is_a_dimension_mismatch(self, basis2, build, m):
+        # the shape is checked before anything reshapes or indexes the matrix
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"shape {m.shape}")):
+            build(basis2, m)
+
 
 class TestInballRadius:
     @pytest.mark.parametrize("d,expected", [(2, 1.0), (3, 1 / np.sqrt(2)), (4, 1 / np.sqrt(3))])
@@ -192,6 +202,13 @@ class TestPovm:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(PovmError, match="negative"):
             validate_povm([bad, np.eye(2) - bad])
+
+    @pytest.mark.parametrize("effects", [[1.0], [np.zeros((0, 0))]])
+    def test_first_effect_that_is_no_square_matrix_is_a_povm_error(self, effects):
+        # the first effect fixes d, so its shape is checked before it is indexed
+        shape = np.shape(effects[0])
+        with pytest.raises(PovmError, match=re.escape(f"effect 0 has shape {shape}")):
+            validate_povm(effects)
 
     def test_non_hermitian_effect(self):
         e = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)

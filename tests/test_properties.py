@@ -443,11 +443,24 @@ class TestEbCertificate:
         gen = np.random.default_rng(1000 * d + l)
         rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
         for _ in range(3):
+            # the reference reads (H, G) x (re, im) x d x d; the fit the float view of (H, G)
             x = gen.standard_normal(4 * l * d * d)
-            f, grad = _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x)
+            x_fit = x.reshape(2, l, 2, d, d).transpose(0, 1, 3, 4, 2).ravel()
+            f, grad = _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x_fit)
             f_ref, grad_ref = _mp_objective_per_outcome(x, rho_arr, eff_arr, target, l, d)
+            grad_ref = grad_ref.reshape(2, l, 2, d, d).transpose(0, 1, 3, 4, 2).ravel()
             assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
             assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
+    def test_mp_packing_is_the_float_view_of_the_blocks(self, d, l):
+        from commat.properties import _unpack_mp_params
+
+        gen = np.random.default_rng(5000 * d + l)
+        re, im = gen.standard_normal((2, 2, l, d, d))
+        blocks = re + 1j * im                           # the stacked H_i and the stacked G_i
+        h, g, _, _ = _unpack_mp_params(blocks.view(float).ravel(), l, d)
+        assert np.array_equal(h, blocks[0]) and np.array_equal(g, blocks[1])
 
     @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
     def test_mp_objective_is_the_squared_realized_residual(self, d, l):

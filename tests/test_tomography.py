@@ -108,10 +108,12 @@ class TestBuildFrame:
     def test_dual_frame_is_the_transposed_pseudoinverse(self, d, rng):
         basis = bloch_basis(d)
         states, povm = make_random_setup(basis, rng, d * d + 2, d * d + 1)
-        for side, ops in (("states", np.array([s.matrix for s in states])),
-                          ("effects", np.array(povm.effects))):
-            dual = _dual_frame(ops, basis, side)
-            assert np.abs(dual - np.linalg.pinv(basis.coords(ops).T).T).max() < 1e-12
+        # the states, the effects, and the unital frame's Bloch-vector matrix R
+        for coords in (basis.coords(np.array([s.matrix for s in states])).T,
+                       basis.coords(np.array(povm.effects)).T,
+                       np.column_stack([s.bloch for s in states])):
+            dual = _dual_frame(coords, FrameDeficientError, "operators")
+            assert np.abs(dual - np.linalg.pinv(coords).T).max() < 1e-12
 
     def test_deficient_sides_keep_their_messages(self, basis2):
         sic_states, sic_povm = sic_qubit()
@@ -267,6 +269,20 @@ class TestReconstructUnital:
         )
         assert np.allclose(oracle, np.diag([-1.0, -1.0, 1.0]), atol=1e-14)
         assert np.abs(rec.bloch_matrix[1:, 1:] - oracle).max() < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_the_pseudoinverse_formula(self, d, rng):
+        # T = (C' B)^T pinv(R) on the traceless block, R holding the state Bloch vectors
+        basis = bloch_basis(d)
+        states, povm = make_random_setup(basis, rng, d * d + 1, d * d)
+        channel = unitary_channel(basis, random_unitary(d, rng))
+        c = comm_matrix(states, povm)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        frame = build_unital_frame(states, povm, basis)
+        r = np.column_stack([s.bloch for s in states])
+        t = (cp.entries @ frame.beta[1:].T).T @ np.linalg.pinv(r)
+        rec = reconstruct_unital(frame, c, cp)
+        assert np.abs(rec.bloch_matrix[1:, 1:] - t).max() <= 1e-13
 
     def test_agrees_with_full_reconstruction(self, axis_states, basis2, rng):
         sic_states, povm = sic_qubit()
