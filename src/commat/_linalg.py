@@ -22,8 +22,9 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def is_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    return a.shape[0] == a.shape[1] and frob(a - dag(a)) <= atol
+def is_hermitian(a: np.ndarray) -> np.ndarray:
+    """True where a matrix, or each of a stack, lies within ``HERM_ATOL`` of its adjoint."""
+    return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= HERM_ATOL
 
 
 def min_eigval(a: np.ndarray) -> float:
@@ -31,11 +32,10 @@ def min_eigval(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def herm_sqrt(a: np.ndarray, floor: float, inverse: bool = False) -> np.ndarray:
-    """a^(1/2), or a^(-1/2) if inverse, of a Hermitian a; eigenvalues are clipped below at floor."""
+def inverse_sqrt(a: np.ndarray) -> np.ndarray:
+    """a^(-1/2) of a Hermitian a; eigenvalues are clipped below at 0."""
     ev, evec = np.linalg.eigh(a)
-    root = np.sqrt(np.clip(ev, floor, None))
-    return (evec * (1.0 / root if inverse else root)) @ dag(evec)
+    return (evec * (1.0 / np.sqrt(np.clip(ev, 0.0, None)))) @ dag(evec)
 
 
 def rank_of_spectrum(s: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
@@ -52,11 +52,11 @@ def numerical_rank_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     return rank_of_spectrum(np.linalg.svd(a, compute_uv=False), rel_tol)
 
 
-def null_space_of(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a real matrix."""
+def null_space_of(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a real matrix under ``RANK_REL_TOL``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, vt = np.linalg.svd(a)
-    rank = rank_of_spectrum(s, rel_tol)
+    rank = rank_of_spectrum(s)
     if rank == 0:
         return np.eye(a.shape[1])
     return vt[rank:].T

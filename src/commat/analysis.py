@@ -11,7 +11,7 @@ import numpy as np
 
 from ._linalg import (
     RANK_REL_TOL,
-    herm_sqrt,
+    inverse_sqrt,
     multistart,
     numerical_rank_of,
     two_phase_fit,
@@ -30,6 +30,7 @@ from .operators import GAUGE_NOTE, Povm, bloch_basis
 from .scenario import CommMatrix, Scenario, comm_matrix
 
 GRAM_RESIDUAL_TOL = 1e-8
+ROBUSTNESS_SLACK = 1e-10
 DEFAULT_SEED = 12345
 
 
@@ -228,7 +229,7 @@ def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
             x0, _LBFGS_FTOL, _POLISH_GATE, 5000,
         )
         z = x.view(complex).reshape(n, d)
-        w = z @ herm_sqrt(z.conj().T @ z, 0.0, inverse=True)
+        w = z @ inverse_sqrt(z.conj().T @ z)
         weights = np.einsum("ji,ji->j", w.conj(), w).real
         vectors = w.conj() / np.sqrt(weights)[:, None]
         overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
@@ -323,16 +324,16 @@ class RobustnessReport:
     rob2_max: float
     rob1_holds: bool
     rob2_holds: bool
-    slack: float = 1e-10
+    slack: float = ROBUSTNESS_SLACK
 
 
-def robustness_gap(scenario: Scenario, slack: float = 1e-10) -> RobustnessReport:
+def robustness_gap(scenario: Scenario) -> RobustnessReport:
     """Noise bounds for a nearly self-testable set-up.
 
-    epsilon = d - storability; the eigenvalue tails of each effect beyond its
-    top eigenvalue must sum to at most epsilon, and for each effect/eigenvector
-    pair both displayed inequalities (small-eigenvalue and near-top-eigenvalue)
-    are evaluated against the column-maximizing state.
+    epsilon = d - storability; the eigenvalue tails of each effect beyond its top
+    eigenvalue must sum to at most epsilon, and for each effect/eigenvector pair both
+    displayed inequalities (small-eigenvalue and near-top-eigenvalue) are evaluated against
+    the column-maximizing state.  All three bounds allow ``ROBUSTNESS_SLACK`` of rounding.
     """
     states, povm = scenario.states, scenario.povm
     c = comm_matrix(states, povm)
@@ -351,10 +352,9 @@ def robustness_gap(scenario: Scenario, slack: float = 1e-10) -> RobustnessReport
     return RobustnessReport(
         epsilon=float(eps),
         per_effect_tail=tails,
-        bound_holds=bool(tails.sum() <= eps + slack),
+        bound_holds=bool(tails.sum() <= eps + ROBUSTNESS_SLACK),
         rob1_max=rob1_max,
         rob2_max=rob2_max,
-        rob1_holds=bool(rob1_max <= eps + slack),
-        rob2_holds=bool(rob2_max <= eps + slack),
-        slack=slack,
+        rob1_holds=bool(rob1_max <= eps + ROBUSTNESS_SLACK),
+        rob2_holds=bool(rob2_max <= eps + ROBUSTNESS_SLACK),
     )

@@ -202,7 +202,8 @@ class Povm:
 
 
 def validate_povm(effects) -> Povm:
-    """Check Hermiticity, effect spectra and completeness; name the first failure."""
+    """Check shapes, finiteness, Hermiticity, spectra and completeness, each over all
+    effects before the next; name the first effect that fails."""
     effects = [np.asarray(e, dtype=complex) for e in effects]
     if not effects:
         raise PovmError("measurement needs at least one effect")
@@ -213,14 +214,20 @@ def validate_povm(effects) -> Povm:
     for k, e in enumerate(effects):
         if e.shape != (d, d):
             raise PovmError(f"effect {k} has shape {e.shape}, expected ({d}, {d})")
-        _require_finite(e, PovmError, f"effect {k}")
-        if not is_hermitian(e):
-            raise PovmError(f"effect {k} is not Hermitian")
-        ev = np.linalg.eigvalsh(e)
-        if ev[0] < -PSD_ATOL:
-            raise PovmError(f"effect {k} has negative eigenvalue {ev[0]:.3e}")
-        if ev[-1] > 1.0 + PSD_ATOL:
-            raise PovmError(f"effect {k} has eigenvalue {ev[-1]:.6f} above 1")
+    stack = np.array(effects)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise PovmError(f"effect {bad[0]} is not finite")
+    bad = np.flatnonzero(~is_hermitian(stack))
+    if bad.size:
+        raise PovmError(f"effect {bad[0]} is not Hermitian")
+    ev = np.linalg.eigvalsh(stack)
+    bad = np.flatnonzero(ev[:, 0] < -PSD_ATOL)
+    if bad.size:
+        raise PovmError(f"effect {bad[0]} has negative eigenvalue {ev[bad[0], 0]:.3e}")
+    bad = np.flatnonzero(ev[:, -1] > 1.0 + PSD_ATOL)
+    if bad.size:
+        raise PovmError(f"effect {bad[0]} has eigenvalue {ev[bad[0], -1]:.6f} above 1")
     total = sum(effects)
     if frob(total - np.eye(d)) > CPTP_ATOL:
         raise PovmError(
@@ -407,12 +414,12 @@ def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
     return _channel_images(ch, x[None]).reshape(ch.dim_out, ch.dim_out)
 
 
-def is_unital_map(ch: QuantumChannel, tol: float = CPTP_ATOL) -> bool:
-    """True iff the channel maps the identity to the identity."""
+def is_unital_map(ch: QuantumChannel) -> bool:
+    """True iff the channel maps the identity to the identity, to ``CPTP_ATOL`` (Frobenius)."""
     if ch.dim_in != ch.dim_out:
         raise DimensionMismatchError("unitality is defined only for square channels")
     image = apply_channel(ch, np.eye(ch.dim_in, dtype=complex))
-    return frob(image - np.eye(ch.dim_out)) <= tol
+    return frob(image - np.eye(ch.dim_out)) <= CPTP_ATOL
 
 
 def identity_channel(basis: BlochBasis) -> QuantumChannel:
@@ -448,8 +455,5 @@ def amplitude_damping_channel(basis: BlochBasis, gamma: float) -> QuantumChannel
 
 
 def unitary_channel(basis: BlochBasis, u: np.ndarray) -> QuantumChannel:
-    u = np.asarray(u, dtype=complex)
-    _require_finite(u, InvalidChannelError, "unitary")
-    if frob(dag(u) @ u - np.eye(basis.dim)) > CPTP_ATOL:
-        raise InvalidChannelError("matrix is not unitary")
+    """X -> U X U^dag; for a single Kraus operator, trace preservation is unitarity."""
     return channel_from_kraus([u], basis, basis)

@@ -56,32 +56,29 @@ class IndistinguishablePair:
     case_tag: str
 
 
-def _orthocomplement_operator(ops, basis, rel_tol=RANK_REL_TOL) -> np.ndarray | None:
+def _orthocomplement_operator(ops, basis) -> np.ndarray | None:
     """First orthonormal basis element of the span's orthocomplement, as a matrix.
 
     A unit coordinate vector is an operator of Hilbert-Schmidt norm sqrt(d), hence the rescaling.
     """
-    null = null_space_of(basis.coords(np.array(ops)), rel_tol)
+    null = null_space_of(basis.coords(np.array(ops)))
     if null.shape[1] == 0:
         return None
     return np.tensordot(null[:, 0], basis.elements, axes=1) / np.sqrt(basis.dim)
 
 
-def _first_distinct_states(states, min_dist=1e-3):
+def _first_distinct_states(states):
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            if frob(states[i].matrix - states[j].matrix) >= min_dist:
+            if frob(states[i].matrix - states[j].matrix) >= 1e-3:
                 return states[i], states[j]
     return None
 
 
-def _basis_projector_states(basis, indices=(0, 1)):
-    out = []
-    for i in indices:
-        m = np.zeros((basis.dim, basis.dim), dtype=complex)
-        m[i, i] = 1.0
-        out.append(state_from_matrix(basis, m))
-    return tuple(out)
+def _basis_projector_states(basis):
+    """The states |0><0| and |1><1|."""
+    units = np.eye(basis.dim, dtype=complex)
+    return tuple(state_from_matrix(basis, np.outer(u, u)) for u in units[:2])
 
 
 def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePair:
@@ -162,22 +159,22 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
     return pair
 
 
-def unital_differentiation_condition(states, d: int, rel_tol: float = RANK_REL_TOL) -> bool:
+def unital_differentiation_condition(states, d: int) -> bool:
     """True iff the state Bloch vectors span at least d^2 - 1 dimensions."""
     r = np.column_stack([s.bloch for s in states])
-    return numerical_rank_of(r, rel_tol) >= d * d - 1
+    return numerical_rank_of(r) >= d * d - 1
 
 
-def _kernel_basis(mat: np.ndarray, rel_tol: float) -> list:
+def _kernel_basis(mat: np.ndarray) -> list:
     ncols = mat.shape[1]
     if np.abs(mat).max() < KERNEL_ZERO_FLOOR:
         return [np.eye(ncols)[:, j] for j in range(ncols)]
-    null = null_space_of(mat, rel_tol)
+    null = null_space_of(mat)
     return [null[:, j] for j in range(null.shape[1])]
 
 
-def kernel_shift(c: CommMatrix, cprime: CommMatrix, tol: float = RANK_REL_TOL) -> list:
-    """Orthonormal basis of the numerical kernel of (C'^T - C^T).
+def kernel_shift(c: CommMatrix, cprime: CommMatrix) -> list:
+    """Orthonormal basis of the numerical kernel of (C'^T - C^T), under ``RANK_REL_TOL``.
 
     Vectors alpha in this kernel correspond to operators sum_j alpha_j rho_j
     fixed by the channel.  A numerically zero difference returns the full
@@ -186,7 +183,7 @@ def kernel_shift(c: CommMatrix, cprime: CommMatrix, tol: float = RANK_REL_TOL) -
     if c.shape != cprime.shape:
         raise DimensionMismatchError(f"shapes differ: {c.shape} vs {cprime.shape}")
     diff = cprime.entries.T - c.entries.T
-    return _kernel_basis(diff, tol)
+    return _kernel_basis(diff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +203,6 @@ def detect_unitality(
     d: int,
     povm_complete: bool,
     states=None,
-    tol: float = RANK_REL_TOL,
 ) -> UnitalityVerdict:
     """Decide unitality of the channel behind C' using the depolarizing reference C0.
 
@@ -227,23 +223,23 @@ def detect_unitality(
             f"reference matrix rows differ by {row_dev:.3e}; not generated by the "
             "completely depolarizing channel"
         )
-    if not povm_complete and numerical_rank(c) < d * d:
+    rank = numerical_rank(c)
+    if not povm_complete and rank < d * d:
         raise PreconditionError(
             "measurement informational completeness neither asserted nor certified"
         )
     diff0 = c0.entries.T - c.entries.T
     diffp = cprime.entries.T - c.entries.T
-    ker0 = _kernel_basis(diff0, tol)
-    kerp = _kernel_basis(diffp, tol)
+    ker0 = _kernel_basis(diff0)
+    kerp = _kernel_basis(diffp)
     if not ker0:
         return UnitalityVerdict(
             kernel_basis=kerp,
             reference_kernel_basis=ker0,
             verdict="undecidable",
-            setup_unital_differentiating=numerical_rank(c) >= d * d - 1,
-            kernel_tol=tol,
+            setup_unital_differentiating=rank >= d * d - 1,
         )
-    common = _kernel_basis(np.vstack([diffp, diff0]), tol)
+    common = _kernel_basis(np.vstack([diffp, diff0]))
     verdict = "unital" if common else "non-unital"
     witness = None
     if common and states is not None:
@@ -254,7 +250,6 @@ def detect_unitality(
         reference_kernel_basis=ker0,
         verdict=verdict,
         fixed_point_witness=witness,
-        kernel_tol=tol,
     )
 
 

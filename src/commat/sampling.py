@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ._linalg import herm_sqrt
+from ._linalg import inverse_sqrt
 from .operators import (
     BlochBasis,
     DensityOperator,
@@ -32,7 +32,7 @@ def random_povm(basis: BlochBasis, rng, outcomes: int) -> Povm:
     for _ in range(outcomes):
         g = _ginibre(rng, d, d)
         raw.append(g @ g.conj().T)
-    inv_half = herm_sqrt(sum(raw), 0.0, inverse=True)
+    inv_half = inverse_sqrt(sum(raw))
     return validate_povm([inv_half @ p @ inv_half for p in raw])
 
 

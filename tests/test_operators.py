@@ -166,7 +166,7 @@ class TestStates:
         with pytest.raises(InvalidOperatorError):
             bloch_from_state(basis2, np.array([[0.5, 1.0], [0.0, 0.5]]))
 
-    @pytest.mark.parametrize("build", [state_from_matrix, bloch_from_state])
+    @pytest.mark.parametrize("build", [state_from_matrix, bloch_from_state, unitary_channel])
     @pytest.mark.parametrize("m", [np.eye(3) / 3, np.array([0.5, 0.5]), np.array(1.0)])
     def test_wrong_shape_is_a_dimension_mismatch(self, basis2, build, m):
         # the shape is checked before anything reshapes or indexes the matrix
