@@ -113,7 +113,9 @@ def minimize(*args, **kwargs):
 def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tuple:
     """Minimize ``objective`` (f = ||residual||^2 and its gradient) from ``x0`` in two phases.
 
-    L-BFGS-B runs first, to ``ftol`` or ``maxiter`` iterations.  Its stop test
+    A start whose f is already at most ``gate``^2 (the exact Gram start of the
+    qubit self-test) goes straight to the polish.  Otherwise L-BFGS-B runs
+    first, to ``ftol`` or ``maxiter`` iterations.  Its stop test
     divides by max(|f|, 1), so below f = 1 it bounds the absolute decrease per
     iteration: a fit nearing a residual of 1e-8 (f about 1e-16) stops short
     unless ftol is below about 1e-18, and at such an ftol the fits that end far
@@ -125,9 +127,12 @@ def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tup
     step may climb out of the shallow basin where L-BFGS-B stopped.  The polish
     runs to rounding, so a tighter residual tolerance is still decided by the
     fit, and its best iterate is never worse than the L-BFGS-B end point.  An end
-    point outside the gate, or with a NaN f, is returned as it is.  Returns x and
-    f = ||residual(x)||^2.
+    point outside the gate, or with a NaN f, is returned as it is; a NaN start
+    runs L-BFGS-B.  Returns x and f = ||residual(x)||^2.
     """
+    r0 = residual(x0)
+    if r0 @ r0 <= gate**2:
+        return gauss_newton(residual, jacobian, x0, POLISH_MAX_STEPS)
     res = minimize(
         objective,
         x0,

@@ -258,7 +258,8 @@ def self_test(
     Z (Z^dag Z)^-1/2 give the weights |w_k|^2 and vectors conj(w_k) / |w_k|, so
     the effects sum to the identity for every Z.  Each restart runs L-BFGS-B
     and, if it ends near zero, a Gauss-Newton polish; at d = 2 the first start
-    is the set-up rebuilt exactly from the Gram matrix of its effects.  The fit
+    is the set-up rebuilt exactly from the Gram matrix of its effects, which
+    skips L-BFGS-B and is only polished.  The fit
     stops at the first restart whose Gram residual is within ``residual_tol``;
     ``restarts`` records the fits run.  All is certified modulo a global
     unitary or antiunitary, which no statistics can resolve.

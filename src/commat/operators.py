@@ -37,6 +37,7 @@ from .errors import (
 
 PSD_ATOL = 1e-10
 CPTP_ATOL = 1e-10
+_TRACE_ATOL = 10 * HERM_ATOL
 
 GAUGE_NOTE = (
     "Canonical vectors are determined only up to a global unitary or antiunitary "
@@ -153,30 +154,82 @@ def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
     return DensityOperator(dim=d, matrix=m, bloch=r.copy(), basis=basis)
 
 
+def _validated_states(basis: BlochBasis, matrices, positive: bool) -> tuple:
+    """Stack matrices that are Hermitian, unit-trace (d, d) and, if ``positive``,
+    without an eigenvalue below -``PSD_ATOL``; return the stack and its Bloch vectors.
+
+    Each check runs once over the whole stack, and its verdicts are read as
+    Python scalars, which for the few matrices of a call costs less than more
+    passes over arrays.  The stack is a read-only copy, so no caller can change
+    what was validated.  If a matrix fails, the error is ``_first_invalid``'s.
+    """
+    d = basis.dim
+    matrices = [np.asarray(m, dtype=complex) for m in matrices]
+    if all(m.shape == (d, d) for m in matrices):
+        stack = np.array(matrices) if matrices else np.empty((0, d, d), dtype=complex)
+        if np.isfinite(stack).all():
+            traces = stack.trace(axis1=1, axis2=2).real.tolist()
+            lowest = np.linalg.eigvalsh(stack)[:, 0].tolist() if positive else []
+            if (
+                all(is_hermitian(stack).tolist())
+                and all(abs(t - 1.0) <= _TRACE_ATOL for t in traces)
+                and min(lowest, default=0.0) >= -PSD_ATOL
+            ):
+                return _freeze(stack), d * basis.coords(stack)[:, 1:]
+    raise _first_invalid(d, matrices, positive)
+
+
+def _first_invalid(d: int, matrices: list, positive: bool) -> Exception:
+    """The error of the first matrix that fails a check of ``_validated_states``,
+    with the message of its first failed check, as checking one matrix at a time
+    would raise it.
+
+    Each check runs over the matrices before every failure found so far, so a
+    check never sees a matrix that failed an earlier one.
+    """
+    n = next((k for k, m in enumerate(matrices) if m.shape != (d, d)), len(matrices))
+    error = None
+    if n < len(matrices):
+        error = DimensionMismatchError(f"matrix has shape {matrices[n].shape}, expected ({d}, {d})")
+    stack = np.array(matrices[:n]).reshape(n, d, d)
+
+    def first(fails):
+        bad = np.flatnonzero(fails)
+        return bad[0] if bad.size else None
+
+    if (k := first(~np.isfinite(stack).all(axis=(1, 2)))) is not None:
+        n, error = k, InvalidOperatorError("matrix is not finite")
+    if (k := first(~is_hermitian(stack[:n]))) is not None:
+        n, error = k, InvalidOperatorError("matrix is not Hermitian")
+    traces = np.trace(stack[:n], axis1=1, axis2=2)
+    if (k := first(np.abs(traces.real - 1.0) > _TRACE_ATOL)) is not None:
+        n, error = k, InvalidOperatorError(f"matrix trace {traces[k]:.6g} is not 1")
+    if positive:
+        lo = np.linalg.eigvalsh(stack[:n])[:, 0]
+        if (k := first(lo < -PSD_ATOL)) is not None:
+            error = NotAStateError(
+                f"matrix has negative eigenvalue {lo[k]:.3e}", min_eigenvalue=float(lo[k])
+            )
+    return error
+
+
+def _states_from_matrices(basis: BlochBasis, matrices) -> list:
+    """``state_from_matrix`` of each matrix, every check run once over the whole stack."""
+    stack, blochs = _validated_states(basis, matrices, positive=True)
+    return [
+        DensityOperator(dim=basis.dim, matrix=m, bloch=r, basis=basis)
+        for m, r in zip(stack, blochs)
+    ]
+
+
 def bloch_from_state(basis: BlochBasis, m: np.ndarray) -> np.ndarray:
     """Bloch vector r_u = tr(m sigma_u) of a Hermitian unit-trace matrix."""
-    m = np.asarray(m, dtype=complex)
-    d = basis.dim
-    if m.shape != (d, d):
-        raise DimensionMismatchError(f"matrix has shape {m.shape}, expected ({d}, {d})")
-    _require_finite(m, InvalidOperatorError, "matrix")
-    if not is_hermitian(m):
-        raise InvalidOperatorError("matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > HERM_ATOL * 10:
-        raise InvalidOperatorError(f"matrix trace {np.trace(m):.6g} is not 1")
-    return d * basis.coords(m)[1:]
+    return _validated_states(basis, [m], positive=False)[1][0]
 
 
 def state_from_matrix(basis: BlochBasis, m: np.ndarray) -> DensityOperator:
     """Validate a density matrix and attach its Bloch vector."""
-    m = np.asarray(m, dtype=complex)
-    r = bloch_from_state(basis, m)
-    lo = min_eigval(m)
-    if lo < -PSD_ATOL:
-        raise NotAStateError(
-            f"matrix has negative eigenvalue {lo:.3e}", min_eigenvalue=lo
-        )
-    return DensityOperator(dim=basis.dim, matrix=m, bloch=r, basis=basis)
+    return _states_from_matrices(basis, [m])[0]
 
 
 def inball_radius(d: int) -> float:
@@ -214,7 +267,7 @@ def validate_povm(effects) -> Povm:
     for k, e in enumerate(effects):
         if e.shape != (d, d):
             raise PovmError(f"effect {k} has shape {e.shape}, expected ({d}, {d})")
-    stack = np.array(effects)
+    stack = _freeze(np.array(effects))
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
     if bad.size:
         raise PovmError(f"effect {bad[0]} is not finite")
@@ -228,12 +281,13 @@ def validate_povm(effects) -> Povm:
     bad = np.flatnonzero(ev[:, -1] > 1.0 + PSD_ATOL)
     if bad.size:
         raise PovmError(f"effect {bad[0]} has eigenvalue {ev[bad[0], -1]:.6f} above 1")
+    effects = tuple(stack)  # read-only views of a copy no caller holds
     total = sum(effects)
     if frob(total - np.eye(d)) > CPTP_ATOL:
         raise PovmError(
             f"effects sum deviates from the identity by {frob(total - np.eye(d)):.3e}"
         )
-    return Povm(dim=d, effects=tuple(effects))
+    return Povm(dim=d, effects=effects)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +388,7 @@ def channel_from_choi(
 ) -> QuantumChannel:
     """Build a channel from its Choi matrix, recording CPTP diagnostics."""
     di, do = basis_in.dim, basis_out.dim
-    choi = np.asarray(choi, dtype=complex)
+    choi = np.array(choi, dtype=complex)
     _require_finite(choi, InvalidChannelError, "Choi matrix")
     if choi.shape != (di * do, di * do):
         raise DimensionMismatchError(

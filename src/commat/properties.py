@@ -34,6 +34,7 @@ from .analysis import DEFAULT_SEED, numerical_rank
 from .operators import (
     Povm,
     QuantumChannel,
+    _states_from_matrices,
     bloch_basis,
     completely_depolarizing_channel,
     measure_and_prepare_channel,
@@ -440,7 +441,7 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
     basis = rho_states[0].basis
     h, _, xi, _ = _unpack_mp_params(x, l, basis.dim)
     n_povm = validate_povm(list(_complete_effects(h)[0]))
-    xi_states = [state_from_matrix(basis, m) for m in xi]
+    xi_states = _states_from_matrices(basis, xi)
     a, b = _realization_factors(rho_states, povm, n_povm, xi_states)
     return n_povm, xi_states, a, b, frob(target - a @ b)
 

@@ -18,6 +18,7 @@ from .operators import (
     BlochBasis,
     Povm,
     QuantumChannel,
+    _states_from_matrices,
     amplitude_damping_channel,
     bloch_basis,
     channel_from_choi,
@@ -25,7 +26,6 @@ from .operators import (
     depolarizing_channel,
     identity_channel,
     measure_and_prepare_channel,
-    state_from_matrix,
     unitary_channel,
     validate_povm,
 )
@@ -196,7 +196,7 @@ def channel_from_json(obj, dim_in: int, dim_out: int) -> QuantumChannel:
     if kind == "measure_prepare":
         povm = validate_povm(_square_matrices(_field(obj, "povm", kind), "channel.povm", dim_in))
         states = _square_matrices(_field(obj, "states", kind), "channel.states", dim_out)
-        return measure_and_prepare_channel(povm, [state_from_matrix(basis_out, m) for m in states])
+        return measure_and_prepare_channel(povm, _states_from_matrices(basis_out, states))
     raise ParseError(f"unknown channel kind {kind!r}")
 
 
@@ -222,7 +222,7 @@ def scenario_from_json(obj) -> Scenario:
     dim_in, dim_out = _integer(dim_in, "scenario dim_in"), _integer(dim_out, "scenario dim_out")
     repeat = _integer(obj.get("repeat", 1), "scenario repeat")
     basis_in = bloch_basis(dim_in)
-    states = [state_from_matrix(basis_in, m) for m in _square_matrices(state_objs, "states", dim_in)]
+    states = _states_from_matrices(basis_in, _square_matrices(state_objs, "states", dim_in))
     povm = validate_povm(_square_matrices(povm_objs, "povm", dim_out))
     channel_obj = obj.get("channel")
     channel = None

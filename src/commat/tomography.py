@@ -33,9 +33,9 @@ from .operators import (
     BlochBasis,
     Povm,
     QuantumChannel,
+    _states_from_matrices,
     bloch_basis,
     channel_from_bloch,
-    state_from_matrix,
     validate_povm,
 )
 from .scenario import CommMatrix
@@ -234,12 +234,11 @@ def reconstruct_up_to_gauge(
         basis = c.provenance.states[0].basis
     else:
         basis = bloch_basis(d)
-    # state pairing[k] is |phi_k><phi_k|
-    vectors = np.asarray(cert.canonical_vectors)[np.argsort(cert.pairing)]
-    states = [state_from_matrix(basis, np.outer(v, v.conj())) for v in vectors]
-    povm = validate_povm(
-        [a * np.outer(v, v.conj()) for a, v in zip(cert.canonical_weights, cert.canonical_vectors)]
-    )
+    # effect k is a_k |phi_k><phi_k|, and state pairing[k] is |phi_k><phi_k|
+    vectors = np.asarray(cert.canonical_vectors)
+    projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
+    states = _states_from_matrices(basis, projectors[np.argsort(cert.pairing)])
+    povm = validate_povm(np.asarray(cert.canonical_weights)[:, None, None] * projectors)
     frame = build_frame(states, povm, basis, basis)
     try:
         channel = reconstruct_channel(frame, cprime)

@@ -40,6 +40,17 @@ from conftest import make_random_setup, make_spanning_setup, rank1_setup
 from commat import bloch_basis
 
 
+def _count_fit_phases(monkeypatch):
+    """Lists that record each call of the fit's L-BFGS-B and of its Gauss-Newton polish."""
+    import commat._linalg as _linalg
+
+    fits, polishes = [], []
+    minimize, gauss_newton = _linalg.minimize, _linalg.gauss_newton
+    monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: fits.append(1) or minimize(*a, **k))
+    monkeypatch.setattr(_linalg, "gauss_newton", lambda *a, **k: polishes.append(1) or gauss_newton(*a, **k))
+    return fits, polishes
+
+
 def rank1_matrix(seed, d, n):
     """C of the rank-1 set-up drawn by ``rank1_setup`` from ``seed``, states in effect order."""
     vecs, weights = rank1_setup(np.random.default_rng(seed), d, n)
@@ -206,17 +217,14 @@ class TestSelfTest:
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
     def test_qubit_gram_start_certifies_without_an_iteration(self, monkeypatch, n, seed):
-        # n = 2 has fewer states than d^2 - 1 = 3, so the Gram matrix is padded
-        import commat._linalg as _linalg
-
-        fits = []
-        real = _linalg.minimize
-        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: fits.append(real(*a, **k)) or fits[-1])
+        # n = 2 has fewer states than d^2 - 1 = 3, so the Gram matrix is padded.
+        # The exact start lies inside the gate, so it goes straight to the polish.
+        fits, polishes = _count_fit_phases(monkeypatch)
         vecs, weights = rank1_setup(np.random.default_rng(seed), 2, n)
         overlaps = np.abs(vecs.conj() @ vecs.T) ** 2
         cert = self_test(CommMatrix(entries=overlaps * weights[None, :]), 2)
         assert cert.passes and cert.restarts == 1
-        assert [fit.nit for fit in fits] == [0]
+        assert (len(fits), len(polishes)) == (0, 1)
         assert np.abs(cert.overlap_matrix() - overlaps).max() < 1e-12
 
     @pytest.mark.parametrize("alpha", [[0.0, 0.0], [1.0, 0.0]])
@@ -409,14 +417,10 @@ class TestSelfTest:
             self_test(c, 2, restarts=restarts)
 
     def test_fit_stops_at_first_certifying_restart(self, monkeypatch):
-        import commat._linalg as _linalg
-
-        calls = []
-        real = _linalg.minimize
-        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        fits, polishes = _count_fit_phases(monkeypatch)
         cert = self_test(noisy_antidist(4, 0.5), 2)
-        assert cert.passes
-        assert len(calls) == 1  # not the whole budget of 32
+        assert cert.passes and cert.restarts == 1  # not the whole budget of 32
+        assert (len(fits), len(polishes)) == (0, 1)
 
     def test_deterministic_given_seed(self):
         c = noisy_antidist(4, 0.5)

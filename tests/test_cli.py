@@ -612,7 +612,11 @@ def test_commands_that_run_no_fit_do_not_import_scipy_optimize(tmp_path):
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(commat.__file__)))
     fixture = ["-m", "commat.cli", "fixtures", "sic-qubit", "--out", str(tmp_path / "sic.json")]
-    for args in (["-c", "import commat"], fixture):
+    six = str(tmp_path / "six.json")
+    six_fixture = ["-m", "commat.cli", "fixtures", "eb-six-state", "--out", six]
+    # a measure-and-prepare channel is checked through its realization, without a fit
+    eb_check = ["-m", "commat.cli", "properties", "--check", "eb", "--scenario", six]
+    for args in (["-c", "import commat"], fixture, six_fixture, eb_check):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", *args],
             cwd=tmp_path,

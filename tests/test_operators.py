@@ -32,7 +32,7 @@ from commat.errors import (
     NotAStateError,
     PovmError,
 )
-from commat.operators import BlochBasis, _bloch_to_choi, _choi_to_bloch
+from commat.operators import BlochBasis, _bloch_to_choi, _choi_to_bloch, _states_from_matrices
 from commat.sampling import random_channel, random_mixed_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -172,6 +172,99 @@ class TestStates:
         # the shape is checked before anything reshapes or indexes the matrix
         with pytest.raises(DimensionMismatchError, match=re.escape(f"shape {m.shape}")):
             build(basis2, m)
+
+
+def _defective_qubit_matrices():
+    """2 x 2 matrices by the first check of ``state_from_matrix`` that each one fails."""
+    nan = np.eye(2, dtype=complex) / 2
+    nan[0, 1] = np.nan
+    return {
+        "valid": np.diag([0.25, 0.75]),
+        "shape": np.eye(3) / 3,
+        "not finite": nan,
+        "not Hermitian": np.array([[0.5, 1.0], [0.0, 0.5]]),
+        "not Hermitian, trace 2": np.array([[1.0, 1.0], [0.0, 1.0]]),
+        "trace": np.diag([0.7, 0.7]),
+        "trace, negative": np.diag([2.0, -0.5]),
+        "negative": np.diag([1.5, -0.5]),
+    }
+
+
+class TestStatesFromMatrices:
+    """One pass of each check over a stack, with the errors of one call per matrix."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_every_stack_size_matches_one_call_per_matrix_bit_for_bit(self, d, rng):
+        basis = bloch_basis(d)
+        mats = [random_mixed_state(basis, rng).matrix for _ in range(36)]
+        mats[0] = np.eye(d) / d
+        singles = [state_from_matrix(basis, m) for m in mats]
+        for n in range(1, 37):
+            stacked = _states_from_matrices(basis, mats[:n])
+            assert len(stacked) == n
+            for one, s in zip(singles, stacked):
+                assert np.array_equal(s.matrix, one.matrix)
+                assert np.array_equal(s.bloch, one.bloch)
+                assert s.dim == d and s.basis is basis
+
+    def test_first_failing_state_raises_its_own_error(self, basis2):
+        # state 0 has a negative eigenvalue, the fifth and last check; state 1 fails the third
+        bad = _defective_qubit_matrices()
+        with pytest.raises(NotAStateError) as expected:
+            state_from_matrix(basis2, bad["negative"])
+        with pytest.raises(NotAStateError) as raised:
+            _states_from_matrices(basis2, [bad["negative"], bad["not Hermitian"]])
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.min_eigenvalue == expected.value.min_eigenvalue
+
+    @pytest.mark.parametrize("first", list(_defective_qubit_matrices()))
+    @pytest.mark.parametrize("second", list(_defective_qubit_matrices()))
+    def test_error_is_the_one_a_loop_would_raise(self, basis2, first, second):
+        bad = _defective_qubit_matrices()
+        mats = [bad["valid"], bad[first], bad["valid"], bad[second]]
+        expected = None
+        for m in mats:
+            try:
+                state_from_matrix(basis2, m)
+            except Exception as err:  # noqa: BLE001 - the first error of the loop, whatever it is
+                expected = err
+                break
+        if expected is None:
+            assert len(_states_from_matrices(basis2, mats)) == 4
+            return
+        with pytest.raises(type(expected)) as raised:
+            _states_from_matrices(basis2, mats)
+        assert str(raised.value) == str(expected)
+
+    def test_empty_stack_gives_no_states(self, basis2):
+        assert _states_from_matrices(basis2, []) == []
+
+
+class TestConstructorsOwnTheirArrays:
+    """The stored operators are read-only copies; the caller's arrays stay writable."""
+
+    def test_state_from_matrix(self, basis2):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        s = state_from_matrix(basis2, m)
+        assert m.flags.writeable and s.matrix is not m
+        assert not s.matrix.flags.writeable and not s.bloch.flags.writeable
+        m[0, 0] = 9.0
+        assert s.matrix[0, 0] == 0.25
+
+    def test_validate_povm(self):
+        e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        povm = validate_povm([e0, e1])
+        assert e0.flags.writeable and e1.flags.writeable
+        assert not any(e.flags.writeable for e in povm.effects)
+        e0[0, 0] = e1[1, 1] = 9.0
+        assert povm.effects[0][0, 0] == 1.0 and povm.effects[1][1, 1] == 1.0
+
+    def test_channel_from_choi(self, basis2):
+        choi = identity_channel(basis2).choi.copy()
+        ch = channel_from_choi(choi, basis2, basis2)
+        assert choi.flags.writeable and not ch.choi.flags.writeable
+        choi[0, 0] = 9.0
+        assert ch.choi[0, 0] == 1.0
 
 
 class TestInballRadius:

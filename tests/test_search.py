@@ -1,5 +1,7 @@
 """The multi-start driver, the two-phase fit and the Gauss-Newton polish shared by the searches."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,56 @@ def test_two_phase_fit_polishes_an_end_point_inside_the_gate_to_rounding(monkeyp
     assert len(end_points) == 1 and 1e-20 < end_points[0] <= 1.0
     assert f == r @ r
     assert f <= 1e-28
+
+
+def test_two_phase_fit_polishes_a_start_inside_the_gate_without_l_bfgs_b(monkeypatch):
+    monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: pytest.fail("L-BFGS-B ran"))
+    objective, residual, jacobian = least_squares(
+        np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), np.array([3.0, 1.0])
+    )
+    x, f = two_phase_fit(objective, residual, jacobian, np.array([1.001, 1.0, 0.0]), 1e-8, 1e-2, 100)
+    r = residual(x)
+    assert f == r @ r
+    assert f <= 1e-28
+
+
+def test_two_phase_fit_runs_l_bfgs_b_once_on_a_nan_start(monkeypatch):
+    # a NaN start fails the gate test, so L-BFGS-B decides; its NaN end point is returned as it is
+    starts = []
+
+    def fake_minimize(objective, x0, **kwargs):
+        starts.append(x0)
+        return types.SimpleNamespace(x=x0, fun=np.nan)
+
+    monkeypatch.setattr(_linalg, "minimize", fake_minimize)
+    monkeypatch.setattr(_linalg, "gauss_newton", lambda *a, **k: pytest.fail("polish ran"))
+    objective, residual, jacobian = least_squares(np.eye(2), np.zeros(2))
+    x0 = np.array([np.nan, 0.0])
+    x, f = two_phase_fit(objective, residual, jacobian, x0, 1e-8, 1e-2, 100)
+    assert len(starts) == 1 and starts[0] is x0
+    assert x is x0 and np.isnan(f)
+
+
+def test_two_phase_fit_runs_l_bfgs_b_from_a_start_outside_the_gate(monkeypatch):
+    # f = 34 at the start: L-BFGS-B runs once from it and hands its end point to the polish
+    objective, residual, jacobian = least_squares(
+        np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), np.array([3.0, 1.0])
+    )
+    fits, polished = [], []
+    minimize, gauss_newton = _linalg.minimize, _linalg.gauss_newton
+
+    def recording_minimize(*args, **kwargs):
+        fits.append((args[1], minimize(*args, **kwargs)))
+        return fits[-1][1]
+
+    def recording_polish(res, jac, x, steps):
+        polished.append(x)
+        return gauss_newton(res, jac, x, steps)
+
+    monkeypatch.setattr(_linalg, "minimize", recording_minimize)
+    monkeypatch.setattr(_linalg, "gauss_newton", recording_polish)
+    x0 = np.array([5.0, -4.0, 0.0])
+    x, f = two_phase_fit(objective, residual, jacobian, x0, 1e-2, 1.0, 100)
+    assert len(fits) == 1 and fits[0][0] is x0
+    assert len(polished) == 1 and polished[0] is fits[0][1].x
+    assert f == residual(x) @ residual(x) <= 1e-28

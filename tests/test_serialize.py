@@ -14,7 +14,7 @@ from commat import (
     sic_qubit,
     noisy_antidist,
 )
-from commat.errors import ParseError
+from commat.errors import DimensionMismatchError, ParseError
 from commat.sampling import random_channel, random_mixed_state
 from commat.serialize import (
     _numeric_pairs,
@@ -96,6 +96,14 @@ def test_malformed_state_names_index():
     doc = scenario_to_json(Scenario(states=states, povm=povm))
     doc["states"][1]["entries"] = doc["states"][1]["entries"][:-1]
     with pytest.raises(ParseError, match=r"states\[1\]"):
+        scenario_from_json(doc)
+
+
+def test_scenario_without_states_is_rejected():
+    states, povm = sic_qubit()
+    doc = scenario_to_json(Scenario(states=states, povm=povm))
+    doc["states"] = []
+    with pytest.raises(DimensionMismatchError, match="^scenario needs at least one state$"):
         scenario_from_json(doc)
 
 
