@@ -34,8 +34,15 @@ ROBUSTNESS_SLACK = 1e-10
 DEFAULT_SEED = 12345
 
 
+def _check_rank_tol(rel_tol: float):
+    """Raise ``ValidationError`` unless the relative rank rule lies in (0, 1) (NaN fails too)."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValidationError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
+
+
 def numerical_rank(c: CommMatrix, rel_tol: float = RANK_REL_TOL) -> int:
-    """Singular values above rel_tol times the largest one."""
+    """Singular values above rel_tol times the largest one; ``rel_tol`` lies in (0, 1)."""
+    _check_rank_tol(rel_tol)
     return numerical_rank_of(c.entries, rel_tol)
 
 
@@ -49,7 +56,9 @@ def span_dims(states, povm: Povm, rel_tol: float = RANK_REL_TOL) -> tuple:
 
     The intersection dimension uses dim(U) + dim(W) - dim(U + W) on stacked
     Bloch coordinates, so a single SVD tolerance governs all three numbers.
+    ``rel_tol`` lies in (0, 1).
     """
+    _check_rank_tol(rel_tol)
     basis = states[0].basis
     rows_s = basis.coords(np.array([s.matrix for s in states]))
     rows_m = basis.coords(np.array(povm.effects))

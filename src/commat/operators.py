@@ -154,63 +154,62 @@ def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
     return DensityOperator(dim=d, matrix=m, bloch=r.copy(), basis=basis)
 
 
+def _square_stack(matrices: list, d: int) -> tuple:
+    """The matrices before the first one that is not (d, d), as one new array, the
+    verdict "not finite" of each, and the stack with those replaced by I/d so that
+    no later check warns (the stack itself when every matrix is finite)."""
+    n = next((k for k, m in enumerate(matrices) if m.shape != (d, d)), len(matrices))
+    stack = np.array(matrices[:n], dtype=complex).reshape(n, d, d)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    clean = stack if finite.all() else np.where(finite[:, None, None], stack, np.eye(d) / d)
+    return stack, ~finite, clean
+
+
+def _raise_first_fault(checks, count: int, shape_error):
+    """Raise the error of the first of ``count`` matrices that fails a check, for
+    its first failed check, as checking one matrix at a time would.
+
+    ``checks`` lists (fails, error) pairs in the order the checks apply: ``fails``
+    holds one verdict per matrix of the stack, True where it fails, and
+    ``error(k)`` is the exception for matrix k.  The matrices past the stack
+    failed the shape check; if no matrix in it fails, the first of them raises
+    ``shape_error(k)``.
+    """
+    table = np.array([fails for fails, _ in checks])
+    if table.any():
+        k = int(table.any(axis=0).argmax())
+        raise checks[int(table[:, k].argmax())][1](k)
+    if table.shape[1] < count:
+        raise shape_error(table.shape[1])
+
+
 def _validated_states(basis: BlochBasis, matrices, positive: bool) -> tuple:
     """Stack matrices that are Hermitian, unit-trace (d, d) and, if ``positive``,
     without an eigenvalue below -``PSD_ATOL``; return the stack and its Bloch vectors.
 
-    Each check runs once over the whole stack, and its verdicts are read as
-    Python scalars, which for the few matrices of a call costs less than more
-    passes over arrays.  The stack is a read-only copy, so no caller can change
-    what was validated.  If a matrix fails, the error is ``_first_invalid``'s.
+    Each check runs once over the whole stack.  The stack is a read-only copy,
+    so no caller can change what was validated.
     """
     d = basis.dim
     matrices = [np.asarray(m, dtype=complex) for m in matrices]
-    if all(m.shape == (d, d) for m in matrices):
-        stack = np.array(matrices) if matrices else np.empty((0, d, d), dtype=complex)
-        if np.isfinite(stack).all():
-            traces = stack.trace(axis1=1, axis2=2).real.tolist()
-            lowest = np.linalg.eigvalsh(stack)[:, 0].tolist() if positive else []
-            if (
-                all(is_hermitian(stack).tolist())
-                and all(abs(t - 1.0) <= _TRACE_ATOL for t in traces)
-                and min(lowest, default=0.0) >= -PSD_ATOL
-            ):
-                return _freeze(stack), d * basis.coords(stack)[:, 1:]
-    raise _first_invalid(d, matrices, positive)
-
-
-def _first_invalid(d: int, matrices: list, positive: bool) -> Exception:
-    """The error of the first matrix that fails a check of ``_validated_states``,
-    with the message of its first failed check, as checking one matrix at a time
-    would raise it.
-
-    Each check runs over the matrices before every failure found so far, so a
-    check never sees a matrix that failed an earlier one.
-    """
-    n = next((k for k, m in enumerate(matrices) if m.shape != (d, d)), len(matrices))
-    error = None
-    if n < len(matrices):
-        error = DimensionMismatchError(f"matrix has shape {matrices[n].shape}, expected ({d}, {d})")
-    stack = np.array(matrices[:n]).reshape(n, d, d)
-
-    def first(fails):
-        bad = np.flatnonzero(fails)
-        return bad[0] if bad.size else None
-
-    if (k := first(~np.isfinite(stack).all(axis=(1, 2)))) is not None:
-        n, error = k, InvalidOperatorError("matrix is not finite")
-    if (k := first(~is_hermitian(stack[:n]))) is not None:
-        n, error = k, InvalidOperatorError("matrix is not Hermitian")
-    traces = np.trace(stack[:n], axis1=1, axis2=2)
-    if (k := first(np.abs(traces.real - 1.0) > _TRACE_ATOL)) is not None:
-        n, error = k, InvalidOperatorError(f"matrix trace {traces[k]:.6g} is not 1")
-    if positive:
-        lo = np.linalg.eigvalsh(stack[:n])[:, 0]
-        if (k := first(lo < -PSD_ATOL)) is not None:
-            error = NotAStateError(
-                f"matrix has negative eigenvalue {lo[k]:.3e}", min_eigenvalue=float(lo[k])
-            )
-    return error
+    stack, not_finite, clean = _square_stack(matrices, d)
+    traces = clean.trace(axis1=1, axis2=2)
+    lo = np.linalg.eigvalsh(clean)[:, 0] if positive else np.zeros(len(clean))
+    _raise_first_fault(
+        [
+            (not_finite, lambda k: InvalidOperatorError("matrix is not finite")),
+            (~is_hermitian(clean), lambda k: InvalidOperatorError("matrix is not Hermitian")),
+            (np.abs(traces.real - 1.0) > _TRACE_ATOL,
+             lambda k: InvalidOperatorError(f"matrix trace {traces[k]:.6g} is not 1")),
+            (lo < -PSD_ATOL, lambda k: NotAStateError(
+                f"matrix has negative eigenvalue {lo[k]:.3e}", min_eigenvalue=float(lo[k]))),
+        ],
+        len(matrices),
+        lambda k: DimensionMismatchError(
+            f"matrix has shape {matrices[k].shape}, expected ({d}, {d})"
+        ),
+    )
+    return _freeze(stack), d * basis.coords(stack)[:, 1:]
 
 
 def _states_from_matrices(basis: BlochBasis, matrices) -> list:
@@ -255,8 +254,8 @@ class Povm:
 
 
 def validate_povm(effects) -> Povm:
-    """Check shapes, finiteness, Hermiticity, spectra and completeness, each over all
-    effects before the next; name the first effect that fails."""
+    """Check shapes, finiteness, Hermiticity and spectra, each once over all effects,
+    then completeness; name the first effect that fails, with its first failed check."""
     effects = [np.asarray(e, dtype=complex) for e in effects]
     if not effects:
         raise PovmError("measurement needs at least one effect")
@@ -264,24 +263,21 @@ def validate_povm(effects) -> Povm:
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
         raise PovmError(f"effect 0 has shape {shape}, expected a nonempty square matrix")
     d = shape[0]
-    for k, e in enumerate(effects):
-        if e.shape != (d, d):
-            raise PovmError(f"effect {k} has shape {e.shape}, expected ({d}, {d})")
-    stack = _freeze(np.array(effects))
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    if bad.size:
-        raise PovmError(f"effect {bad[0]} is not finite")
-    bad = np.flatnonzero(~is_hermitian(stack))
-    if bad.size:
-        raise PovmError(f"effect {bad[0]} is not Hermitian")
-    ev = np.linalg.eigvalsh(stack)
-    bad = np.flatnonzero(ev[:, 0] < -PSD_ATOL)
-    if bad.size:
-        raise PovmError(f"effect {bad[0]} has negative eigenvalue {ev[bad[0], 0]:.3e}")
-    bad = np.flatnonzero(ev[:, -1] > 1.0 + PSD_ATOL)
-    if bad.size:
-        raise PovmError(f"effect {bad[0]} has eigenvalue {ev[bad[0], -1]:.6f} above 1")
-    effects = tuple(stack)  # read-only views of a copy no caller holds
+    stack, not_finite, clean = _square_stack(effects, d)
+    ev = np.linalg.eigvalsh(clean)
+    _raise_first_fault(
+        [
+            (not_finite, lambda k: PovmError(f"effect {k} is not finite")),
+            (~is_hermitian(clean), lambda k: PovmError(f"effect {k} is not Hermitian")),
+            (ev[:, 0] < -PSD_ATOL,
+             lambda k: PovmError(f"effect {k} has negative eigenvalue {ev[k, 0]:.3e}")),
+            (ev[:, -1] > 1.0 + PSD_ATOL,
+             lambda k: PovmError(f"effect {k} has eigenvalue {ev[k, -1]:.6f} above 1")),
+        ],
+        len(effects),
+        lambda k: PovmError(f"effect {k} has shape {effects[k].shape}, expected ({d}, {d})"),
+    )
+    effects = tuple(_freeze(stack))  # read-only views of a copy no caller holds
     total = sum(effects)
     if frob(total - np.eye(d)) > CPTP_ATOL:
         raise PovmError(

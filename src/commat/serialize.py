@@ -6,6 +6,7 @@ computations on its serialized operators.  Malformed input raises ParseError.
 Every document is written by ``dumps``.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import ParseError
 from .operators import (
     BlochBasis,
-    Povm,
     QuantumChannel,
     _states_from_matrices,
     amplitude_damping_channel,
@@ -263,20 +263,10 @@ def channel_payload(ch: QuantumChannel) -> dict:
 
 def to_jsonable(obj):
     """Recursively convert report dataclasses / numpy values to JSON-safe types."""
-    import dataclasses
-
-    from .operators import DensityOperator
-
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, QuantumChannel):
         return channel_payload(obj)
-    if isinstance(obj, Povm):
-        return [matrix_to_json(e) for e in obj.effects]
-    if isinstance(obj, DensityOperator):
-        return matrix_to_json(obj.matrix)
-    if isinstance(obj, Scenario):
-        return scenario_to_json(obj)
     if isinstance(obj, CommMatrix):
         return matrix_to_json(obj.entries)
     if isinstance(obj, (np.bool_,)):

@@ -1,6 +1,7 @@
 """Rank, storability, completeness certification, self-testing, robustness."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from commat import (
     certify_info_completeness,
     comm_matrix,
     dist_matrix,
+    eb_example,
     information_storability,
     noisy_antidist,
     numerical_rank,
@@ -148,6 +150,25 @@ class TestCompleteness:
         report = certify_info_completeness(c, 2, (states, povm))
         assert report.lower_bound == 4 and report.upper_bound == 4
         assert report.bounds_hold
+
+    @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -np.inf, -1.0, 0.0, 1.0])
+    def test_rank_tolerance_outside_zero_one_is_rejected_before_any_svd(
+        self, rel_tol, monkeypatch
+    ):
+        # on eb-six-state, 0 and -1 claimed a rank above d^2, and NaN and 1 a rank of 0
+        states, povm, *_ = eb_example()
+        c = comm_matrix(states, povm)
+        svds = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args))
+        calls = [
+            lambda: numerical_rank(c, rel_tol),
+            lambda: span_dims(states, povm, rel_tol),
+            lambda: certify_info_completeness(c, 2, (states, povm), rel_tol=rel_tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=re.escape(f"in (0, 1), got {rel_tol}")):
+                call()
+        assert svds == []
 
     def test_rank_bound_property_suite(self, rng):
         # two-sided rank bound and the storability cap on random set-ups

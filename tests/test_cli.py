@@ -446,6 +446,17 @@ def test_string_matrix_entry_is_parse_error(sic_file, tmp_path, capsys):
     assert "states[0]" in err["message"]
 
 
+def test_povm_with_two_faulty_effects_names_the_first(sic_file, tmp_path, capsys):
+    def edit(doc):
+        doc["povm"][0]["entries"] = [[1.5, 0], [0, 0], [0, 0], [0, 0]]
+        doc["povm"][1]["entries"] = [[-0.5, 0], [0, 0], [0, 0], [1, 0]]
+
+    code, err = _analyze_edited(sic_file, tmp_path, edit, capsys)
+    assert code == 2
+    assert err["code"] == "invalid-povm"
+    assert err["message"] == "effect 0 has eigenvalue 1.500000 above 1"
+
+
 def test_non_integer_repeat_is_parse_error(sic_file, tmp_path, capsys):
     def edit(doc):
         doc["repeat"] = "two"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from commat import (
+    amplitude_damping_channel,
     apply_channel,
     bloch_basis,
     bloch_from_state,
@@ -108,6 +109,18 @@ class TestBlochBasis:
             assert np.array_equal(basis3.coords(m), row)
 
 
+def channel_from_choi_on(basis, m):
+    return channel_from_choi(m, basis, basis)
+
+
+def channel_from_bloch_on(basis, m):
+    return channel_from_bloch(m, basis, basis)
+
+
+def apply_identity_channel(basis, m):
+    return apply_channel(identity_channel(basis), m)
+
+
 class TestStates:
     def test_zero_vector_is_maximally_mixed(self, basis3):
         s = state_from_bloch(basis3, np.zeros(8))
@@ -166,7 +179,17 @@ class TestStates:
         with pytest.raises(InvalidOperatorError):
             bloch_from_state(basis2, np.array([[0.5, 1.0], [0.0, 0.5]]))
 
-    @pytest.mark.parametrize("build", [state_from_matrix, bloch_from_state, unitary_channel])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            state_from_matrix,
+            bloch_from_state,
+            unitary_channel,
+            channel_from_choi_on,
+            channel_from_bloch_on,
+            apply_identity_channel,
+        ],
+    )
     @pytest.mark.parametrize("m", [np.eye(3) / 3, np.array([0.5, 0.5]), np.array(1.0)])
     def test_wrong_shape_is_a_dimension_mismatch(self, basis2, build, m):
         # the shape is checked before anything reshapes or indexes the matrix
@@ -277,7 +300,37 @@ class TestInballRadius:
             inball_radius(1)
 
 
+def _defective_qubit_effects():
+    """Faulty effects of a qubit measurement, each with the message of the first
+    check of ``validate_povm`` that it fails."""
+    nan = np.eye(2, dtype=complex) / 2
+    nan[0, 1] = np.nan
+    return {
+        "shape": (np.eye(3) / 3, "has shape (3, 3), expected (2, 2)"),
+        "not finite": (nan, "is not finite"),
+        "not Hermitian": (np.array([[0.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
+        "not Hermitian, above 1": (np.array([[1.5, 1.0], [0.0, 0.5]]), "is not Hermitian"),
+        "negative": (np.diag([-0.5, 1.0]), "has negative eigenvalue -5.000e-01"),
+        "negative, above 1": (np.diag([1.5, -0.5]), "has negative eigenvalue -5.000e-01"),
+        "above 1": (np.diag([1.5, 0.0]), "has eigenvalue 1.500000 above 1"),
+    }
+
+
 class TestPovm:
+    @pytest.mark.parametrize("first", list(_defective_qubit_effects()))
+    @pytest.mark.parametrize("second", list(_defective_qubit_effects()))
+    def test_error_names_the_first_faulty_effect_by_its_first_failed_check(self, first, second):
+        # the rule of the states: which effect is named does not depend on the other faults
+        bad = _defective_qubit_effects()
+        valid = np.diag([0.25, 0.75])
+        with pytest.raises(PovmError) as raised:
+            validate_povm([valid, bad[first][0], valid, bad[second][0]])
+        assert str(raised.value) == f"effect 1 {bad[first][1]}"
+
+    def test_no_effects_is_a_povm_error(self):
+        with pytest.raises(PovmError, match="measurement needs at least one effect"):
+            validate_povm([])
+
     def test_projective_measurement(self):
         povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         assert len(povm) == 2
@@ -472,6 +525,50 @@ class TestChannels:
         assert np.array_equal(ch.bloch_matrix, bloch)
         bloch[0, 0] = 5.0  # the caller's array stays writable and is not shared
         assert ch.bloch_matrix[0, 0] != 5.0
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: BlochBasis(dim=2, elements=bloch_basis(2).elements[:3]),
+            InvalidDimensionError,
+            "expected 4 basis elements of shape (2, 2), got (3, 2, 2)",
+        ),
+        (
+            lambda: state_from_bloch(bloch_basis(2), np.zeros(2)),
+            DimensionMismatchError,
+            "Bloch vector must have length 3, got (2,)",
+        ),
+        (
+            lambda: is_unital_map(
+                random_channel(bloch_basis(2), bloch_basis(3), np.random.default_rng(0))
+            ),
+            DimensionMismatchError,
+            "unitality is defined only for square channels",
+        ),
+        (lambda: depolarizing_channel(bloch_basis(2), -0.1), InvalidChannelError,
+         "depolarizing strength -0.1 outside [0, 1]"),
+        (lambda: depolarizing_channel(bloch_basis(2), 1.1), InvalidChannelError,
+         "depolarizing strength 1.1 outside [0, 1]"),
+        (lambda: amplitude_damping_channel(bloch_basis(3), 0.5), InvalidDimensionError,
+         "amplitude damping is defined for qubits"),
+        (lambda: amplitude_damping_channel(bloch_basis(2), -0.1), InvalidChannelError,
+         "damping rate -0.1 outside [0, 1]"),
+        (lambda: amplitude_damping_channel(bloch_basis(2), 1.1), InvalidChannelError,
+         "damping rate 1.1 outside [0, 1]"),
+    ],
+    ids=[
+        "basis-element-count", "bloch-vector-length", "unitality-of-a-rectangular-channel",
+        "depolarizing-below-0", "depolarizing-above-1", "amplitude-damping-qutrit",
+        "damping-below-0", "damping-above-1",
+    ],
+)
+def test_constructor_shape_and_range_errors(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def _array_field_objects():

@@ -1,5 +1,7 @@
 """Frame construction and the three reconstruction routes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,12 @@ from commat import (
     validate_povm,
 )
 from commat.errors import (
+    DimensionMismatchError,
     FrameDeficientError,
     InsufficientStatesError,
     NotInformationallyCompleteError,
     NotSelfTestableError,
+    PreconditionError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
 from commat.tomography import _dual_frame
@@ -51,6 +55,12 @@ def axis_states(basis2):
         state_from_bloch(basis2, r)
         for r in (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     )
+
+
+@pytest.fixture
+def sic_unital_frame(basis2):
+    states, povm = sic_qubit()
+    return build_unital_frame(states, povm, basis2)
 
 
 class TestBuildFrame:
@@ -235,6 +245,10 @@ class TestReconstruct:
         assert rec.choi_min_eigval < -1e-6
         assert not rec.is_cptp(1e-6)
 
+    def test_cprime_of_another_shape_than_the_frame_is_a_dimension_mismatch(self, sic_frame):
+        with pytest.raises(DimensionMismatchError, match="matrix is 3x4 but frame expects 4x4"):
+            reconstruct_channel(sic_frame, CommMatrix(entries=np.full((3, 4), 0.25)))
+
 
 class TestReconstructUnital:
     def test_trine_states_insufficient(self, basis2):
@@ -300,6 +314,26 @@ class TestReconstructUnital:
             rec_full = reconstruct_channel(full_frame, cp_full)
             rec_unital = reconstruct_unital(unital_frame, c, cp_unital)
             assert np.linalg.norm(rec_full.choi - rec_unital.choi) < 1e-8
+
+    def test_cprime_of_another_shape_than_the_frame_is_a_dimension_mismatch(self, sic_unital_frame):
+        c = CommMatrix(entries=np.full((3, 4), 0.25))
+        with pytest.raises(DimensionMismatchError, match="matrix is 3x4 but frame expects 4x4"):
+            reconstruct_unital(sic_unital_frame, c, c)
+
+    def test_c_and_cprime_of_different_shapes_are_a_dimension_mismatch(self, sic_unital_frame):
+        c = CommMatrix(entries=np.full((4, 4), 0.25))
+        cprime = CommMatrix(entries=np.full((3, 4), 0.25))
+        with pytest.raises(DimensionMismatchError, match=re.escape("shapes differ: (4, 4) vs (3, 4)")):
+            reconstruct_unital(sic_unital_frame, c, cprime)
+
+    def test_c_that_does_not_match_the_frame_is_a_precondition_error(self, sic_unital_frame):
+        c = CommMatrix(entries=np.full((4, 4), 0.25))
+        with pytest.raises(PreconditionError) as raised:
+            reconstruct_unital(sic_unital_frame, c, c)
+        assert type(raised.value) is PreconditionError
+        assert str(raised.value) == (
+            "pre-channel matrix is inconsistent with the frame's states and effects"
+        )
 
 
 class TestReconstructUpToGauge:
