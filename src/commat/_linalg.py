@@ -1,5 +1,6 @@
 """Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices,
-restarts, and the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches."""
+restarts, the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches, and
+its batched form for many starts of one objective."""
 
 import numpy as np
 
@@ -7,6 +8,10 @@ HERM_ATOL = 1e-12
 RANK_REL_TOL = 1e-9
 GN_STEP_RTOL = 1e-12
 POLISH_MAX_STEPS = 20
+LBFGS_GTOL = 1e-14
+LBFGS_MEMORY = 10
+LBFGS_MAX_BACKTRACKS = 20
+ARMIJO_C1 = 1e-4
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -110,6 +115,13 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
+def _polish_inside_gate(residual, jacobian, x, f, gate) -> tuple:
+    """``gauss_newton`` from an end point with f at most ``gate``^2; others as they are."""
+    if f <= gate**2:
+        return gauss_newton(residual, jacobian, x, POLISH_MAX_STEPS)
+    return x, f
+
+
 def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tuple:
     """Minimize ``objective`` (f = ||residual||^2 and its gradient) from ``x0`` in two phases.
 
@@ -138,28 +150,145 @@ def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tup
         x0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": ftol, "gtol": 1e-14},
+        options={"maxiter": maxiter, "ftol": ftol, "gtol": LBFGS_GTOL},
     )
-    if res.fun <= gate**2:
-        return gauss_newton(residual, jacobian, res.x, POLISH_MAX_STEPS)
-    return res.x, res.fun
+    return _polish_inside_gate(residual, jacobian, res.x, res.fun, gate)
+
+
+def batch_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> list:
+    """``two_phase_fit`` of each row of ``x0`` (k, n), with the L-BFGS phase run as one batch.
+
+    ``objective`` takes a stack of points (j, n) and returns f (j,) and the
+    gradients (j, n).  All rows run ``lbfgs_batch``; each end point with f at
+    most ``gate``^2 is then polished alone by ``gauss_newton``, as in
+    ``two_phase_fit``.  Returns one (x, f = ||residual(x)||^2) per row, in row order.
+    """
+    x, f = lbfgs_batch(objective, x0, ftol, maxiter)
+    return [_polish_inside_gate(residual, jacobian, xi, fi, gate) for xi, fi in zip(x, f)]
+
+
+def _two_loop(g, s, y, rho, gamma, newest_first):
+    """H g for each row's L-BFGS inverse Hessian: the two-loop recursion over the memory
+    slots in ``newest_first`` order, from H0 = gamma I; a slot with rho = 0 is skipped."""
+    q = g.copy()
+    alpha = {}
+    for i in newest_first:
+        alpha[i] = rho[:, i] * np.einsum("kn,kn->k", s[:, i], q)
+        q -= alpha[i][:, None] * y[:, i]
+    q *= gamma[:, None]
+    for i in reversed(newest_first):
+        beta = rho[:, i] * np.einsum("kn,kn->k", y[:, i], q)
+        q += (alpha[i] - beta)[:, None] * s[:, i]
+    return q
+
+
+def lbfgs_batch(objective, x0, ftol, maxiter) -> tuple:
+    """Unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45, 503 (1989)) on each row of ``x0``.
+
+    The rows are independent minimizations of one ``objective``, which maps a
+    stack of points (j, n) to f (j,) and gradients (j, n), so each iteration
+    evaluates every running row in one call.  Each row keeps its own
+    ``LBFGS_MEMORY`` curvature pairs (a pair with s.y at most eps y.y is not
+    stored) and its own Armijo backtracking line search, from the unit step
+    (1 / ||g|| while the row holds no pair) with safeguarded quadratic
+    interpolation, for at most ``LBFGS_MAX_BACKTRACKS`` evaluations.  A row
+    stops, and leaves the batch, when L-BFGS-B would stop it: a relative decrease
+    of f at most ``ftol`` * max(|f|, |f'|, 1), a gradient of at most
+    ``LBFGS_GTOL`` in every entry, ``maxiter`` iterations or a failed line
+    search; and it stops at once with a non-finite f or gradient.  Returns the
+    end points (k, n) and their f (k,); a row that stops keeps its last accepted point.
+    """
+    x = np.array(x0, dtype=float)
+    k, n = x.shape
+    x_end, f_end = x.copy(), np.full(k, np.nan)
+    f, g = objective(x)
+    f, g = np.array(f, dtype=float), np.array(g, dtype=float)
+    rows = np.arange(k)
+    s_mem = np.zeros((k, LBFGS_MEMORY, n))
+    y_mem = np.zeros((k, LBFGS_MEMORY, n))
+    rho = np.zeros((k, LBFGS_MEMORY))
+    gamma = np.ones(k)
+    stop = ~np.isfinite(f) | ~np.isfinite(g).all(axis=1) | (np.abs(g).max(axis=1) <= LBFGS_GTOL)
+    for it in range(maxiter):
+        if stop.any():
+            x_end[rows[stop]], f_end[rows[stop]] = x[stop], f[stop]
+            keep = ~stop
+            rows, x, f, g = rows[keep], x[keep], f[keep], g[keep]
+            s_mem, y_mem, rho, gamma = s_mem[keep], y_mem[keep], rho[keep], gamma[keep]
+        if rows.size == 0:
+            break
+        # the pairs live in slots it - 1, it - 2, ... (mod the memory), newest first
+        newest_first = [(it - 1 - j) % LBFGS_MEMORY for j in range(min(it, LBFGS_MEMORY))]
+        d = -_two_loop(g, s_mem, y_mem, rho, gamma, newest_first)
+        slope = np.einsum("kn,kn->k", g, d)
+        uphill = ~(slope < 0.0)                         # rounding: restart from steepest descent
+        if uphill.any():
+            rho[uphill], gamma[uphill] = 0.0, 1.0
+            d[uphill] = -g[uphill]
+            slope[uphill] = -np.einsum("kn,kn->k", g[uphill], g[uphill])
+        step = np.where(rho.any(axis=1), 1.0, 1.0 / np.linalg.norm(d, axis=1))
+        x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
+        searching = np.arange(rows.size)
+        for _ in range(LBFGS_MAX_BACKTRACKS):
+            t = step[searching]
+            trial = x[searching] + t[:, None] * d[searching]
+            f_trial, g_trial = objective(trial)
+            f0, s0 = f[searching], slope[searching]
+            ok = f_trial <= f0 + ARMIJO_C1 * t * s0
+            done = searching[ok]
+            x_new[done], f_new[done], g_new[done] = trial[ok], f_trial[ok], g_trial[ok]
+            searching = searching[~ok]
+            if searching.size == 0:
+                break
+            # minimizer of the quadratic through f0, the slope and f_trial, kept in [t/10, t/2]
+            t, f_bad, s0, f0 = t[~ok], f_trial[~ok], s0[~ok], f0[~ok]
+            quad = -s0 * t * t / (2.0 * (f_bad - f0 - s0 * t))
+            step[searching] = np.where(np.isfinite(quad), np.clip(quad, 0.1 * t, 0.5 * t), 0.5 * t)
+        s, y = x_new - x, g_new - g
+        sy, yy = np.einsum("kn,kn->k", s, y), np.einsum("kn,kn->k", y, y)
+        curved = sy > np.finfo(float).eps * yy          # False where the line search failed
+        slot = it % LBFGS_MEMORY
+        s_mem[:, slot], y_mem[:, slot] = s, y
+        rho[:, slot] = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        np.divide(sy, yy, out=gamma, where=curved)
+        # a failed line search leaves f unchanged, so it counts as stalled
+        stalled = (f - f_new) <= ftol * np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        finite = np.isfinite(f_new) & np.isfinite(g_new).all(axis=1)
+        stop = stalled | ~finite | (np.abs(g_new).max(axis=1) <= LBFGS_GTOL)
+        x, f, g = x_new, f_new, g_new
+    x_end[rows], f_end[rows] = x, f
+    return x_end, f_end
+
+
+def best_start(residuals, tol: float) -> int:
+    """Index of the first residual within ``tol``, else of the lowest one.
+
+    Ties keep the earlier start; a finite residual replaces a NaN best, and a NaN
+    one never replaces a best.  This is the keep rule of every restarted search.
+    """
+    best = 0
+    for start, residual in enumerate(residuals):
+        if residual <= tol:
+            return start
+        if residual < residuals[best] or (np.isnan(residuals[best]) and not np.isnan(residual)):
+            best = start
+    return best
 
 
 def multistart(solve, restarts: int, seed: int, tol: float) -> tuple:
     """Call ``solve(rng, start)`` for start = 0, 1, ... with one generator seeded by ``seed``.
 
     Each call returns ``(candidate, residual)``, the residual being the number the
-    verdict tests.  The lowest residual is kept (ties keep the earlier start) and
-    the search stops at the first residual within ``tol``.  Returns the best
-    candidate, its residual and the number of starts run.  A finite residual
-    replaces a NaN best, and a NaN one never replaces a best.  ``restarts`` must
-    be at least 1; the public entry points check it.
+    verdict tests.  The search stops at the first residual within ``tol`` and
+    keeps the start that ``best_start`` picks.  Returns the best candidate, its
+    residual and the number of starts run.  ``restarts`` must be at least 1; the
+    public entry points check it.
     """
     rng = np.random.default_rng(seed)
+    results = []
     for start in range(restarts):
-        candidate, residual = solve(rng, start)
-        if start == 0 or residual < best_residual or (np.isnan(best_residual) and not np.isnan(residual)):
-            best, best_residual = candidate, residual
-        if residual <= tol:
+        results.append(solve(rng, start))
+        if results[-1][1] <= tol:
             break
-    return best, best_residual, start + 1
+    best = best_start([residual for _, residual in results], tol)
+    return results[best][0], results[best][1], len(results)

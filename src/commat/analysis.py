@@ -20,10 +20,10 @@ from .errors import (
     DimensionMismatchError,
     DimensionViolationError,
     InconsistentDimensionClaimError,
-    InvalidDimensionError,
     NotSelfTestableError,
     PreconditionError,
     ValidationError,
+    check_dimension,
     check_tolerance,
 )
 from .operators import GAUGE_NOTE, Povm, bloch_basis
@@ -59,6 +59,8 @@ def span_dims(states, povm: Povm, rel_tol: float = RANK_REL_TOL) -> tuple:
     ``rel_tol`` lies in (0, 1).
     """
     _check_rank_tol(rel_tol)
+    if len(states) == 0:
+        raise DimensionMismatchError("span dimensions need at least one state")
     basis = states[0].basis
     rows_s = basis.coords(np.array([s.matrix for s in states]))
     rows_m = basis.coords(np.array(povm.effects))
@@ -93,9 +95,11 @@ def certify_info_completeness(
     implementation: tuple | None = None,
     rel_tol: float = RANK_REL_TOL,
 ) -> InfoCompletenessReport:
-    """Deduce informational completeness of any implementation from rank(C) = d^2."""
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
+    """Deduce informational completeness of any implementation from rank(C) = d^2.
+
+    ``d`` must be an integer of at least 2 (numpy integers pass, 2.0 does not).
+    """
+    d = check_dimension(d)
     rank = numerical_rank(c, rel_tol)
     if rank > d * d:
         raise InconsistentDimensionClaimError(
@@ -280,8 +284,7 @@ def self_test(
     m, n = c.shape
     if m != n:
         raise DimensionMismatchError(f"self-test needs a square matrix, got {m}x{n}")
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
+    d = check_dimension(d)
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     check_tolerance("tol", tol)

@@ -5,6 +5,8 @@ structured error objects and map classes to exit codes (validation errors
 exit 2, precondition errors exit 3, numerical failures exit 4).
 """
 
+import operator
+
 
 class CommatError(Exception):
     """Base class for all library errors."""
@@ -35,6 +37,21 @@ def check_tolerance(name: str, value: float):
 
 class InvalidDimensionError(ValidationError):
     code = "invalid-dimension"
+
+
+def check_dimension(d) -> int:
+    """``d`` as an int of at least 2, else ``InvalidDimensionError``.
+
+    The integer rule is ``bloch_basis``'s, ``operator.index``: numpy integers
+    pass, and a float such as 2.0 or 2.5 does not.
+    """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise InvalidDimensionError(f"dimension must be an integer, got {d!r}") from None
+    if d < 2:
+        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
+    return d
 
 
 class NotAStateError(ValidationError):

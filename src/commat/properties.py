@@ -12,6 +12,8 @@ import numpy as np
 
 from ._linalg import (
     RANK_REL_TOL,
+    batch_fit,
+    best_start,
     born_matrix,
     frob,
     multistart,
@@ -28,6 +30,7 @@ from .errors import (
     BadReferenceError,
     PreconditionError,
     ValidationError,
+    check_dimension,
     check_tolerance,
 )
 from .analysis import DEFAULT_SEED, numerical_rank
@@ -216,8 +219,7 @@ def detect_unitality(
         raise DimensionMismatchError(
             f"shapes differ: {c.shape}, {c0.shape}, {cprime.shape}"
         )
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
+    d = check_dimension(d)
     row_dev = np.abs(c0.entries - c0.entries[0][None, :]).max()
     if row_dev > 1e-10:
         raise BadReferenceError(
@@ -336,11 +338,13 @@ def _unpack_mp_params(x, l, d):
 
     x is the float view of the stacked complex blocks (H_1 .. H_l, G_1 .. G_l),
     so a complex gradient of the same blocks, viewed as float, is in x's order.
+    Leading axes of x are a stack of points and lead every returned array.
     """
-    h, g = x.view(complex).reshape(2, l, d, d)
-    q = g @ g.conj().swapaxes(1, 2)
-    traces = np.maximum(np.einsum("iaa->i", q).real, 1e-12)
-    return h, g, q / traces[:, None, None], traces
+    blocks = x.view(complex).reshape(*x.shape[:-1], 2, l, d, d)
+    h, g = blocks[..., 0, :, :, :], blocks[..., 1, :, :, :]
+    q = g @ g.conj().swapaxes(-1, -2)
+    traces = np.maximum(np.einsum("...iaa->...i", q).real, 1e-12)
+    return h, g, q / traces[..., None, None], traces
 
 
 def _complete_effects(h):
@@ -349,17 +353,19 @@ def _complete_effects(h):
     The stacked Y_i = H_i T is the polar factor W V^dag of the stacked H =
     W diag(sigma) V^dag, so the effects N_i = Y_i^dag Y_i sum to the identity to
     rounding whatever the condition of S.  The eigenvalues of S are sigma^2 and
-    its eigenvectors the rows of V^dag.  Returns N, Y, sigma and V^dag.
+    its eigenvectors the rows of V^dag.  Returns N, Y, sigma and V^dag; leading
+    axes of h are a stack.
     """
-    l, d, _ = h.shape
-    w, sigma, vh = np.linalg.svd(h.reshape(l * d, d), full_matrices=False)
-    y = (w @ vh).reshape(l, d, d)
-    return y.conj().swapaxes(1, 2) @ y, y, sigma, vh
+    l, d = h.shape[-3:-1]
+    w, sigma, vh = np.linalg.svd(h.reshape(*h.shape[:-3], l * d, d), full_matrices=False)
+    y = (w @ vh).reshape(h.shape)
+    return y.conj().swapaxes(-1, -2) @ y, y, sigma, vh
 
 
 def _flat(ops):
     """Real rows [re, im, ...] of operators: Re tr(XY) = _flat(X) . _flat(Y) for Hermitian X."""
-    return np.ascontiguousarray(ops, dtype=complex).view(float).reshape(len(ops), -1)
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    return ops.view(float).reshape(*ops.shape[:-2], -1)
 
 
 class _MeasurePrepareFit:
@@ -367,7 +373,8 @@ class _MeasurePrepareFit:
 
     A[j, i] = tr(rho_j N_i) with the complete effects of ``_complete_effects`` and
     B[i, k] = tr(xi_i M_k) with trace-normalized states.  All three share one
-    forward pass and one pullback; the set-up's rows and the identity are built once.
+    forward pass and one pullback, which take a stack of points on leading axes;
+    the set-up's rows and the identity are built once.
     """
 
     def __init__(self, rho_arr, eff_arr, target, l):
@@ -379,8 +386,8 @@ class _MeasurePrepareFit:
     def _forward(self, x):
         h, g, states, traces = _unpack_mp_params(x, self.l, self.d)
         effects, y, sigma, vh = _complete_effects(h)
-        a = self.rho_f @ _flat(effects).T       # A[j, i] = tr(rho_j N_i)
-        b = _flat(states) @ self.eff_f.T        # B[i, k] = tr(xi_i M_k)
+        a = self.rho_f @ _flat(effects).swapaxes(-1, -2)  # A[j, i] = tr(rho_j N_i)
+        b = _flat(states) @ self.eff_f.T                   # B[i, k] = tr(xi_i M_k)
         return (h, g, traces, y, sigma, vh), a, b, self.target - a @ b
 
     def _pullback(self, chain, w_ops, c_state):
@@ -390,34 +397,42 @@ class _MeasurePrepareFit:
         that of Q_i = G_i G_i^dag.  Through N_i = T P_i T, the cotangent of P_i is
         T W_i T plus, through T = S^(-1/2), the term E = V (Gamma o V^dag K V) V^dag
         common to all i, with K = sum_i (P_i T W_i + h.c.) and Gamma the
-        Daleckii-Krein kernel of s^(-1/2).
+        Daleckii-Krein kernel of s^(-1/2).  The chain's stack of points broadcasts
+        against the trailing batch axes of the cotangents.
         """
         h, g, _, y, sigma, vh = chain
         l, d = self.l, self.d
-        batch = w_ops.shape[:-3]
         yw = y @ w_ops
-        k = h.reshape(l * d, d).conj().T @ yw.reshape(*batch, l * d, d)
-        v = vh.conj().T
+        k = h.reshape(*h.shape[:-3], l * d, d).conj().swapaxes(-1, -2) @ yw.reshape(
+            *yw.shape[:-3], l * d, d
+        )
+        v = vh.conj().swapaxes(-1, -2)
         k = vh @ (k + k.conj().swapaxes(-1, -2)) @ v
         root = np.maximum(sigma, 1e-100)                # s^(1/2); 1 / s^(3/2) stays finite
-        t = (v / root) @ vh
-        gamma = -1.0 / (root[:, None] * root * (root[:, None] + root))
+        t = (v / root[..., None, :]) @ vh
+        rows, cols = root[..., :, None], root[..., None, :]
+        gamma = -1.0 / (rows * cols * (rows + cols))
         e = v @ (gamma * k) @ vh
         # d/dconj(H_i) = H_i d/dP_i = Y_i W_i T + H_i E, and d/dconj(G_i) = c_state_i G_i
-        grads = np.concatenate((yw @ t + h @ e[..., None, :, :], c_state @ g), axis=-3)
+        grads = np.concatenate(
+            (yw @ t[..., None, :, :] + h @ e[..., None, :, :], c_state @ g), axis=-3
+        )
         # the packing wants 2 Re and 2 Im of each block, which is its float view
-        return 2.0 * grads.view(float).reshape(*batch, -1)
+        return 2.0 * grads.view(float).reshape(*grads.shape[:-3], -1)
 
     def objective(self, x):
+        """f = ||r||^2 and its gradient at x (N,), or at each row of a stack x (k, N),
+        where f is (k,) and the gradients (k, N)."""
         chain, a, b, r = self._forward(x)
         l, d, traces = self.l, self.d, chain[2]
-        w = -2.0 * (r @ b.T)                            # df/dA
-        v = -2.0 * (a.T @ r) / traces[:, None]          # df/dB[i, k] / tr(Q_i)
-        w_ops = (w.T @ self.rho_f).view(complex).reshape(l, d, d)
+        w = -2.0 * (r @ b.swapaxes(-1, -2))             # df/dA
+        v = -2.0 * (a.swapaxes(-1, -2) @ r) / traces[..., None]  # df/dB[i, k] / tr(Q_i)
+        w_ops = (w.swapaxes(-1, -2) @ self.rho_f).view(complex).reshape(*x.shape[:-1], l, d, d)
         # d/dQ_i = sum_k v[i, k] M_k - (v_i . b_i) I, from the trace normalization
-        c_state = (v @ self.eff_f).view(complex).reshape(l, d, d)
-        c_state -= np.einsum("ik,ik->i", v, b)[:, None, None] * self.eye
-        return float(r.ravel() @ r.ravel()), self._pullback(chain, w_ops, c_state)
+        c_state = (v @ self.eff_f).view(complex).reshape(*x.shape[:-1], l, d, d)
+        c_state -= np.einsum("...ik,...ik->...i", v, b)[..., None, None] * self.eye
+        f = np.einsum("...jk,...jk->...", r, r)
+        return (float(f) if x.ndim == 1 else f), self._pullback(chain, w_ops, c_state)
 
     def residual(self, x):
         return self._forward(x)[3].ravel()
@@ -446,15 +461,24 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
     return n_povm, xi_states, a, b, frob(target - a @ b)
 
 
-# The EB fit is ``_linalg.two_phase_fit``.  Sweep (eb-search seeds 1-8, 96 EB
-# inputs; the qutrit panel of the tests, 20 inputs): ftol 1e-12 with a gate of
-# 1e-3 certifies 96/96 and 20/20 in 33,615 and 10,584 objective evaluations,
-# ftol 1e-7 with a gate of 1e-2 the same in 21,794 and 1,402.  The fits break
+# The EB fit is ``_linalg.two_phase_fit`` (and ``batch_fit``).  Sweep, run with L-BFGS-B
+# on every start (eb-search seeds 1-8, 96 EB inputs; the qutrit panel of the tests, 20
+# inputs): ftol 1e-12 with a gate of 1e-3 certifies 96/96 and 20/20 in 33,615 and 10,584
+# objective evaluations, ftol 1e-7 with a gate of 1e-2 the same in 21,794 and 1,402.  The fits break
 # at ftol 1e-5 (panel 13/20) and with the gate at 1e-3 (ftol 1e-6: 80/96).  No
 # non-EB end point came within 4.8e-2 of zero at either setting.  An
 # uncertified search reports its floor only to about ftol / (2 r).
 _LBFGS_FTOL = 1e-7
 _POLISH_GATE = 1e-2
+_LBFGS_MAXITER = 2000
+# Starts per batch after the first, a trade between the two searches that reach a
+# batch.  A non-EB search runs its whole budget: 31 starts of the identity search on
+# sic-qubit (l = 4) took 0.44 s one at a time and 0.18, 0.076 and 0.036 s in batches
+# of 1, 8 and 31.  An EB search whose first start misses pays for a whole batch even
+# when its first row certifies: two such qutrit channels (l = 3, 4) at 32 restarts
+# took 0.03 to 0.07 s one start at a time, 0.21 to 0.26 s with a batch of 8 and 0.34
+# to 0.52 s with one batch of 31 (CPU seconds, one BLAS thread, 2-core x86-64).
+_BATCH_STARTS = 8
 
 
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
@@ -462,25 +486,36 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
 
     The measurement is complete by construction (``_complete_effects``), so the
     objective is the squared residual of the realization the verdict tests.
-    Every start is a standard normal draw and runs ``_linalg.two_phase_fit``:
-    L-BFGS-B on ||r||^2 to ``_LBFGS_FTOL``, then, only if its end point's
-    residual is at most ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the
-    analytic Jacobian.  Only the best start is realized, once, after the search.
-    Returns its realization (N, xi, A, B, residual) and the number of restarts run.
+    Every start is a standard normal draw from one generator seeded by ``seed``.
+    The first runs alone through ``_linalg.two_phase_fit``: L-BFGS-B on ||r||^2
+    to ``_LBFGS_FTOL``, then, only if its end point's residual is at most
+    ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the analytic Jacobian.
+    While no start is within ``residual_tol``, the next ``_BATCH_STARTS`` (fewer
+    at the end of the budget) run ``_linalg.batch_fit``: the same L-BFGS stop
+    rule and polish, with the L-BFGS phase of all of them in one batch.  The
+    start kept is ``_linalg.best_start``'s, and only it is realized, once, after
+    the search.  Returns its realization (N, xi, A, B, residual) and the number
+    of starts run.
     """
     rho_arr = np.stack([s.matrix for s in rho_states])
     fit = _MeasurePrepareFit(rho_arr, np.stack(povm.effects), cprime.entries, l)
+    phases = (fit.objective, fit.residual, fit.jacobian)
+    settings = (_LBFGS_FTOL, _POLISH_GATE, _LBFGS_MAXITER)
+    rng = np.random.default_rng(seed)
 
-    def solve(rng, _):
+    def draw():
         # drawing in the order (H, G) x (re, im) x d x d fixes each seed's starts
-        x0 = rng.standard_normal((2, l, 2, fit.d, fit.d)).transpose(0, 1, 3, 4, 2).ravel()
-        x, f = two_phase_fit(
-            fit.objective, fit.residual, fit.jacobian, x0, _LBFGS_FTOL, _POLISH_GATE, 2000
-        )
-        return x, np.sqrt(f)                            # f = ||r(x)||^2
+        return rng.standard_normal((2, l, 2, fit.d, fit.d)).transpose(0, 1, 3, 4, 2).ravel()
 
-    x, _, ran = multistart(solve, restarts, seed, residual_tol)
-    return _realize_measure_prepare(x, rho_states, povm, l, fit.target), ran
+    fits = [two_phase_fit(*phases, draw(), *settings)]
+    residuals = [np.sqrt(fits[0][1])]                   # f = ||r(x)||^2
+    while len(fits) < restarts and not any(r <= residual_tol for r in residuals):
+        count = min(_BATCH_STARTS, restarts - len(fits))
+        batch = batch_fit(*phases, np.stack([draw() for _ in range(count)]), *settings)
+        fits += batch
+        residuals += [np.sqrt(f) for _, f in batch]
+    x = fits[best_start(residuals, residual_tol)][0]
+    return _realize_measure_prepare(x, rho_states, povm, l, fit.target), len(fits)
 
 
 def _realization_factors(rho_states, povm, n_povm, xi_states):
@@ -515,7 +550,12 @@ def eb_certificate(
     of zero, a Gauss-Newton polish with minimum-norm steps that reaches
     ``residual_tol`` where L-BFGS's stop rule cannot.  Fits that end far from
     zero are not polished, and only the best start of each inner dimension is
-    realized.
+    realized.  The first start of an inner dimension runs alone; while none is
+    within ``residual_tol``, the next starts run in batches of 8, with the same
+    L-BFGS stop rule, and the search stops after the batch that holds the first
+    start within tolerance.  So each inner dimension adds 1, 9, 17, ... or
+    ``restarts`` to the certificate's ``restarts`` (1 or 8 at the default
+    budget), also when a start early in a batch certifies.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is
     only sound when rank(C) = d^2; anything less raises an ambiguity error.
@@ -531,8 +571,7 @@ def eb_certificate(
     """
     if c.shape[0] != cprime.shape[0] or c.shape[1] != cprime.shape[1]:
         raise DimensionMismatchError(f"shapes differ: {c.shape} vs {cprime.shape}")
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
+    d = check_dimension(d)
     if claim not in ("matrix", "channel"):
         raise ValidationError(f"unknown claim level {claim!r}; expected 'matrix' or 'channel'")
     if restarts < 1:

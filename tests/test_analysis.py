@@ -31,9 +31,11 @@ from commat.analysis import (
     _projector_residual,
 )
 from commat.errors import (
+    CommatError,
     DimensionMismatchError,
     DimensionViolationError,
     InconsistentDimensionClaimError,
+    InvalidDimensionError,
     NotSelfTestableError,
     PreconditionError,
     ValidationError,
@@ -124,6 +126,16 @@ class TestSpanDims:
             expected = (dim_s, dim_m, dim_s + dim_m - rank(ops_s + ops_m))
             assert span_dims(states, povm) == expected
 
+    def test_no_states_is_a_commat_error(self):
+        _, povm = sic_qubit()
+        c = comm_matrix(*sic_qubit())
+        for call in (lambda: span_dims([], povm),
+                     lambda: certify_info_completeness(c, 2, ([], povm))):
+            with pytest.raises(DimensionMismatchError, match="at least one state"):
+                call()
+        assert issubclass(DimensionMismatchError, CommatError)
+
+
 
 class TestCompleteness:
     def test_d4_half_is_complete(self):
@@ -169,6 +181,24 @@ class TestCompleteness:
             with pytest.raises(ValidationError, match=re.escape(f"in (0, 1), got {rel_tol}")):
                 call()
         assert svds == []
+
+    @pytest.mark.parametrize("d", [2.5, 2.0])
+    def test_non_integer_dimension_is_rejected(self, d):
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        for call in (lambda: certify_info_completeness(c, d),
+                     lambda: certify_info_completeness(c, d, (states, povm)),
+                     lambda: self_test(c, d)):
+            with pytest.raises(InvalidDimensionError, match=f"must be an integer, got {d}"):
+                call()
+
+    def test_numpy_integer_dimension_is_accepted(self):
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        report = certify_info_completeness(c, np.int64(2), (states, povm))
+        assert report == certify_info_completeness(c, 2, (states, povm))
+        cert = self_test(c, np.int64(2))
+        assert cert.passes and cert.restarts == self_test(c, 2).restarts
 
     def test_rank_bound_property_suite(self, rng):
         # two-sided rank bound and the storability cap on random set-ups

@@ -374,7 +374,10 @@ class TestEbCertificate:
         assert cert.verdict == "certified-EB-implementable"
         assert cert.restarts == 1
 
-    def test_certified_search_stops_at_first_certifiable_restart(self, basis2):
+    def test_first_start_that_certifies_runs_no_batch(self, basis2, monkeypatch):
+        from commat import _linalg
+
+        monkeypatch.setattr(_linalg, "lbfgs_batch", lambda *a, **k: pytest.fail("batch ran"))
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         channel = depolarizing_channel(basis2, 0.8)
@@ -382,7 +385,34 @@ class TestEbCertificate:
         cert = eb_certificate(c, cp, 2, l_max=4)
         assert cert.verdict == "certified-EB-implementable"
         assert cert.residual <= cert.residual_tol
-        assert cert.restarts < 8
+        assert cert.restarts == 1
+
+    def test_search_stops_after_the_batch_that_certifies(self, basis2, monkeypatch):
+        # the first start is made to miss, so the next 8 run as one batch and one of them certifies
+        from commat import properties
+
+        monkeypatch.setattr(properties, "two_phase_fit", lambda *a: (a[3], np.inf))
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        channel = depolarizing_channel(basis2, 0.8)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+        cert = eb_certificate(c, cp, 2, l_max=4, restarts=32)
+        assert cert.verdict == "certified-EB-implementable"
+        assert cert.residual <= cert.residual_tol
+        assert cert.restarts == 9
+
+    @pytest.mark.parametrize("d", [2.5, 2.0])
+    def test_non_integer_dimension_is_rejected(self, d):
+        from commat.errors import InvalidDimensionError
+
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        reference = completely_depolarizing_channel(bloch_basis(2))
+        c0 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=reference))
+        for call in (lambda: eb_certificate(c, c, d, l_max=4),
+                     lambda: detect_unitality(c, c0, c, d, povm_complete=True)):
+            with pytest.raises(InvalidDimensionError, match="must be an integer"):
+                call()
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_restart_budget_below_one_rejected(self, restarts):
@@ -506,21 +536,13 @@ class TestEbCertificate:
 
     def test_identity_search_evaluation_budget(self, monkeypatch):
         # criterion 8's identity search: the penalized fit made 2,036 evaluations here
-        from commat import _linalg
-
-        calls = []
-        real = _linalg.minimize
-
-        def counting_minimize(fun, *args, **kwargs):
-            return real(lambda *a: calls.append(1) or fun(*a), *args, **kwargs)
-
-        monkeypatch.setattr(_linalg, "minimize", counting_minimize)
+        points = _count_objective_points(monkeypatch)
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         cert = eb_certificate(c, c, 2, l_max=4, restarts=8)
         assert cert.verdict == "no-certificate-found"
         assert cert.restarts == 8
-        assert len(calls) <= 1000
+        assert 0 < sum(points) <= 1000
 
     @pytest.mark.parametrize("d, l", [(2, 1), (2, 2), (2, 4), (3, 2)])
     def test_mp_jacobian_matches_central_differences(self, d, l):
@@ -618,13 +640,7 @@ class TestEbCertificate:
         # restart may pay for the Gauss-Newton polish (443 evaluations with ftol=1e-18)
         from commat import _linalg
 
-        calls = []
-        real = _linalg.minimize
-
-        def counting_minimize(fun, *args, **kwargs):
-            return real(lambda *a: calls.append(1) or fun(*a), *args, **kwargs)
-
-        monkeypatch.setattr(_linalg, "minimize", counting_minimize)
+        points = _count_objective_points(monkeypatch)
         monkeypatch.setattr(
             _linalg, "gauss_newton", lambda *a, **k: pytest.fail("polish ran")
         )
@@ -633,7 +649,7 @@ class TestEbCertificate:
         cert = eb_certificate(c, c, 2, l_max=4, restarts=8)
         assert cert.verdict == "no-certificate-found"
         assert cert.restarts == 8
-        assert len(calls) <= 300
+        assert 0 < sum(points) <= 300
 
     @pytest.mark.parametrize("p, verdict", [(0.0, "no-certificate-found"),
                                             (0.8, "certified-EB-implementable")])
@@ -664,8 +680,56 @@ class TestEbCertificate:
         channel = amplitude_damping_channel(basis2, 0.3)
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
         monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: pytest.fail("search ran"))
+        monkeypatch.setattr(_linalg, "lbfgs_batch", lambda *a, **k: pytest.fail("batch ran"))
         with pytest.raises(PreconditionError, match=r"rank\(C'\) = 4 exceeds l_max = 1"):
             eb_certificate(c, cp, 2, l_max=1)
+
+    @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
+    def test_batched_objective_is_the_one_point_objective_row_by_row(self, d, l):
+        from commat.properties import _MeasurePrepareFit
+        from commat.sampling import random_povm
+
+        gen = np.random.default_rng(6000 * d + l)
+        rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
+        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
+        xs = gen.standard_normal((5, 4 * l * d * d))
+        f, grad = fit.objective(xs)
+        assert f.shape == (5,) and grad.shape == xs.shape
+        for x, f_row, grad_row in zip(xs, f, grad):
+            f_one, grad_one = fit.objective(x)
+            assert isinstance(f_one, float)
+            assert abs(f_row - f_one) <= 1e-12 * abs(f_one)
+            assert np.abs(grad_row - grad_one).max() <= 1e-10 * np.abs(grad_one).max()
+
+    def test_batch_starts_are_the_sequential_draws(self, monkeypatch):
+        # the identity on sic-qubit searches l = 4 only, from the generator seeded by seed + 4
+        from commat import _linalg
+
+        first, batch = [], []
+        minimize, lbfgs_batch = _linalg.minimize, _linalg.lbfgs_batch
+
+        def recording_minimize(objective, x0, **kwargs):
+            first.append(x0.copy())
+            return minimize(objective, x0, **kwargs)
+
+        def recording_batch(objective, x0, *args):
+            batch.append(x0.copy())
+            return lbfgs_batch(objective, x0, *args)
+
+        monkeypatch.setattr(_linalg, "minimize", recording_minimize)
+        monkeypatch.setattr(_linalg, "lbfgs_batch", recording_batch)
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        cert = eb_certificate(c, c, 2, l_max=4, restarts=12, seed=40)
+        assert cert.verdict == "no-certificate-found" and cert.restarts == 12
+        gen = np.random.default_rng(44)
+        draws = [gen.standard_normal((2, 4, 2, 2, 2)).transpose(0, 1, 3, 4, 2).ravel()
+                 for _ in range(12)]
+        assert len(first) == 1 and np.array_equal(first[0], draws[0])
+        # batches of at most 8 starts, in draw order
+        assert len(batch) == 2
+        assert np.array_equal(batch[0], np.stack(draws[1:9]))
+        assert np.array_equal(batch[1], np.stack(draws[9:]))
 
     def test_random_measure_prepare_channel_certifies(self, basis2):
         from commat.sampling import random_povm
@@ -709,6 +773,22 @@ class TestEbCertificate:
         bare = noisy_antidist(4, 0.5)
         with pytest.raises(PreconditionError, match="implementation"):
             eb_certificate(bare, bare, 2, l_max=4)
+
+
+def _count_objective_points(monkeypatch):
+    """Record the points of every EB objective call, from L-BFGS-B and from the batch alike:
+    a single point counts 1 and a stack of k points counts k.  Returns the growing list."""
+    from commat.properties import _MeasurePrepareFit
+
+    points = []
+    real = _MeasurePrepareFit.objective
+
+    def counting(self, x):
+        points.append(1 if x.ndim == 1 else len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(_MeasurePrepareFit, "objective", counting)
+    return points
 
 
 def _qutrit_measure_prepare_certificate(basis3, seed, l):

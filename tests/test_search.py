@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from commat import _linalg
-from commat._linalg import gauss_newton, inverse_sqrt, multistart, two_phase_fit
+from commat._linalg import (
+    batch_fit,
+    best_start,
+    gauss_newton,
+    inverse_sqrt,
+    lbfgs_batch,
+    multistart,
+    two_phase_fit,
+)
 
 
 def scripted(residuals):
@@ -57,6 +65,19 @@ def test_one_generator_per_seed():
     multistart(other, 3, 6, 0.0)
     assert draws_a == draws_b != draws_c
     assert len({draw for _, draw in draws_a}) == 3  # the starts share one stream, not one seed
+
+
+@pytest.mark.parametrize("residuals, kept", [
+    ([0.5, 0.2, 1e-9, 1e-12, 0.1], 2),  # the first within tolerance, although 3 is lower
+    ([0.5, 0.1, 0.3, 0.1], 1),          # the tie at start 3 keeps the earlier start 1
+    ([np.nan, np.nan, np.nan], 0),      # all NaN: the first start
+    ([np.nan, 0.3, np.nan, 0.2], 3),    # a finite residual replaces a NaN best, not the reverse
+    ([0.3, np.nan, 0.2], 2),
+])
+def test_best_start_is_the_rule_of_the_sequential_search(residuals, kept):
+    assert best_start(residuals, 1e-8) == kept
+    solve, _ = scripted(residuals)
+    assert multistart(solve, len(residuals), 0, 1e-8)[0] == f"candidate {kept}"
 
 
 def test_inverse_sqrt_matches_eigen_formula(rng):
@@ -197,3 +218,88 @@ def test_two_phase_fit_runs_l_bfgs_b_from_a_start_outside_the_gate(monkeypatch):
     assert len(fits) == 1 and fits[0][0] is x0
     assert len(polished) == 1 and polished[0] is fits[0][1].x
     assert f == residual(x) @ residual(x) <= 1e-28
+
+
+def rowwise(objective, calls=None):
+    """The batched form of a one-point objective: f (k,) and gradients (k, n) of a stack;
+    it records the number of rows of each call in ``calls``."""
+
+    def batched(x):
+        if calls is not None:
+            calls.append(len(x))
+        f, grad = zip(*(objective(row) for row in x))
+        return np.array(f), np.array(grad)
+
+    return batched
+
+
+def test_lbfgs_batch_takes_each_row_to_its_own_minimizer_and_a_nan_start_stops_alone():
+    # a consistent, underdetermined system: L-BFGS keeps each row in x0 + range(a^T), so
+    # each row ends at the projection of its start onto the solution set
+    a = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, -1.0, 3.0]])
+    b = np.array([3.0, 1.0])
+    objective, residual, _ = least_squares(a, b)
+    starts = np.random.default_rng(7).standard_normal((5, 4)) * 3.0
+    starts[2, 1] = np.nan
+    calls = []
+    x, f = lbfgs_batch(rowwise(objective, calls), starts, 1e-20, 200)
+    assert calls[0] == 5 and max(calls[1:]) == 4     # the NaN row leaves after its first f
+    assert np.isnan(f[2]) and np.array_equal(x[2], starts[2], equal_nan=True)
+    finite = [0, 1, 3, 4]
+    projections = starts[finite] - (np.linalg.pinv(a) @ (starts[finite] @ a.T - b).T).T
+    assert np.abs(x[finite] - projections).max() <= 1e-8
+    assert (f[finite] <= 1e-16).all()
+    assert all(f[i] == residual(x[i]) @ residual(x[i]) for i in finite)
+
+
+def test_lbfgs_batch_evaluates_a_stationary_start_once():
+    objective, _, _ = least_squares(np.eye(2), np.array([1.0, -1.0]))
+    calls = []
+    starts = np.array([[1.0, -1.0], [4.0, 2.0]])
+    x, f = lbfgs_batch(rowwise(objective, calls), starts, 1e-12, 100)
+    assert calls[0] == 2 and set(calls[1:]) == {1}
+    assert np.array_equal(x[0], starts[0]) and f[0] == 0.0
+    assert np.abs(x[1] - [1.0, -1.0]).max() <= 1e-6
+
+
+def test_lbfgs_batch_stops_after_maxiter_iterations():
+    # Rosenbrock's valley takes dozens of iterations; each of the first few lowers f further
+    def rosenbrock(x):
+        f = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+        grad = np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+                         200.0 * (x[1] - x[0] ** 2)])
+        return f, grad
+
+    starts = np.array([[-1.2, 1.0], [2.0, -1.0]])
+    f_start = np.array([rosenbrock(s)[0] for s in starts])
+    f_by_maxiter = [lbfgs_batch(rowwise(rosenbrock), starts, 0.0, maxiter)[1]
+                    for maxiter in (0, 1, 2, 3)]
+    assert np.array_equal(f_by_maxiter[0], f_start)
+    assert all((later < earlier).all() for earlier, later in zip(f_by_maxiter, f_by_maxiter[1:]))
+    assert (f_by_maxiter[-1] > 1e-3).all()
+    x, f = lbfgs_batch(rowwise(rosenbrock), starts, 1e-15, 2000)
+    assert np.abs(x - 1.0).max() <= 1e-4
+
+
+def test_batch_fit_polishes_only_the_rows_that_end_inside_the_gate(monkeypatch):
+    # with ftol 1e-2 L-BFGS stops loosely: the consistent system ends inside the gate and is
+    # polished to rounding, the inconsistent one (floor f = 2) is returned as L-BFGS left it
+    consistent = least_squares(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), np.array([3.0, 1.0]))
+    polished = []
+    real = _linalg.gauss_newton
+
+    def recording(res, jac, x, steps):
+        polished.append(x)
+        return real(res, jac, x, steps)
+
+    monkeypatch.setattr(_linalg, "gauss_newton", recording)
+    objective, residual, jacobian = consistent
+    results = batch_fit(rowwise(objective), residual, jacobian,
+                        np.array([[5.0, -4.0, 0.0], [0.0, 3.0, 1.0]]), 1e-2, 1.0, 100)
+    assert len(results) == 2 and len(polished) == 2
+    assert all(f == residual(x) @ residual(x) <= 1e-28 for x, f in results)
+
+    polished.clear()
+    objective, residual, jacobian = least_squares(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
+    [(x, f)] = batch_fit(rowwise(objective), residual, jacobian, np.array([[3.0]]), 1e-8, 1e-2, 100)
+    assert polished == [] and f == residual(x) @ residual(x) > 1e-2**2
