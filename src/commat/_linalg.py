@@ -1,6 +1,6 @@
 """Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices,
-restarts, the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches, and
-its batched form for many starts of one objective."""
+restarts, the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches,
+its batched form for many starts of one objective, and the restart schedule of both."""
 
 import numpy as np
 
@@ -12,6 +12,15 @@ LBFGS_GTOL = 1e-14
 LBFGS_MEMORY = 10
 LBFGS_MAX_BACKTRACKS = 20
 ARMIJO_C1 = 1e-4
+# Starts per batch after the first start of a search.  A search that finds nothing
+# runs its whole budget: 31 starts of the EB identity search on sic-qubit (l = 4) took
+# 0.44 s one at a time and 0.18, 0.076 and 0.036 s in batches of 1, 8 and 31.  A
+# search that passes runs every row of its batch until the first one passes: the
+# qutrit self-tests of rank-1 set-ups (d, n, seed) = (3, 9, 0), (3, 10, 0), (3, 9, 4)
+# took 28, 62 and 10 ms with batches of 4, 25, 40 and 13 ms with batches of 8 and
+# 25, 25 and 13 ms with batches of 16, which report 17 starts for each (CPU, one
+# BLAS thread, 2-core x86-64).
+BATCH_STARTS = 8
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -155,109 +164,174 @@ def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tup
     return _polish_inside_gate(residual, jacobian, res.x, res.fun, gate)
 
 
-def batch_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> list:
-    """``two_phase_fit`` of each row of ``x0`` (k, n), with the L-BFGS phase run as one batch.
+def batch_fit(objective, residual, jacobian, x0, ftol, gate, maxiter, verdict, tol) -> list:
+    """``two_phase_fit`` of the rows of ``x0`` (k, n) until one passes, with one L-BFGS batch.
 
     ``objective`` takes a stack of points (j, n) and returns f (j,) and the
-    gradients (j, n).  All rows run ``lbfgs_batch``; each end point with f at
-    most ``gate``^2 is then polished alone by ``gauss_newton``, as in
-    ``two_phase_fit``.  Returns one (x, f = ||residual(x)||^2) per row, in row order.
+    gradients (j, n).  All rows run ``lbfgs_batch``.  As soon as a row stops,
+    its end point is polished by ``gauss_newton`` if its f is at most
+    ``gate``^2, as in ``two_phase_fit``, and ``verdict(x, f)`` gives the
+    residual its search tests.  The batch ends at the first row whose residual
+    is within ``tol``; of rows that stop in the same iteration the lowest index
+    goes first, and no later row is polished.  Returns (x, verdict residual) of
+    each row that ended, in row order.
     """
-    x, f = lbfgs_batch(objective, x0, ftol, maxiter)
-    return [_polish_inside_gate(residual, jacobian, xi, fi, gate) for xi, fi in zip(x, f)]
+    ends = {}
+    for rows, x, f in lbfgs_batch(objective, x0, ftol, maxiter):
+        for row, xi, fi in zip(rows, x, f):
+            xi, fi = _polish_inside_gate(residual, jacobian, xi, fi, gate)
+            ends[row] = (xi, verdict(xi, fi))
+            if ends[row][1] <= tol:
+                return [ends[i] for i in sorted(ends)]
+    return [ends[i] for i in sorted(ends)]
 
 
-def _two_loop(g, s, y, rho, gamma, newest_first):
-    """H g for each row's L-BFGS inverse Hessian: the two-loop recursion over the memory
-    slots in ``newest_first`` order, from H0 = gamma I; a slot with rho = 0 is skipped."""
-    q = g.copy()
-    alpha = {}
-    for i in newest_first:
-        alpha[i] = rho[:, i] * np.einsum("kn,kn->k", s[:, i], q)
-        q -= alpha[i][:, None] * y[:, i]
-    q *= gamma[:, None]
-    for i in reversed(newest_first):
-        beta = rho[:, i] * np.einsum("kn,kn->k", y[:, i], q)
-        q += (alpha[i] - beta)[:, None] * s[:, i]
-    return q
+class _CompactMemory:
+    """The last ``LBFGS_MEMORY`` curvature pairs (s, y) of each row of a batch, in compact form.
+
+    Byrd, Nocedal & Schnabel (Math. Prog. 63, 129 (1994)) write the L-BFGS
+    inverse Hessian of the pairs S, Y (columns, oldest first) and the scale
+    gamma as H = gamma I + [S Y] M [S Y]^T, where M is built from
+    D = diag(S^T Y), Y^T Y and R^-1, R being the upper triangle of S^T Y.  So H g
+    takes two products with [S Y] and three with m x m matrices, and gives the
+    two-loop recursion's vector to rounding.  Each ``push`` drops the oldest
+    pair and adds one row and column to Y^T Y and R^-1.  A pair that is not
+    kept (s.y at most eps y.y) is stored as a zero pair with R_ii = 1, which
+    adds nothing to H, and so are the empty slots of a memory not yet full.
+    """
+
+    def __init__(self, k, n):
+        m = LBFGS_MEMORY
+        self.pairs = np.zeros((k, 2 * m, n))            # S, then Y, oldest pair first
+        self.r_inv = np.tile(np.eye(m), (k, 1, 1))
+        self.yy = np.zeros((k, m, m))
+        self.sy = np.zeros((k, m))                       # D; 0 for a zero pair
+        self.gamma = np.ones(k)
+
+    def keep(self, rows):
+        """Drop the rows outside the mask ``rows``."""
+        self.pairs, self.r_inv, self.yy = self.pairs[rows], self.r_inv[rows], self.yy[rows]
+        self.sy, self.gamma = self.sy[rows], self.gamma[rows]
+
+    def clear(self, rows):
+        """Forget every pair of the rows in the mask ``rows``: their H becomes the identity."""
+        self.pairs[rows], self.yy[rows], self.sy[rows] = 0.0, 0.0, 0.0
+        self.r_inv[rows], self.gamma[rows] = np.eye(LBFGS_MEMORY), 1.0
+
+    def holds_pairs(self) -> np.ndarray:
+        return (self.sy > 0.0).any(axis=1)
+
+    def inverse_hessian_times(self, g) -> np.ndarray:
+        """H g of each row: gamma g + S R^-T ((D + gamma Y^T Y) u - gamma Y^T g) - gamma Y u,
+        with u = R^-1 S^T g."""
+        m, gamma = LBFGS_MEMORY, self.gamma[:, None]
+        proj = (self.pairs @ g[:, :, None])[..., 0]    # S^T g, then Y^T g
+        u = (self.r_inv @ proj[:, :m, None])[..., 0]
+        v = self.sy * u + gamma * ((self.yy @ u[:, :, None])[..., 0] - proj[:, m:])
+        coef = np.concatenate(((v[:, None, :] @ self.r_inv)[:, 0], -gamma * u), axis=1)
+        return gamma * g + (coef[:, None, :] @ self.pairs)[:, 0]
+
+    def push(self, s, y):
+        """Add the pair (s[i], y[i]) to row i, dropping its oldest pair."""
+        m = LBFGS_MEMORY
+        pairs = self.pairs.reshape(len(s), 2, m, -1)
+        pairs[:, :, :-1] = pairs[:, :, 1:]
+        pairs[:, 0, -1], pairs[:, 1, -1] = s, y
+        column = (self.pairs @ y[:, :, None])[..., 0]  # S^T y, then Y^T y
+        sty, yty = column[:, :m], column[:, m:]
+        curved = sty[:, -1] > np.finfo(float).eps * yty[:, -1]
+        if not curved.all():
+            pairs[~curved, :, -1] = 0.0
+            column[~curved] = 0.0
+        # R' = [[R, c], [0, delta]] has R'^-1 = [[R^-1, -R^-1 c / delta], [0, 1 / delta]]; the
+        # last row of the shifted R^-1 is already zero left of the diagonal, as R^-1 is upper
+        delta = np.where(curved, sty[:, -1], 1.0)
+        self.r_inv[:, :-1, :-1] = self.r_inv[:, 1:, 1:]
+        r_inv_c = (self.r_inv[:, :-1, :-1] @ sty[:, :-1, None])[..., 0]
+        self.r_inv[:, :-1, -1] = r_inv_c / -delta[:, None]
+        self.r_inv[:, -1, -1] = 1.0 / delta
+        self.yy[:, :-1, :-1] = self.yy[:, 1:, 1:]
+        self.yy[:, -1], self.yy[:, :, -1] = yty, yty
+        self.sy[:, :-1] = self.sy[:, 1:]
+        self.sy[:, -1] = sty[:, -1]
+        np.divide(sty[:, -1], yty[:, -1], out=self.gamma, where=curved)
 
 
-def lbfgs_batch(objective, x0, ftol, maxiter) -> tuple:
+def _stopped(f, g) -> np.ndarray:
+    """Rows with a non-finite f or gradient, or a gradient of at most ``LBFGS_GTOL`` in
+    every entry."""
+    g_max = np.abs(g).max(axis=1)                      # NaN or inf if any entry is
+    return ~(np.isfinite(f) & np.isfinite(g_max)) | (g_max <= LBFGS_GTOL)
+
+
+def lbfgs_batch(objective, x0, ftol, maxiter):
     """Unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45, 503 (1989)) on each row of ``x0``.
 
     The rows are independent minimizations of one ``objective``, which maps a
     stack of points (j, n) to f (j,) and gradients (j, n), so each iteration
     evaluates every running row in one call.  Each row keeps its own
-    ``LBFGS_MEMORY`` curvature pairs (a pair with s.y at most eps y.y is not
-    stored) and its own Armijo backtracking line search, from the unit step
-    (1 / ||g|| while the row holds no pair) with safeguarded quadratic
-    interpolation, for at most ``LBFGS_MAX_BACKTRACKS`` evaluations.  A row
-    stops, and leaves the batch, when L-BFGS-B would stop it: a relative decrease
-    of f at most ``ftol`` * max(|f|, |f'|, 1), a gradient of at most
+    ``LBFGS_MEMORY`` curvature pairs in a ``_CompactMemory`` (a pair with s.y at
+    most eps y.y is not kept) and its own Armijo backtracking line search, from
+    the unit step (1 / ||g|| while the row holds no pair) with safeguarded
+    quadratic interpolation, for at most ``LBFGS_MAX_BACKTRACKS`` evaluations.
+    A row stops, and leaves the batch, when L-BFGS-B would stop it: a relative
+    decrease of f at most ``ftol`` * max(|f|, |f'|, 1), a gradient of at most
     ``LBFGS_GTOL`` in every entry, ``maxiter`` iterations or a failed line
-    search; and it stops at once with a non-finite f or gradient.  Returns the
-    end points (k, n) and their f (k,); a row that stops keeps its last accepted point.
+    search; and it stops at once with a non-finite f or gradient.
+
+    A generator: after the first evaluation and after each iteration in which
+    rows stop, it yields their indices in ``x0`` (ascending), their end points
+    and their f.  Each row is yielded once, at its last accepted point; a
+    consumer that stops iterating stops the rows still running.
     """
     x = np.array(x0, dtype=float)
-    k, n = x.shape
-    x_end, f_end = x.copy(), np.full(k, np.nan)
     f, g = objective(x)
     f, g = np.array(f, dtype=float), np.array(g, dtype=float)
-    rows = np.arange(k)
-    s_mem = np.zeros((k, LBFGS_MEMORY, n))
-    y_mem = np.zeros((k, LBFGS_MEMORY, n))
-    rho = np.zeros((k, LBFGS_MEMORY))
-    gamma = np.ones(k)
-    stop = ~np.isfinite(f) | ~np.isfinite(g).all(axis=1) | (np.abs(g).max(axis=1) <= LBFGS_GTOL)
-    for it in range(maxiter):
+    rows = np.arange(len(x))
+    memory = _CompactMemory(*x.shape)
+    stop = _stopped(f, g)
+    for _ in range(maxiter):
         if stop.any():
-            x_end[rows[stop]], f_end[rows[stop]] = x[stop], f[stop]
+            yield rows[stop], x[stop], f[stop]
             keep = ~stop
             rows, x, f, g = rows[keep], x[keep], f[keep], g[keep]
-            s_mem, y_mem, rho, gamma = s_mem[keep], y_mem[keep], rho[keep], gamma[keep]
+            memory.keep(keep)
         if rows.size == 0:
-            break
-        # the pairs live in slots it - 1, it - 2, ... (mod the memory), newest first
-        newest_first = [(it - 1 - j) % LBFGS_MEMORY for j in range(min(it, LBFGS_MEMORY))]
-        d = -_two_loop(g, s_mem, y_mem, rho, gamma, newest_first)
+            return
+        d = -memory.inverse_hessian_times(g)
         slope = np.einsum("kn,kn->k", g, d)
         uphill = ~(slope < 0.0)                         # rounding: restart from steepest descent
         if uphill.any():
-            rho[uphill], gamma[uphill] = 0.0, 1.0
+            memory.clear(uphill)
             d[uphill] = -g[uphill]
             slope[uphill] = -np.einsum("kn,kn->k", g[uphill], g[uphill])
-        step = np.where(rho.any(axis=1), 1.0, 1.0 / np.linalg.norm(d, axis=1))
-        x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
-        searching = np.arange(rows.size)
-        for _ in range(LBFGS_MAX_BACKTRACKS):
-            t = step[searching]
-            trial = x[searching] + t[:, None] * d[searching]
-            f_trial, g_trial = objective(trial)
-            f0, s0 = f[searching], slope[searching]
-            ok = f_trial <= f0 + ARMIJO_C1 * t * s0
-            done = searching[ok]
-            x_new[done], f_new[done], g_new[done] = trial[ok], f_trial[ok], g_trial[ok]
-            searching = searching[~ok]
+        step = np.ones(rows.size)
+        fresh = ~memory.holds_pairs()
+        if fresh.any():
+            step[fresh] = 1.0 / np.linalg.norm(d[fresh], axis=1)
+        x_new = x + step[:, None] * d
+        f_new, g_new = objective(x_new)
+        searching = np.flatnonzero(~(f_new <= f + ARMIJO_C1 * step * slope))
+        for _ in range(LBFGS_MAX_BACKTRACKS - 1):
             if searching.size == 0:
                 break
-            # minimizer of the quadratic through f0, the slope and f_trial, kept in [t/10, t/2]
-            t, f_bad, s0, f0 = t[~ok], f_trial[~ok], s0[~ok], f0[~ok]
-            quad = -s0 * t * t / (2.0 * (f_bad - f0 - s0 * t))
-            step[searching] = np.where(np.isfinite(quad), np.clip(quad, 0.1 * t, 0.5 * t), 0.5 * t)
-        s, y = x_new - x, g_new - g
-        sy, yy = np.einsum("kn,kn->k", s, y), np.einsum("kn,kn->k", y, y)
-        curved = sy > np.finfo(float).eps * yy          # False where the line search failed
-        slot = it % LBFGS_MEMORY
-        s_mem[:, slot], y_mem[:, slot] = s, y
-        rho[:, slot] = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
-        np.divide(sy, yy, out=gamma, where=curved)
-        # a failed line search leaves f unchanged, so it counts as stalled
+            # minimizer of the quadratic through f0, the slope and the last trial, in [t/10, t/2]
+            t, f0, s0 = step[searching], f[searching], slope[searching]
+            quad = -s0 * t * t / (2.0 * (f_new[searching] - f0 - s0 * t))
+            t = np.where(np.isfinite(quad), np.clip(quad, 0.1 * t, 0.5 * t), 0.5 * t)
+            step[searching] = t
+            trial = x[searching] + t[:, None] * d[searching]
+            f_trial, g_trial = objective(trial)
+            x_new[searching], f_new[searching], g_new[searching] = trial, f_trial, g_trial
+            searching = searching[~(f_trial <= f0 + ARMIJO_C1 * t * s0)]
+        if searching.size:  # a failed line search keeps its point: a zero pair, and stalled
+            x_new[searching], f_new[searching] = x[searching], f[searching]
+            g_new[searching] = g[searching]
+        memory.push(x_new - x, g_new - g)
         stalled = (f - f_new) <= ftol * np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
-        finite = np.isfinite(f_new) & np.isfinite(g_new).all(axis=1)
-        stop = stalled | ~finite | (np.abs(g_new).max(axis=1) <= LBFGS_GTOL)
+        stop = stalled | _stopped(f_new, g_new)
         x, f, g = x_new, f_new, g_new
-    x_end[rows], f_end[rows] = x, f
-    return x_end, f_end
+    yield rows, x, f
 
 
 def best_start(residuals, tol: float) -> int:
@@ -273,6 +347,30 @@ def best_start(residuals, tol: float) -> int:
         if residual < residuals[best] or (np.isnan(residuals[best]) and not np.isnan(residual)):
             best = start
     return best
+
+
+def restart_search(phases, settings, verdict, x0, draw, restarts: int, tol: float) -> tuple:
+    """The restart schedule of both searches, over the fit ``phases`` = (objective,
+    residual, jacobian) with ``settings`` = (ftol, gate, maxiter) of ``two_phase_fit``.
+
+    The start ``x0`` runs alone through ``two_phase_fit``.  While no start's
+    residual ``verdict(x, f)`` is within ``tol`` and the budget of ``restarts``
+    is not spent, the next ``BATCH_STARTS`` starts (fewer at the end of the
+    budget), each a ``draw()`` in turn, run as one ``batch_fit``, which ends at
+    its first row within ``tol``.  So a search runs 1, 1 + ``BATCH_STARTS``, ...
+    or ``restarts`` starts.  The start kept is ``best_start``'s.  Returns its
+    end point, its residual and the number of starts run.
+    """
+    x, f = two_phase_fit(*phases, x0, *settings)
+    ends, ran = [(x, verdict(x, f))], 1
+    while True:
+        best = best_start([residual for _, residual in ends], tol)
+        if ran >= restarts or ends[best][1] <= tol:
+            return ends[best][0], ends[best][1], ran
+        count = min(BATCH_STARTS, restarts - ran)
+        starts = np.stack([draw() for _ in range(count)])
+        ends += batch_fit(*phases, starts, *settings, verdict, tol)
+        ran += count
 
 
 def multistart(solve, restarts: int, seed: int, tol: float) -> tuple:

@@ -12,9 +12,8 @@ import numpy as np
 from ._linalg import (
     RANK_REL_TOL,
     inverse_sqrt,
-    multistart,
     numerical_rank_of,
-    two_phase_fit,
+    restart_search,
 )
 from .errors import (
     DimensionMismatchError,
@@ -152,9 +151,11 @@ class SelfTestCertificate:
 
 
 def _projector(x, n, d):
-    """P = Z (Z^dag Z)^-1 Z^dag and (Z^dag Z)^-1 Z^dag of Z given as (re, im) pairs."""
-    z = x.view(complex).reshape(n, d)
-    zinv_zh = np.linalg.solve(z.conj().T @ z, z.conj().T)
+    """P = Z (Z^dag Z)^-1 Z^dag and (Z^dag Z)^-1 Z^dag of Z given as (re, im) pairs;
+    a stack of points on the leading axes of x gives a stack of each."""
+    z = x.view(complex).reshape(*x.shape[:-1], n, d)
+    zh = z.conj().swapaxes(-1, -2)
+    zinv_zh = np.linalg.solve(zh @ z, zh)
     return z @ zinv_zh, zinv_zh
 
 
@@ -163,13 +164,16 @@ def _projector_objective(x, target, weight, n, d):
 
     P = Z (Z^dag Z)^-1 Z^dag is the rank-d projector with entries
     sqrt(a_j a_k) <phi_j|phi_k>, T_jk its squared moduli (a_j C_jk + a_k C_kj) / 2;
-    f is unchanged under Z -> Z A for any invertible A.
+    f is unchanged under Z -> Z A for any invertible A.  At x (N,) f is a float;
+    at each row of a stack x (k, N) f is (k,) and the gradients (k, N).
     """
     p, zinv_zh = _projector(x, n, d)
     r = np.abs(p) ** 2 - target
     m = zinv_zh @ (4.0 * weight * r * p)
     m -= m @ p
-    return float((weight * r * r).sum()), (2.0 * m.conj().T).ravel().view(float)
+    f = (weight * r * r).sum(axis=(-2, -1))
+    grad = (2.0 * m.conj().swapaxes(-1, -2)).reshape(*x.shape[:-1], n * d).view(float)
+    return (float(f) if x.ndim == 1 else f), grad
 
 
 def _projector_residual(x, target, root_weight, n, d):
@@ -210,7 +214,7 @@ def _gram_start(target, alpha, d):
     return z if numerical_rank_of(z) == d else None
 
 
-# The self-test fit is ``_linalg.two_phase_fit``.  Its polish of
+# The self-test fit is ``_linalg.two_phase_fit`` (and ``batch_fit``).  Its polish of
 # r = sqrt(w) o (|P|^2 - T) reaches a zero fit in 3 to 4 Jacobians, and the
 # restarts that end in local minima (f of 1e-4 to 1e-2) stay above the gate.
 # At ftol 1e-6 with a gate of 1e-2, selftest-gauge seeds 1-3 take 5,301
@@ -228,19 +232,12 @@ def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
     inv_sq = 1.0 / alpha**2
     target, weight = (moduli + moduli.T) / 2.0, (inv_sq[:, None] + inv_sq[None, :]) / 2.0
     root_weight = np.sqrt(weight)
-    gram_start = _gram_start(target, alpha, d) if d == 2 else None
+    rng = np.random.default_rng(seed)
 
-    def solve(rng, start):
-        if start == 0 and gram_start is not None:
-            x0 = gram_start.ravel().view(float)
-        else:
-            x0 = rng.standard_normal(2 * n * d)
-        x, _ = two_phase_fit(
-            lambda v: _projector_objective(v, target, weight, n, d),
-            lambda v: _projector_residual(v, target, root_weight, n, d),
-            lambda v: _projector_jacobian(v, root_weight, n, d),
-            x0, _LBFGS_FTOL, _POLISH_GATE, 5000,
-        )
+    def draw():
+        return rng.standard_normal(2 * n * d)
+
+    def canonical(x):
         z = x.view(complex).reshape(n, d)
         w = z @ inverse_sqrt(z.conj().T @ z)
         weights = np.einsum("ji,ji->j", w.conj(), w).real
@@ -248,7 +245,19 @@ def _fit_canonical_vectors(c, alpha, d, restarts, seed, residual_tol):
         overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
         return (vectors, weights), float(((overlaps * weights[None, :] - c) ** 2).sum())
 
-    return multistart(solve, restarts, seed, residual_tol)
+    gram_start = _gram_start(target, alpha, d) if d == 2 else None
+    x, _, ran = restart_search(
+        (
+            lambda v: _projector_objective(v, target, weight, n, d),
+            lambda v: _projector_residual(v, target, root_weight, n, d),
+            lambda v: _projector_jacobian(v, root_weight, n, d),
+        ),
+        (_LBFGS_FTOL, _POLISH_GATE, 5000),
+        lambda x, f: canonical(x)[1],
+        draw() if gram_start is None else gram_start.ravel().view(float),
+        draw, restarts, residual_tol,
+    )
+    return *canonical(x), ran
 
 
 def self_test(
@@ -269,13 +278,16 @@ def self_test(
     the rank-d projector P = Z (Z^dag Z)^-1 Z^dag, P_kl = sqrt(a_k a_l) <phi_k|phi_l>,
     to its squared moduli a_k C[pairing[k], l].  Rows w_k of the isometry
     Z (Z^dag Z)^-1/2 give the weights |w_k|^2 and vectors conj(w_k) / |w_k|, so
-    the effects sum to the identity for every Z.  Each restart runs L-BFGS-B
-    and, if it ends near zero, a Gauss-Newton polish; at d = 2 the first start
-    is the set-up rebuilt exactly from the Gram matrix of its effects, which
-    skips L-BFGS-B and is only polished.  The fit
-    stops at the first restart whose Gram residual is within ``residual_tol``;
-    ``restarts`` records the fits run.  All is certified modulo a global
-    unitary or antiunitary, which no statistics can resolve.
+    the effects sum to the identity for every Z.  Each start runs L-BFGS and,
+    if it ends near zero, a Gauss-Newton polish.  The first start runs alone;
+    at d = 2 it is the set-up rebuilt exactly from the Gram matrix of its
+    effects, which skips L-BFGS and is only polished.  While no start's Gram
+    residual is within ``residual_tol``, the next starts run in batches of 8
+    (``_linalg.restart_search``, the EB search's schedule), each drawn in turn
+    from one generator seeded by ``seed``; a batch ends at its first start
+    within ``residual_tol``, which is kept.  So ``restarts`` records 1, 9, 17,
+    ... or the whole budget.  All is certified modulo a global unitary or
+    antiunitary, which no statistics can resolve.
 
     ``residual_tol`` bounds sum_kl (a_l |<phi_k|phi_l>|^2 - C[pairing[k], l])^2,
     so one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4

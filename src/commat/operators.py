@@ -12,7 +12,6 @@ products of K or Phi with the basis flattened to (d^2, d^2).
 """
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     InvalidOperatorError,
     NotAStateError,
     PovmError,
+    check_dimension,
 )
 
 PSD_ATOL = 1e-10
@@ -96,16 +96,15 @@ def bloch_basis(d: int) -> BlochBasis:
 
     Ordering after the identity: symmetric pair operators (j < k, lexicographic),
     then antisymmetric pairs, then the diagonal ladder.  Built once per dimension
-    and process; its arrays are read-only.  ``d`` must be an integer: a float
-    such as 2.0 raises TypeError instead of reaching the integer 2's basis.
+    and process; its arrays are read-only.  ``d`` must be an integer of at least
+    2 (``errors.check_dimension``): a float such as 2.0 raises
+    ``InvalidDimensionError`` instead of reaching the integer 2's basis.
     """
-    return _bloch_basis(operator.index(d))
+    return _bloch_basis(check_dimension(d))
 
 
 @functools.lru_cache(maxsize=16)
 def _bloch_basis(d: int) -> BlochBasis:
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
     scale = np.sqrt(d / 2.0)
     idx = np.arange(d)
     units = np.eye(d * d).reshape(d * d, d, d)
@@ -233,9 +232,7 @@ def state_from_matrix(basis: BlochBasis, m: np.ndarray) -> DensityOperator:
 
 def inball_radius(d: int) -> float:
     """Radius of the largest Bloch ball fully inside the state space: 1/sqrt(d-1)."""
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
-    return 1.0 / np.sqrt(d - 1.0)
+    return 1.0 / np.sqrt(check_dimension(d) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,14 +12,12 @@ import numpy as np
 
 from ._linalg import (
     RANK_REL_TOL,
-    batch_fit,
-    best_start,
     born_matrix,
     frob,
     multistart,
     null_space_of,
     numerical_rank_of,
-    two_phase_fit,
+    restart_search,
 )
 from .errors import (
     AmbiguityError,
@@ -471,14 +469,6 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
 _LBFGS_FTOL = 1e-7
 _POLISH_GATE = 1e-2
 _LBFGS_MAXITER = 2000
-# Starts per batch after the first, a trade between the two searches that reach a
-# batch.  A non-EB search runs its whole budget: 31 starts of the identity search on
-# sic-qubit (l = 4) took 0.44 s one at a time and 0.18, 0.076 and 0.036 s in batches
-# of 1, 8 and 31.  An EB search whose first start misses pays for a whole batch even
-# when its first row certifies: two such qutrit channels (l = 3, 4) at 32 restarts
-# took 0.03 to 0.07 s one start at a time, 0.21 to 0.26 s with a batch of 8 and 0.34
-# to 0.52 s with one batch of 31 (CPU seconds, one BLAS thread, 2-core x86-64).
-_BATCH_STARTS = 8
 
 
 def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_tol):
@@ -487,35 +477,29 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
     The measurement is complete by construction (``_complete_effects``), so the
     objective is the squared residual of the realization the verdict tests.
     Every start is a standard normal draw from one generator seeded by ``seed``.
-    The first runs alone through ``_linalg.two_phase_fit``: L-BFGS-B on ||r||^2
-    to ``_LBFGS_FTOL``, then, only if its end point's residual is at most
+    The starts run on ``_linalg.restart_search``'s schedule, the self-test's: the
+    first alone, then batches of ``_linalg.BATCH_STARTS`` that end at their first
+    start within ``residual_tol``.  Each runs L-BFGS on ||r||^2 to
+    ``_LBFGS_FTOL`` then, only if its end point's residual is at most
     ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the analytic Jacobian.
-    While no start is within ``residual_tol``, the next ``_BATCH_STARTS`` (fewer
-    at the end of the budget) run ``_linalg.batch_fit``: the same L-BFGS stop
-    rule and polish, with the L-BFGS phase of all of them in one batch.  The
-    start kept is ``_linalg.best_start``'s, and only it is realized, once, after
-    the search.  Returns its realization (N, xi, A, B, residual) and the number
-    of starts run.
+    Only the start kept is realized, once, after the search.  Returns its
+    realization (N, xi, A, B, residual) and the number of starts run.
     """
     rho_arr = np.stack([s.matrix for s in rho_states])
     fit = _MeasurePrepareFit(rho_arr, np.stack(povm.effects), cprime.entries, l)
-    phases = (fit.objective, fit.residual, fit.jacobian)
-    settings = (_LBFGS_FTOL, _POLISH_GATE, _LBFGS_MAXITER)
     rng = np.random.default_rng(seed)
 
     def draw():
         # drawing in the order (H, G) x (re, im) x d x d fixes each seed's starts
         return rng.standard_normal((2, l, 2, fit.d, fit.d)).transpose(0, 1, 3, 4, 2).ravel()
 
-    fits = [two_phase_fit(*phases, draw(), *settings)]
-    residuals = [np.sqrt(fits[0][1])]                   # f = ||r(x)||^2
-    while len(fits) < restarts and not any(r <= residual_tol for r in residuals):
-        count = min(_BATCH_STARTS, restarts - len(fits))
-        batch = batch_fit(*phases, np.stack([draw() for _ in range(count)]), *settings)
-        fits += batch
-        residuals += [np.sqrt(f) for _, f in batch]
-    x = fits[best_start(residuals, residual_tol)][0]
-    return _realize_measure_prepare(x, rho_states, povm, l, fit.target), len(fits)
+    x, _, ran = restart_search(
+        (fit.objective, fit.residual, fit.jacobian),
+        (_LBFGS_FTOL, _POLISH_GATE, _LBFGS_MAXITER),
+        lambda x, f: np.sqrt(f),                        # f = ||r(x)||^2
+        draw(), draw, restarts, residual_tol,
+    )
+    return _realize_measure_prepare(x, rho_states, povm, l, fit.target), ran
 
 
 def _realization_factors(rho_states, povm, n_povm, xi_states):
@@ -550,11 +534,12 @@ def eb_certificate(
     of zero, a Gauss-Newton polish with minimum-norm steps that reaches
     ``residual_tol`` where L-BFGS's stop rule cannot.  Fits that end far from
     zero are not polished, and only the best start of each inner dimension is
-    realized.  The first start of an inner dimension runs alone; while none is
-    within ``residual_tol``, the next starts run in batches of 8, with the same
-    L-BFGS stop rule, and the search stops after the batch that holds the first
-    start within tolerance.  So each inner dimension adds 1, 9, 17, ... or
-    ``restarts`` to the certificate's ``restarts`` (1 or 8 at the default
+    realized.  The starts run on the self-test's schedule
+    (``_linalg.restart_search``): the first start of an inner dimension runs
+    alone; while none is within ``residual_tol``, the next starts run in
+    batches of 8, with the same L-BFGS stop rule, and a batch ends at its
+    first start within tolerance.  So each inner dimension adds 1, 9, 17, ...
+    or ``restarts`` to the certificate's ``restarts`` (1 or 8 at the default
     budget), also when a start early in a batch certifies.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is

@@ -25,6 +25,7 @@ from commat import (
     validate_povm,
 )
 from commat.analysis import (
+    DEFAULT_SEED,
     _gram_start,
     _projector_jacobian,
     _projector_objective,
@@ -265,6 +266,55 @@ class TestSelfTest:
         r = _projector_residual(x, target, root_weight, n, d)
         assert r @ r == pytest.approx(f, rel=1e-12)
         assert np.abs(2.0 * jac.T @ r - grad).max() <= 1e-10 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("n, d", [(4, 2), (9, 3), (16, 4)])
+    def test_batched_objective_is_the_one_point_objective_row_by_row(self, rng, n, d):
+        target = rng.uniform(0.0, 0.3, (n, n))
+        target = (target + target.T) / 2
+        weight = rng.uniform(1.0, 5.0, (n, n))
+        weight = (weight + weight.T) / 2
+        xs = rng.standard_normal((5, 2 * n * d))
+        f, grad = _projector_objective(xs, target, weight, n, d)
+        assert f.shape == (5,) and grad.shape == xs.shape
+        for x, f_row, grad_row in zip(xs, f, grad):
+            f_one, grad_one = _projector_objective(x, target, weight, n, d)
+            assert isinstance(f_one, float)
+            assert abs(f_row - f_one) <= 1e-12 * abs(f_one)
+            assert np.abs(grad_row - grad_one).max() <= 1e-10 * np.abs(grad_one).max()
+
+    def test_qutrit_set_up_whose_first_start_misses_passes_after_one_batch(self):
+        # (d, n, seed) = (3, 9, 0) of the benchmark's self-test panel: the first start ends in a
+        # local minimum, and a row of the first batch of 8 certifies
+        cert = self_test(rank1_matrix(0, 3, 9), 3)
+        assert cert.passes and cert.gram_residual <= cert.residual_tol
+        assert cert.restarts == 9
+
+    def test_batch_starts_are_the_sequential_draws(self, monkeypatch):
+        # the (3, 10, 0) set-up misses with its first start and its first batch of 8, and
+        # certifies in its second batch: 17 starts, all from the generator seeded by ``seed``
+        import commat._linalg as _linalg
+
+        first, batch = [], []
+        minimize, lbfgs_batch = _linalg.minimize, _linalg.lbfgs_batch
+
+        def recording_minimize(objective, x0, **kwargs):
+            first.append(x0.copy())
+            return minimize(objective, x0, **kwargs)
+
+        def recording_batch(objective, x0, *args):
+            batch.append(x0.copy())
+            return lbfgs_batch(objective, x0, *args)
+
+        monkeypatch.setattr(_linalg, "minimize", recording_minimize)
+        monkeypatch.setattr(_linalg, "lbfgs_batch", recording_batch)
+        cert = self_test(rank1_matrix(0, 3, 10), 3)
+        assert cert.passes and cert.restarts == 17
+        gen = np.random.default_rng(DEFAULT_SEED)
+        draws = [gen.standard_normal(2 * 10 * 3) for _ in range(17)]
+        assert len(first) == 1 and np.array_equal(first[0], draws[0])
+        assert len(batch) == 2
+        assert np.array_equal(batch[0], np.stack(draws[1:9]))
+        assert np.array_equal(batch[1], np.stack(draws[9:]))
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
     def test_qubit_gram_start_certifies_without_an_iteration(self, monkeypatch, n, seed):

@@ -89,8 +89,9 @@ class TestBlochBasis:
     def test_one_basis_per_dimension(self):
         assert bloch_basis(3) is bloch_basis(3) is bloch_basis(np.int64(3))
         assert bloch_basis(3).dim == 3 and type(bloch_basis(np.int64(3)).dim) is int
-        with pytest.raises(TypeError):
-            bloch_basis(3.0)
+        for bad in (3.0, 2.5):
+            with pytest.raises(InvalidDimensionError, match="must be an integer"):
+                bloch_basis(bad)
         with pytest.raises(InvalidDimensionError):
             bloch_basis(True)
 
@@ -298,6 +299,12 @@ class TestInballRadius:
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidDimensionError):
             inball_radius(1)
+
+    def test_needs_an_integer_dimension(self):
+        assert inball_radius(np.int64(3)) == inball_radius(3)
+        for bad in (2.5, 2.0):
+            with pytest.raises(InvalidDimensionError, match="must be an integer"):
+                inball_radius(bad)
 
 
 def _defective_qubit_effects():

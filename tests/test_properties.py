@@ -389,9 +389,9 @@ class TestEbCertificate:
 
     def test_search_stops_after_the_batch_that_certifies(self, basis2, monkeypatch):
         # the first start is made to miss, so the next 8 run as one batch and one of them certifies
-        from commat import properties
+        from commat import _linalg
 
-        monkeypatch.setattr(properties, "two_phase_fit", lambda *a: (a[3], np.inf))
+        monkeypatch.setattr(_linalg, "two_phase_fit", lambda *a: (a[3], np.inf))
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         channel = depolarizing_channel(basis2, 0.8)

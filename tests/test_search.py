@@ -7,12 +7,15 @@ import pytest
 
 from commat import _linalg
 from commat._linalg import (
+    LBFGS_MEMORY,
+    _CompactMemory,
     batch_fit,
     best_start,
     gauss_newton,
     inverse_sqrt,
     lbfgs_batch,
     multistart,
+    restart_search,
     two_phase_fit,
 )
 
@@ -221,16 +224,29 @@ def test_two_phase_fit_runs_l_bfgs_b_from_a_start_outside_the_gate(monkeypatch):
 
 
 def rowwise(objective, calls=None):
-    """The batched form of a one-point objective: f (k,) and gradients (k, n) of a stack;
-    it records the number of rows of each call in ``calls``."""
+    """The batched form of a one-point objective: f (k,) and gradients (k, n) of a stack, and
+    the objective itself at one point; it records the number of rows of each stack in ``calls``."""
 
     def batched(x):
+        if x.ndim == 1:
+            return objective(x)
         if calls is not None:
             calls.append(len(x))
         f, grad = zip(*(objective(row) for row in x))
         return np.array(f), np.array(grad)
 
     return batched
+
+
+def run_batch(objective, x0, ftol, maxiter):
+    """End points (k, n) and f (k,) of a ``lbfgs_batch`` run to its end; each row is yielded once."""
+    x, f, yielded = np.empty(np.shape(x0)), np.empty(len(x0)), []
+    for rows, x_rows, f_rows in lbfgs_batch(objective, x0, ftol, maxiter):
+        assert list(rows) == sorted(rows)
+        yielded += list(rows)
+        x[rows], f[rows] = x_rows, f_rows
+    assert sorted(yielded) == list(range(len(x0)))
+    return x, f
 
 
 def test_lbfgs_batch_takes_each_row_to_its_own_minimizer_and_a_nan_start_stops_alone():
@@ -242,7 +258,7 @@ def test_lbfgs_batch_takes_each_row_to_its_own_minimizer_and_a_nan_start_stops_a
     starts = np.random.default_rng(7).standard_normal((5, 4)) * 3.0
     starts[2, 1] = np.nan
     calls = []
-    x, f = lbfgs_batch(rowwise(objective, calls), starts, 1e-20, 200)
+    x, f = run_batch(rowwise(objective, calls), starts, 1e-20, 200)
     assert calls[0] == 5 and max(calls[1:]) == 4     # the NaN row leaves after its first f
     assert np.isnan(f[2]) and np.array_equal(x[2], starts[2], equal_nan=True)
     finite = [0, 1, 3, 4]
@@ -256,7 +272,7 @@ def test_lbfgs_batch_evaluates_a_stationary_start_once():
     objective, _, _ = least_squares(np.eye(2), np.array([1.0, -1.0]))
     calls = []
     starts = np.array([[1.0, -1.0], [4.0, 2.0]])
-    x, f = lbfgs_batch(rowwise(objective, calls), starts, 1e-12, 100)
+    x, f = run_batch(rowwise(objective, calls), starts, 1e-12, 100)
     assert calls[0] == 2 and set(calls[1:]) == {1}
     assert np.array_equal(x[0], starts[0]) and f[0] == 0.0
     assert np.abs(x[1] - [1.0, -1.0]).max() <= 1e-6
@@ -272,12 +288,12 @@ def test_lbfgs_batch_stops_after_maxiter_iterations():
 
     starts = np.array([[-1.2, 1.0], [2.0, -1.0]])
     f_start = np.array([rosenbrock(s)[0] for s in starts])
-    f_by_maxiter = [lbfgs_batch(rowwise(rosenbrock), starts, 0.0, maxiter)[1]
+    f_by_maxiter = [run_batch(rowwise(rosenbrock), starts, 0.0, maxiter)[1]
                     for maxiter in (0, 1, 2, 3)]
     assert np.array_equal(f_by_maxiter[0], f_start)
     assert all((later < earlier).all() for earlier, later in zip(f_by_maxiter, f_by_maxiter[1:]))
     assert (f_by_maxiter[-1] > 1e-3).all()
-    x, f = lbfgs_batch(rowwise(rosenbrock), starts, 1e-15, 2000)
+    x, f = run_batch(rowwise(rosenbrock), starts, 1e-15, 2000)
     assert np.abs(x - 1.0).max() <= 1e-4
 
 
@@ -294,12 +310,123 @@ def test_batch_fit_polishes_only_the_rows_that_end_inside_the_gate(monkeypatch):
 
     monkeypatch.setattr(_linalg, "gauss_newton", recording)
     objective, residual, jacobian = consistent
+    # the verdict residual is f itself, and no row passes a tolerance of -1
     results = batch_fit(rowwise(objective), residual, jacobian,
-                        np.array([[5.0, -4.0, 0.0], [0.0, 3.0, 1.0]]), 1e-2, 1.0, 100)
+                        np.array([[5.0, -4.0, 0.0], [0.0, 3.0, 1.0]]), 1e-2, 1.0, 100,
+                        lambda x, f: f, -1.0)
     assert len(results) == 2 and len(polished) == 2
     assert all(f == residual(x) @ residual(x) <= 1e-28 for x, f in results)
 
     polished.clear()
     objective, residual, jacobian = least_squares(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-    [(x, f)] = batch_fit(rowwise(objective), residual, jacobian, np.array([[3.0]]), 1e-8, 1e-2, 100)
+    [(x, f)] = batch_fit(rowwise(objective), residual, jacobian, np.array([[3.0]]), 1e-8, 1e-2, 100,
+                         lambda x, f: f, -1.0)
     assert polished == [] and f == residual(x) @ residual(x) > 1e-2**2
+
+
+def tagged_batch(monkeypatch):
+    """A batch whose objective reads only x[0] (minimum at 1) and whose verdict passes a row
+    whose tag x[1], which L-BFGS never moves, is positive; it records each polish."""
+    objective, residual, jacobian = least_squares(np.array([[1.0, 0.0]]), np.array([1.0]))
+    polished = []
+    real = _linalg.gauss_newton
+
+    def recording(res, jac, x, steps):
+        polished.append(x[1])
+        return real(res, jac, x, steps)
+
+    monkeypatch.setattr(_linalg, "gauss_newton", recording)
+    return (rowwise(objective), residual, jacobian), lambda x, f: 0.0 if x[1] > 0 else 1.0, polished
+
+
+def test_batch_fit_stops_at_its_first_certified_row_and_polishes_no_later_row(monkeypatch):
+    # rows 2, 3 and 4 start at the minimum and stop at the first evaluation, where row 3 is
+    # the lowest one that passes; row 4 is never polished, and rows 0 and 1 never end
+    phases, verdict, polished = tagged_batch(monkeypatch)
+    starts = np.array([[7.0, 1.0], [-5.0, -1.0], [1.0, -2.0], [1.0, 3.0], [1.0, 4.0]])
+    ends = batch_fit(*phases, starts, 1e-12, 1.0, 100, verdict, 0.0)
+    assert polished == [-2.0, 3.0]
+    assert [(x[1], residual) for x, residual in ends] == [(-2.0, 1.0), (3.0, 0.0)]
+
+
+def test_batch_fit_keeps_the_row_that_passes_first_over_a_lower_row_still_running(monkeypatch):
+    phases, verdict, polished = tagged_batch(monkeypatch)
+    starts = np.array([[7.0, 1.0], [1.0, 2.0]])
+    [(x, residual)] = batch_fit(*phases, starts, 1e-12, 1.0, 100, verdict, 0.0)
+    assert polished == [2.0] and x[1] == 2.0 and residual == 0.0
+
+
+def test_restart_search_runs_batches_until_a_start_passes(monkeypatch):
+    # the first start and the first batch of 8 miss; the second batch passes at its third row
+    phases, verdict, polished = tagged_batch(monkeypatch)
+    tags = iter(range(-9, 100))
+    draws = []
+
+    def draw():
+        draws.append(np.array([1.0, float(next(tags))]))
+        return draws[-1]
+
+    x, residual, ran = restart_search(phases, (1e-12, 1.0, 100), verdict, np.array([1.0, -20.0]),
+                                      draw, 32, 0.0)
+    assert (x[1], residual, ran) == (1.0, 0.0, 17)
+    assert len(draws) == 16 and polished == [-20.0, *range(-9, 2)]
+
+
+def test_restart_search_keeps_the_best_start_of_a_spent_budget():
+    # no start passes: a budget of 11 runs as 1 + 8 + 2 starts.  The objective reads x[0] only
+    # and the verdict residual is x[1], so the kept start is the first of the two whose x[1]
+    # is 0.5, the one with x[2] = 3
+    objective, residual, jacobian = least_squares(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
+    tags = iter([3.0, 7.0, 0.5, 2.0, 0.9, 4.0, 6.0, 0.5, 8.0, 1.0])
+    ids = iter(range(1, 11))
+    x, verdict_residual, ran = restart_search(
+        (rowwise(objective), residual, jacobian), (1e-12, 1.0, 100), lambda x, f: x[1],
+        np.array([-4.0, 5.0, 0.0]), lambda: np.array([-3.0, next(tags), next(ids)]), 11, 0.1,
+    )
+    assert (ran, verdict_residual, x[2]) == (11, 0.5, 3.0)
+    assert next(ids, None) is None
+
+
+def two_loop(g, pairs, gamma):
+    """H g of L-BFGS by the two-loop recursion over ``pairs`` (s, y), oldest first, from
+    H0 = gamma I; a pair with s.y at most eps y.y is skipped."""
+    q, kept = g.copy(), []
+    for s, y in reversed(pairs):
+        if s @ y > np.finfo(float).eps * (y @ y):
+            alpha = (s @ q) / (s @ y)
+            q -= alpha * y
+            kept.append((s, y, alpha))
+    q *= gamma
+    for s, y, alpha in reversed(kept):
+        q += (alpha - (y @ q) / (s @ y)) * s
+    return q
+
+
+def test_compact_direction_is_the_two_loop_direction(rng):
+    # three rows of random curvature pairs (y = A s + noise, A positive definite), 14 pushes so
+    # the memory fills and then drops its oldest pairs; row 1 gets a pair with s.y < 0 (skipped)
+    # at push 4, and row 2 is cleared after push 7, as an uphill direction does
+    k, n = 3, 12
+    a = rng.standard_normal((n, n))
+    a = a @ a.T / n + 0.1 * np.eye(n)
+    memory = _CompactMemory(k, n)
+    pairs, gamma = [[] for _ in range(k)], np.ones(k)
+    for push in range(14):
+        s = rng.standard_normal((k, n))
+        y = s @ a + 0.01 * rng.standard_normal((k, n))
+        if push == 4:
+            y[1] = -s[1]
+        memory.push(s, y)
+        for i in range(k):
+            pairs[i] = (pairs[i] + [(s[i], y[i])])[-LBFGS_MEMORY:]
+            if s[i] @ y[i] > np.finfo(float).eps * (y[i] @ y[i]):
+                gamma[i] = (s[i] @ y[i]) / (y[i] @ y[i])
+        if push == 7:
+            memory.clear(np.array([False, False, True]))
+            pairs[2], gamma[2] = [], 1.0
+        g = rng.standard_normal((k, n))
+        h = memory.inverse_hessian_times(g)
+        for i in range(k):
+            reference = two_loop(g[i], pairs[i], gamma[i])
+            assert np.abs(h[i] - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert memory.holds_pairs().all()
