@@ -1,6 +1,7 @@
 """Shared numerical helpers: Hermitian checks and roots, ranks, kernels, Born matrices,
-restarts, the two-phase fit (L-BFGS-B, then a Gauss-Newton polish) of both searches,
-its batched form for many starts of one objective, and the restart schedule of both."""
+and the one fit driver of both searches: batches of starts that run L-BFGS (scipy's
+L-BFGS-B for one start, a vectorized L-BFGS for more), a Gauss-Newton polish, the
+keep rule and the restart schedule."""
 
 import numpy as np
 
@@ -124,65 +125,61 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _polish_inside_gate(residual, jacobian, x, f, gate) -> tuple:
-    """``gauss_newton`` from an end point with f at most ``gate``^2; others as they are."""
-    if f <= gate**2:
-        return gauss_newton(residual, jacobian, x, POLISH_MAX_STEPS)
-    return x, f
-
-
-def two_phase_fit(objective, residual, jacobian, x0, ftol, gate, maxiter) -> tuple:
-    """Minimize ``objective`` (f = ||residual||^2 and its gradient) from ``x0`` in two phases.
+def _end_points(objective, residual, x0, ftol, gate, maxiter):
+    """The rows of ``x0`` (k, n) as they end, each as (row, end point, f).
 
     A start whose f is already at most ``gate``^2 (the exact Gram start of the
-    qubit self-test) goes straight to the polish.  Otherwise L-BFGS-B runs
-    first, to ``ftol`` or ``maxiter`` iterations.  Its stop test
-    divides by max(|f|, 1), so below f = 1 it bounds the absolute decrease per
-    iteration: a fit nearing a residual of 1e-8 (f about 1e-16) stops short
-    unless ftol is below about 1e-18, and at such an ftol the fits that end far
-    from zero grind on to rounding.  So L-BFGS-B only hands over a start, and an
-    end point with f at most ``gate``^2 is polished by ``gauss_newton`` with the
-    analytic ``jacobian``, quadratically convergent at a zero residual.  Its
-    minimum-norm steps make the Jacobian's null directions (gauge freedoms of the
-    packing, fewer rows than columns) cost nothing, and without a trust region a
-    step may climb out of the shallow basin where L-BFGS-B stopped.  The polish
-    runs to rounding, so a tighter residual tolerance is still decided by the
-    fit, and its best iterate is never worse than the L-BFGS-B end point.  An end
-    point outside the gate, or with a NaN f, is returned as it is; a NaN start
-    runs L-BFGS-B.  Returns x and f = ||residual(x)||^2.
+    qubit self-test) is its own end point.  The other rows run L-BFGS to
+    ``ftol`` or ``maxiter`` iterations: scipy's L-BFGS-B when one row runs,
+    ``lbfgs_batch`` when more do.  Both have the same stop rule, and one start
+    costs less in L-BFGS-B's compiled loop than in the numpy batch.  A NaN start
+    fails the gate test and runs L-BFGS.
     """
-    r0 = residual(x0)
-    if r0 @ r0 <= gate**2:
-        return gauss_newton(residual, jacobian, x0, POLISH_MAX_STEPS)
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": ftol, "gtol": LBFGS_GTOL},
-    )
-    return _polish_inside_gate(residual, jacobian, res.x, res.fun, gate)
+    r0 = residual(x0).reshape(len(x0), -1)
+    f0 = np.einsum("kn,kn->k", r0, r0)
+    inside = f0 <= gate**2
+    yield from zip(np.flatnonzero(inside), x0[inside], f0[inside])
+    rows = np.flatnonzero(~inside)
+    if rows.size == 1:
+        options = {"maxiter": maxiter, "ftol": ftol, "gtol": LBFGS_GTOL}
+        res = minimize(objective, x0[rows[0]], jac=True, method="L-BFGS-B", options=options)
+        yield rows[0], res.x, res.fun
+    elif rows.size:
+        for stopped, x, f in lbfgs_batch(objective, x0[rows], ftol, maxiter):
+            yield from zip(rows[stopped], x, f)
 
 
 def batch_fit(objective, residual, jacobian, x0, ftol, gate, maxiter, verdict, tol) -> list:
-    """``two_phase_fit`` of the rows of ``x0`` (k, n) until one passes, with one L-BFGS batch.
+    """Minimize f = ||``residual``||^2 from each row of ``x0`` (k, n) until one row passes.
 
-    ``objective`` takes a stack of points (j, n) and returns f (j,) and the
-    gradients (j, n).  All rows run ``lbfgs_batch``.  As soon as a row stops,
-    its end point is polished by ``gauss_newton`` if its f is at most
-    ``gate``^2, as in ``two_phase_fit``, and ``verdict(x, f)`` gives the
-    residual its search tests.  The batch ends at the first row whose residual
-    is within ``tol``; of rows that stop in the same iteration the lowest index
-    goes first, and no later row is polished.  Returns (x, verdict residual) of
-    each row that ended, in row order.
+    ``objective`` returns f and its gradient at one point (n,), and f (j,) and
+    the gradients (j, n) at a stack of points (j, n); ``residual`` of a stack
+    returns the rows' residual vectors end to end.  Each row runs L-BFGS
+    (see ``_end_points``), to the loose ``ftol``: L-BFGS's stop test divides by
+    max(|f|, 1), so below f = 1 it bounds the absolute decrease per iteration,
+    and a fit nearing a residual of 1e-8 (f about 1e-16) stops short unless
+    ftol is below about 1e-18, at which the fits that end far from zero grind on
+    to rounding.  So L-BFGS only hands over a start: as soon as a row ends, an
+    end point with f at most ``gate``^2 is polished by ``gauss_newton`` with the
+    analytic ``jacobian``, quadratically convergent at a zero residual.  Its
+    minimum-norm steps make the Jacobian's null directions (gauge freedoms of
+    the packing, fewer rows than columns) cost nothing, and without a trust
+    region a step may climb out of the shallow basin where L-BFGS stopped.  The
+    polish runs to rounding and its best iterate is never worse than its start.
+    An end point outside the gate, or with a NaN f, is kept as it is.
+
+    ``verdict(x, f)`` gives each end point the residual its search tests.  The
+    batch ends at the first row whose residual is within ``tol``; of rows that
+    end together the lowest index goes first, and no later row is polished.
+    Returns (x, verdict residual) of each row that ended, in row order.
     """
     ends = {}
-    for rows, x, f in lbfgs_batch(objective, x0, ftol, maxiter):
-        for row, xi, fi in zip(rows, x, f):
-            xi, fi = _polish_inside_gate(residual, jacobian, xi, fi, gate)
-            ends[row] = (xi, verdict(xi, fi))
-            if ends[row][1] <= tol:
-                return [ends[i] for i in sorted(ends)]
+    for row, x, f in _end_points(objective, residual, x0, ftol, gate, maxiter):
+        if f <= gate**2:
+            x, f = gauss_newton(residual, jacobian, x, POLISH_MAX_STEPS)
+        ends[row] = (x, verdict(x, f))
+        if ends[row][1] <= tol:
+            break
     return [ends[i] for i in sorted(ends)]
 
 
@@ -350,43 +347,22 @@ def best_start(residuals, tol: float) -> int:
 
 
 def restart_search(phases, settings, verdict, x0, draw, restarts: int, tol: float) -> tuple:
-    """The restart schedule of both searches, over the fit ``phases`` = (objective,
-    residual, jacobian) with ``settings`` = (ftol, gate, maxiter) of ``two_phase_fit``.
+    """The restart schedule of both searches: ``batch_fit`` over ``phases`` =
+    (objective, residual, jacobian) with ``settings`` = (ftol, gate, maxiter).
 
-    The start ``x0`` runs alone through ``two_phase_fit``.  While no start's
-    residual ``verdict(x, f)`` is within ``tol`` and the budget of ``restarts``
-    is not spent, the next ``BATCH_STARTS`` starts (fewer at the end of the
-    budget), each a ``draw()`` in turn, run as one ``batch_fit``, which ends at
-    its first row within ``tol``.  So a search runs 1, 1 + ``BATCH_STARTS``, ...
-    or ``restarts`` starts.  The start kept is ``best_start``'s.  Returns its
-    end point, its residual and the number of starts run.
+    The first batch is the start ``x0`` alone.  While no start's residual
+    ``verdict(x, f)`` is within ``tol`` and the budget of ``restarts`` is not
+    spent, the next batch holds ``BATCH_STARTS`` starts (fewer at the end of the
+    budget), each a ``draw()`` in turn, and ends at its first row within
+    ``tol``.  So a search runs 1, 1 + ``BATCH_STARTS``, ... or ``restarts``
+    starts.  The start kept is ``best_start``'s.  Returns its end point, its
+    residual and the number of starts run.
     """
-    x, f = two_phase_fit(*phases, x0, *settings)
-    ends, ran = [(x, verdict(x, f))], 1
+    ends, ran, starts = [], 0, [x0]
     while True:
+        ends += batch_fit(*phases, np.stack(starts), *settings, verdict, tol)
+        ran += len(starts)
         best = best_start([residual for _, residual in ends], tol)
         if ran >= restarts or ends[best][1] <= tol:
             return ends[best][0], ends[best][1], ran
-        count = min(BATCH_STARTS, restarts - ran)
-        starts = np.stack([draw() for _ in range(count)])
-        ends += batch_fit(*phases, starts, *settings, verdict, tol)
-        ran += count
-
-
-def multistart(solve, restarts: int, seed: int, tol: float) -> tuple:
-    """Call ``solve(rng, start)`` for start = 0, 1, ... with one generator seeded by ``seed``.
-
-    Each call returns ``(candidate, residual)``, the residual being the number the
-    verdict tests.  The search stops at the first residual within ``tol`` and
-    keeps the start that ``best_start`` picks.  Returns the best candidate, its
-    residual and the number of starts run.  ``restarts`` must be at least 1; the
-    public entry points check it.
-    """
-    rng = np.random.default_rng(seed)
-    results = []
-    for start in range(restarts):
-        results.append(solve(rng, start))
-        if results[-1][1] <= tol:
-            break
-    best = best_start([residual for _, residual in results], tol)
-    return results[best][0], results[best][1], len(results)
+        starts = [draw() for _ in range(min(BATCH_STARTS, restarts - ran))]

@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
     check_dimension,
+    check_integer,
     check_tolerance,
 )
 from .operators import GAUGE_NOTE, Povm, bloch_basis
@@ -214,7 +215,8 @@ def _gram_start(target, alpha, d):
     return z if numerical_rank_of(z) == d else None
 
 
-# The self-test fit is ``_linalg.two_phase_fit`` (and ``batch_fit``).  Its polish of
+# The self-test fit is ``_linalg.batch_fit``: L-BFGS-B for a batch of one start, the
+# numpy L-BFGS for more, and the same polish after either.  Its polish of
 # r = sqrt(w) o (|P|^2 - T) reaches a zero fit in 3 to 4 Jacobians, and the
 # restarts that end in local minima (f of 1e-4 to 1e-2) stay above the gate.
 # At ftol 1e-6 with a gate of 1e-2, selftest-gauge seeds 1-3 take 5,301
@@ -278,27 +280,30 @@ def self_test(
     the rank-d projector P = Z (Z^dag Z)^-1 Z^dag, P_kl = sqrt(a_k a_l) <phi_k|phi_l>,
     to its squared moduli a_k C[pairing[k], l].  Rows w_k of the isometry
     Z (Z^dag Z)^-1/2 give the weights |w_k|^2 and vectors conj(w_k) / |w_k|, so
-    the effects sum to the identity for every Z.  Each start runs L-BFGS and,
-    if it ends near zero, a Gauss-Newton polish.  The first start runs alone;
-    at d = 2 it is the set-up rebuilt exactly from the Gram matrix of its
-    effects, which skips L-BFGS and is only polished.  While no start's Gram
-    residual is within ``residual_tol``, the next starts run in batches of 8
-    (``_linalg.restart_search``, the EB search's schedule), each drawn in turn
-    from one generator seeded by ``seed``; a batch ends at its first start
+    the effects sum to the identity for every Z.  The starts run in batches
+    of 1, 8, 8, ... (``_linalg.restart_search``, the EB search's schedule)
+    through one fit driver, ``_linalg.batch_fit``: each start runs L-BFGS
+    (scipy's L-BFGS-B in a batch of one, the numpy batch otherwise) and, if it
+    ends near zero, a Gauss-Newton polish.  At d = 2 the first start is the
+    set-up rebuilt exactly from the Gram matrix of its effects, which skips
+    L-BFGS and is only polished.  Later starts are drawn in turn from one
+    generator seeded by ``seed``.  While no start's Gram residual is within
+    ``residual_tol`` the next batch runs; a batch ends at its first start
     within ``residual_tol``, which is kept.  So ``restarts`` records 1, 9, 17,
     ... or the whole budget.  All is certified modulo a global unitary or
     antiunitary, which no statistics can resolve.
 
     ``residual_tol`` bounds sum_kl (a_l |<phi_k|phi_l>|^2 - C[pairing[k], l])^2,
     so one weighted overlap can be off by up to about sqrt(residual_tol) (1e-4
-    by default).  ``tol`` and ``residual_tol`` must be finite and non-negative.
+    by default).  ``tol`` and ``residual_tol`` must be finite and non-negative,
+    ``restarts`` an integer of at least 1 and ``seed`` one of at least 0.
     """
     m, n = c.shape
     if m != n:
         raise DimensionMismatchError(f"self-test needs a square matrix, got {m}x{n}")
     d = check_dimension(d)
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    check_integer("restarts", restarts, 1)
+    check_integer("seed", seed, 0)
     check_tolerance("tol", tol)
     check_tolerance("residual_tol", residual_tol)
     weights = c.entries.max(axis=0)

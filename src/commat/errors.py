@@ -39,19 +39,25 @@ class InvalidDimensionError(ValidationError):
     code = "invalid-dimension"
 
 
-def check_dimension(d) -> int:
-    """``d`` as an int of at least 2, else ``InvalidDimensionError``.
+def check_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``, else ``ValidationError``.
 
-    The integer rule is ``bloch_basis``'s, ``operator.index``: numpy integers
-    pass, and a float such as 2.0 or 2.5 does not.
+    The integer rule is ``operator.index``'s, without bools: numpy integers
+    pass, and True or a float such as 2.0, 2.5 or NaN does not.
     """
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+    return operator.index(value)
+
+
+def check_dimension(d) -> int:
+    """``d`` as an int of at least 2 by ``check_integer``'s rule, else ``InvalidDimensionError``."""
     try:
-        d = operator.index(d)
-    except TypeError:
-        raise InvalidDimensionError(f"dimension must be an integer, got {d!r}") from None
-    if d < 2:
-        raise InvalidDimensionError(f"dimension must be at least 2, got {d}")
-    return d
+        return check_integer("dimension", d, 2)
+    except ValidationError as err:
+        raise InvalidDimensionError(str(err)) from None
 
 
 class NotAStateError(ValidationError):

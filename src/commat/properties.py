@@ -12,9 +12,9 @@ import numpy as np
 
 from ._linalg import (
     RANK_REL_TOL,
+    best_start,
     born_matrix,
     frob,
-    multistart,
     null_space_of,
     numerical_rank_of,
     restart_search,
@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
     check_dimension,
+    check_integer,
     check_tolerance,
 )
 from .analysis import DEFAULT_SEED, numerical_rank
@@ -266,18 +267,22 @@ def nonnegative_factorization(
     A is renormalized row-stochastic with the scale absorbed into B (exact for
     exact fits of a row-stochastic C); the returned residual is the Frobenius
     norm of C - A B after renormalization.  A poor fit is reported through the
-    residual, never through an exception.
+    residual, never through an exception.  The starts draw in turn from one
+    generator seeded by ``seed``; the search stops at an exact fit, and the
+    start kept is ``_linalg.best_start``'s.  ``restarts`` must be an integer of
+    at least 1 and ``seed`` one of at least 0.
     """
     from scipy.optimize import nnls  # only this search needs scipy.optimize
 
     if l < 1:
         raise InvalidDimensionError(f"inner dimension must be >= 1, got {l}")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    check_integer("restarts", restarts, 1)
+    check_integer("seed", seed, 0)
     target = c.entries
     m, n = target.shape
-
-    def solve(rng, _):
+    rng = np.random.default_rng(seed)
+    fits = []
+    for _ in range(restarts):
         a = rng.uniform(0.1, 1.0, size=(m, l))
         b = rng.uniform(0.1, 1.0, size=(l, n))
         prev = np.inf
@@ -290,9 +295,10 @@ def nonnegative_factorization(
             if prev - res < 1e-15:
                 break
             prev = res
-        return (a, b), res
-
-    (a, b), _, _ = multistart(solve, restarts, seed, 0.0)
+        fits.append(((a, b), res))
+        if res <= 0.0:
+            break
+    (a, b), _ = fits[best_start([res for _, res in fits], 0.0)]
     scale = b.sum(axis=1)
     dead = scale < 1e-14
     a[:, dead] = 0.0
@@ -459,8 +465,9 @@ def _realize_measure_prepare(x, rho_states, povm, l, target):
     return n_povm, xi_states, a, b, frob(target - a @ b)
 
 
-# The EB fit is ``_linalg.two_phase_fit`` (and ``batch_fit``).  Sweep, run with L-BFGS-B
-# on every start (eb-search seeds 1-8, 96 EB inputs; the qutrit panel of the tests, 20
+# The EB fit is ``_linalg.batch_fit``: L-BFGS-B for a batch of one start, the numpy
+# L-BFGS for more, and the same polish after either.  Sweep, run with L-BFGS-B on every
+# start (eb-search seeds 1-8, 96 EB inputs; the qutrit panel of the tests, 20
 # inputs): ftol 1e-12 with a gate of 1e-3 certifies 96/96 and 20/20 in 33,615 and 10,584
 # objective evaluations, ftol 1e-7 with a gate of 1e-2 the same in 21,794 and 1,402.  The fits break
 # at ftol 1e-5 (panel 13/20) and with the gate at 1e-3 (ftol 1e-6: 80/96).  No
@@ -477,9 +484,9 @@ def _fit_measure_prepare(cprime, rho_states, povm, l, restarts, seed, residual_t
     The measurement is complete by construction (``_complete_effects``), so the
     objective is the squared residual of the realization the verdict tests.
     Every start is a standard normal draw from one generator seeded by ``seed``.
-    The starts run on ``_linalg.restart_search``'s schedule, the self-test's: the
-    first alone, then batches of ``_linalg.BATCH_STARTS`` that end at their first
-    start within ``residual_tol``.  Each runs L-BFGS on ||r||^2 to
+    The starts run on ``_linalg.restart_search``'s schedule, the self-test's: a
+    batch of one, then batches of ``_linalg.BATCH_STARTS`` that end at their
+    first start within ``residual_tol``.  Each runs L-BFGS on ||r||^2 to
     ``_LBFGS_FTOL`` then, only if its end point's residual is at most
     ``_POLISH_GATE``, a Gauss-Newton polish of r(x) with the analytic Jacobian.
     Only the start kept is realized, once, after the search.  Returns its
@@ -530,23 +537,26 @@ def eb_certificate(
     since rank(A B) <= l, rank(C') above ``l_max`` raises a precondition error
     before any search.  Each fit keeps its measurement complete by construction
     and minimizes exactly the squared residual that the verdict then tests:
-    a loose L-BFGS-B stop (``ftol`` 1e-7), then, for fits that end within 1e-2
+    a loose L-BFGS stop (``ftol`` 1e-7), then, for fits that end within 1e-2
     of zero, a Gauss-Newton polish with minimum-norm steps that reaches
     ``residual_tol`` where L-BFGS's stop rule cannot.  Fits that end far from
     zero are not polished, and only the best start of each inner dimension is
-    realized.  The starts run on the self-test's schedule
-    (``_linalg.restart_search``): the first start of an inner dimension runs
-    alone; while none is within ``residual_tol``, the next starts run in
-    batches of 8, with the same L-BFGS stop rule, and a batch ends at its
-    first start within tolerance.  So each inner dimension adds 1, 9, 17, ...
-    or ``restarts`` to the certificate's ``restarts`` (1 or 8 at the default
-    budget), also when a start early in a batch certifies.
+    realized.  The starts of an inner dimension run on the self-test's
+    schedule (``_linalg.restart_search``) through its fit driver
+    (``_linalg.batch_fit``): a batch of one start, which runs scipy's
+    L-BFGS-B, then, while none is within ``residual_tol``, batches of 8, which
+    run the numpy L-BFGS with the same stop rule, and a batch ends at its
+    first start within tolerance (a last batch of one start runs L-BFGS-B).
+    So each inner dimension adds 1, 9, 17, ... or ``restarts`` to the
+    certificate's ``restarts`` (1 or 8 at the default budget), also when a
+    start early in a batch certifies.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is
     only sound when rank(C) = d^2; anything less raises an ambiguity error.
     ``claim`` is ``"matrix"`` or ``"channel"``; any other value is a
     validation error, and so is a ``residual_tol`` that is not finite and
-    non-negative.
+    non-negative, a ``restarts`` or ``l_max`` that is not an integer of at
+    least 1 and a ``seed`` that is not one of at least 0.
 
     A failed search is non-exhaustive evidence only (exact nonnegative
     factorization is NP-hard); the restart budget and best residual are
@@ -559,10 +569,9 @@ def eb_certificate(
     d = check_dimension(d)
     if claim not in ("matrix", "channel"):
         raise ValidationError(f"unknown claim level {claim!r}; expected 'matrix' or 'channel'")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    if l_max < 1:
-        raise ValidationError(f"l_max must be >= 1, got {l_max}")
+    check_integer("restarts", restarts, 1)
+    check_integer("seed", seed, 0)
+    check_integer("l_max", l_max, 1)
     check_tolerance("residual_tol", residual_tol)
     rank_c = numerical_rank(c)
     if claim == "channel" and rank_c < d * d:

@@ -21,6 +21,7 @@ from .errors import (
     NotInformationallyCompleteError,
     NotSelfTestableError,
     PreconditionError,
+    check_dimension,
 )
 from .analysis import (
     DEFAULT_SEED,
@@ -214,6 +215,7 @@ def reconstruct_up_to_gauge(
     returned channel equals the true one conjugated on both sides by one unknown
     unitary or antiunitary; gauge-invariant scalars are faithful.
     """
+    d = check_dimension(d)
     rank = numerical_rank(c)
     if rank < d * d:
         raise NotInformationallyCompleteError(

@@ -16,6 +16,7 @@ from commat import (
     information_storability,
     noisy_antidist,
     numerical_rank,
+    reconstruct_up_to_gauge,
     robustness_gap,
     self_test,
     sic_qubit,
@@ -183,14 +184,16 @@ class TestCompleteness:
                 call()
         assert svds == []
 
-    @pytest.mark.parametrize("d", [2.5, 2.0])
+    @pytest.mark.parametrize("d", [2.5, 2.0, "2"])
     def test_non_integer_dimension_is_rejected(self, d):
+        # reconstruct_up_to_gauge checks d before its rank test, which d * d would break
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         for call in (lambda: certify_info_completeness(c, d),
                      lambda: certify_info_completeness(c, d, (states, povm)),
-                     lambda: self_test(c, d)):
-            with pytest.raises(InvalidDimensionError, match=f"must be an integer, got {d}"):
+                     lambda: self_test(c, d),
+                     lambda: reconstruct_up_to_gauge(c, c, d)):
+            with pytest.raises(InvalidDimensionError, match=f"must be an integer, got {d!r}"):
                 call()
 
     def test_numpy_integer_dimension_is_accepted(self):
@@ -426,13 +429,11 @@ class TestSelfTest:
         # mixed state), so no bijection attains them all
         import commat._linalg as _linalg
 
-        calls = []
-        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(_linalg, "batch_fit", lambda *a, **k: pytest.fail("fit ran"))
         c = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
         assert information_storability(CommMatrix(entries=c)) == pytest.approx(2.0)
         with pytest.raises(NotSelfTestableError, match="pairing"):
             self_test(CommMatrix(entries=c), 2)
-        assert calls == []
 
     @pytest.mark.parametrize(
         "c, d",
@@ -456,11 +457,9 @@ class TestSelfTest:
     def test_tolerances_must_be_finite_and_non_negative(self, monkeypatch, name, value):
         import commat._linalg as _linalg
 
-        calls = []
-        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(_linalg, "batch_fit", lambda *a, **k: pytest.fail("fit ran"))
         with pytest.raises(ValidationError, match=name):
             self_test(noisy_antidist(4, 0.5), 2, **{name: value})
-        assert calls == []
 
     def test_reconstruction_matches_within_residual(self):
         cert = self_test(noisy_antidist(4, 0.5), 2)
@@ -509,6 +508,22 @@ class TestSelfTest:
     def test_restart_budget_below_one_rejected(self, restarts):
         with pytest.raises(ValidationError, match="restarts"):
             self_test(noisy_antidist(4, 0.5), 2, restarts=restarts)
+
+    @pytest.mark.parametrize("name, value", [
+        ("restarts", float("nan")), ("restarts", 2.5), ("restarts", True), ("restarts", 2.0),
+        ("seed", 1.5), ("seed", -1),
+    ])
+    def test_budget_and_seed_must_be_integers(self, monkeypatch, name, value):
+        import commat._linalg as _linalg
+
+        monkeypatch.setattr(_linalg, "batch_fit", lambda *a, **k: pytest.fail("fit ran"))
+        with pytest.raises(ValidationError, match=name):
+            self_test(noisy_antidist(4, 0.5), 2, **{name: value})
+
+    def test_numpy_integer_budget_and_seed_are_accepted(self):
+        c = noisy_antidist(4, 0.5)
+        cert = self_test(c, 2, restarts=np.int64(3), seed=np.uint16(7))
+        assert cert.passes and cert.gram_residual == self_test(c, 2, restarts=3, seed=7).gram_residual
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_restart_budget_checked_when_no_fit_runs(self, restarts):

@@ -266,6 +266,20 @@ def test_restart_budget_below_one_is_validation_error(
     assert "restarts" in err["message"]
 
 
+@pytest.mark.parametrize("check", [None, "eb"])
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_negative_seed_is_validation_error(sic_file, identity_cprime_file, check, seed, capsys):
+    # numpy's generator used to reject it mid-search, which exited 4 as a numerical failure
+    argv = ["analyze"]
+    if check:
+        argv = ["properties", "--check", check, "--cprime", str(identity_cprime_file)]
+    code = main(argv + ["--scenario", str(sic_file), "--seed", seed])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "validation-error"
+    assert "seed" in err["message"]
+
+
 def _record(monkeypatch, module, name, parameter, seen):
     """Wrap module.name so that seen[name] holds the value of one parameter in its last call."""
     original = getattr(module, name)

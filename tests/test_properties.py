@@ -286,6 +286,22 @@ class TestNonnegativeFactorization:
         with pytest.raises(ValidationError, match="restarts"):
             nonnegative_factorization(dist_matrix(4), 3, restarts=restarts)
 
+    @pytest.mark.parametrize("name, value", [
+        ("restarts", float("nan")), ("restarts", 2.5), ("seed", 1.5), ("seed", -1),
+    ])
+    def test_budget_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            nonnegative_factorization(dist_matrix(4), 3, **{name: value})
+
+    def test_starts_share_one_generator_and_the_best_is_kept(self, monkeypatch):
+        seeds, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+        c = dist_matrix(4)  # l = 3 stays far from an exact fit, so every start runs
+        one, three, again = (nonnegative_factorization(c, 3, restarts=r, seed=5) for r in (1, 3, 3))
+        assert seeds == [5, 5, 5]
+        assert three[2] <= one[2] + 1e-12  # the three starts begin with the one start's draw
+        assert all(np.array_equal(x, y) for x, y in zip(three, again))
+
     def test_identity_at_l3_stays_far(self):
         _, _, residual = nonnegative_factorization(dist_matrix(4), 3, restarts=8)
         assert residual > 1e-3
@@ -391,7 +407,13 @@ class TestEbCertificate:
         # the first start is made to miss, so the next 8 run as one batch and one of them certifies
         from commat import _linalg
 
-        monkeypatch.setattr(_linalg, "two_phase_fit", lambda *a: (a[3], np.inf))
+        batch_fit = _linalg.batch_fit
+
+        def first_start_misses(*args):
+            x0 = args[3]
+            return [(x0[0], np.inf)] if len(x0) == 1 else batch_fit(*args)
+
+        monkeypatch.setattr(_linalg, "batch_fit", first_start_misses)
         states, povm = sic_qubit()
         c = comm_matrix(states, povm)
         channel = depolarizing_channel(basis2, 0.8)
@@ -420,6 +442,20 @@ class TestEbCertificate:
         c = comm_matrix(states, povm)
         with pytest.raises(ValidationError, match="restarts"):
             eb_certificate(c, c, 2, l_max=4, restarts=restarts)
+
+    @pytest.mark.parametrize("name, value", [
+        ("restarts", float("nan")), ("restarts", 2.5), ("restarts", True),
+        ("l_max", 4.5), ("l_max", 0), ("seed", 1.5), ("seed", -5),
+    ])
+    def test_budget_l_max_and_seed_must_be_integers(self, monkeypatch, name, value):
+        # the identity is not EB: a NaN budget used to run batches of 8 forever
+        from commat import _linalg
+
+        monkeypatch.setattr(_linalg, "batch_fit", lambda *a, **k: pytest.fail("search ran"))
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        with pytest.raises(ValidationError, match=name):
+            eb_certificate(c, c, 2, **{"l_max": 4, name: value})
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_restart_budget_checked_with_a_realization(self, eb_setup, restarts):
@@ -679,8 +715,7 @@ class TestEbCertificate:
         c = comm_matrix(states, povm)
         channel = amplitude_damping_channel(basis2, 0.3)
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
-        monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: pytest.fail("search ran"))
-        monkeypatch.setattr(_linalg, "lbfgs_batch", lambda *a, **k: pytest.fail("batch ran"))
+        monkeypatch.setattr(_linalg, "batch_fit", lambda *a, **k: pytest.fail("search ran"))
         with pytest.raises(PreconditionError, match=r"rank\(C'\) = 4 exceeds l_max = 1"):
             eb_certificate(c, cp, 2, l_max=1)
 

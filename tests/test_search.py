@@ -1,4 +1,6 @@
-"""The multi-start driver, the two-phase fit and the Gauss-Newton polish shared by the searches."""
+"""The fit driver shared by the searches: its keep rule, ``batch_fit`` with its two L-BFGS engines
+(scipy's L-BFGS-B for one start, ``lbfgs_batch`` for more), the Gauss-Newton polish and the
+restart schedule."""
 
 import types
 
@@ -14,73 +16,21 @@ from commat._linalg import (
     gauss_newton,
     inverse_sqrt,
     lbfgs_batch,
-    multistart,
     restart_search,
-    two_phase_fit,
 )
 
 
-def scripted(residuals):
-    """A solve callable returning the given residuals in turn; it records (start, one draw)."""
-    calls = []
-
-    def solve(rng, start):
-        calls.append((start, rng.standard_normal()))
-        return f"candidate {start}", residuals[start]
-
-    return solve, calls
-
-
-def test_stops_at_first_residual_within_tolerance():
-    solve, calls = scripted([0.5, 0.2, 1e-9, 1e-12])
-    assert multistart(solve, 4, 0, 1e-8) == ("candidate 2", 1e-9, 3)
-    assert [start for start, _ in calls] == [0, 1, 2]
-
-
-def test_residual_equal_to_tolerance_is_accepted():
-    solve, _ = scripted([0.5, 0.0, 0.0])
-    assert multistart(solve, 3, 0, 0.0) == ("candidate 1", 0.0, 2)
-
-
-def test_keeps_lowest_residual_when_none_is_accepted():
-    solve, _ = scripted([0.5, 0.1, 0.3, 0.1])
-    # the tie at start 3 keeps the earlier start 1
-    assert multistart(solve, 4, 0, 1e-8) == ("candidate 1", 0.1, 4)
-
-
-def test_first_start_is_kept_even_with_a_nan_residual():
-    solve, _ = scripted([np.nan, np.nan])
-    best, residual, ran = multistart(solve, 2, 0, 1e-8)
-    assert best == "candidate 0" and np.isnan(residual) and ran == 2
-
-
-def test_a_finite_residual_replaces_a_nan_best():
-    solve, _ = scripted([np.nan, 1e-12])
-    assert multistart(solve, 2, 0, 1e-8) == ("candidate 1", 1e-12, 2)
-
-
-def test_one_generator_per_seed():
-    first, draws_a = scripted([1.0] * 3)
-    again, draws_b = scripted([1.0] * 3)
-    other, draws_c = scripted([1.0] * 3)
-    multistart(first, 3, 5, 0.0)
-    multistart(again, 3, 5, 0.0)
-    multistart(other, 3, 6, 0.0)
-    assert draws_a == draws_b != draws_c
-    assert len({draw for _, draw in draws_a}) == 3  # the starts share one stream, not one seed
-
-
-@pytest.mark.parametrize("residuals, kept", [
-    ([0.5, 0.2, 1e-9, 1e-12, 0.1], 2),  # the first within tolerance, although 3 is lower
-    ([0.5, 0.1, 0.3, 0.1], 1),          # the tie at start 3 keeps the earlier start 1
-    ([np.nan, np.nan, np.nan], 0),      # all NaN: the first start
-    ([np.nan, 0.3, np.nan, 0.2], 3),    # a finite residual replaces a NaN best, not the reverse
-    ([0.3, np.nan, 0.2], 2),
+@pytest.mark.parametrize("residuals, tol, kept", [
+    ([0.5, 0.2, 1e-9, 1e-12, 0.1], 1e-8, 2),  # the first within tolerance, although 3 is lower
+    ([0.5, 0.0, 0.0], 0.0, 1),                # a residual equal to the tolerance is accepted
+    ([0.5, 0.1, 0.3, 0.1], 1e-8, 1),          # the tie at start 3 keeps the earlier start 1
+    ([np.nan, np.nan, np.nan], 1e-8, 0),      # all NaN: the first start
+    ([np.nan, 1e-12], 1e-8, 1),               # a finite residual within tolerance replaces a NaN best
+    ([np.nan, 0.3, np.nan, 0.2], 1e-8, 3),    # a finite residual replaces a NaN best, not the reverse
+    ([0.3, np.nan, 0.2], 1e-8, 2),
 ])
-def test_best_start_is_the_rule_of_the_sequential_search(residuals, kept):
-    assert best_start(residuals, 1e-8) == kept
-    solve, _ = scripted(residuals)
-    assert multistart(solve, len(residuals), 0, 1e-8)[0] == f"candidate {kept}"
+def test_best_start_is_the_keep_rule_of_every_search(residuals, tol, kept):
+    assert best_start(residuals, tol) == kept
 
 
 def test_inverse_sqrt_matches_eigen_formula(rng):
@@ -127,10 +77,11 @@ def test_gauss_newton_stops_at_a_non_finite_jacobian():
 
 
 def least_squares(a, b):
-    """objective, residual and Jacobian of r(x) = a x - b, with f = ||r||^2."""
+    """objective, residual and Jacobian of r(x) = a x - b, with f = ||r||^2; the residual
+    of a stack of points is their residual vectors end to end."""
 
     def residual(x):
-        return a @ x - b
+        return (x @ a.T - b).ravel()
 
     def objective(x):
         r = residual(x)
@@ -139,17 +90,25 @@ def least_squares(a, b):
     return objective, residual, lambda x: a
 
 
-def test_two_phase_fit_returns_an_end_point_outside_the_gate_unpolished(monkeypatch):
+def fit_one(objective, residual, jacobian, x0, ftol, gate, maxiter):
+    """``batch_fit`` of the one start ``x0`` (n,); its verdict residual is f itself, and no
+    end point passes a tolerance of -1.  Returns the end point and its f."""
+    [(x, f)] = batch_fit(objective, residual, jacobian, x0[None], ftol, gate, maxiter,
+                         lambda x, f: f, -1.0)
+    return x, f
+
+
+def test_one_start_outside_the_gate_ends_unpolished(monkeypatch):
     # an inconsistent system: the least-squares floor is f = 2 (x = 0), far above the gate
     monkeypatch.setattr(_linalg, "gauss_newton", lambda *a, **k: pytest.fail("polish ran"))
     objective, residual, jacobian = least_squares(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-    x, f = two_phase_fit(objective, residual, jacobian, np.array([3.0]), 1e-8, 1e-2, 100)
+    x, f = fit_one(objective, residual, jacobian, np.array([3.0]), 1e-8, 1e-2, 100)
     r = residual(x)
     assert f == r @ r
     assert f > 1e-2**2
 
 
-def test_two_phase_fit_polishes_an_end_point_inside_the_gate_to_rounding(monkeypatch):
+def test_one_start_ending_inside_the_gate_is_polished_to_rounding(monkeypatch):
     # a consistent, underdetermined system: L-BFGS-B stops loosely inside the gate, and the
     # minimum-norm Gauss-Newton step solves it
     objective, residual, jacobian = least_squares(
@@ -163,42 +122,44 @@ def test_two_phase_fit_polishes_an_end_point_inside_the_gate_to_rounding(monkeyp
         return real(res, jac, x, steps)
 
     monkeypatch.setattr(_linalg, "gauss_newton", recording)
-    x, f = two_phase_fit(objective, residual, jacobian, np.array([5.0, -4.0, 0.0]), 1e-2, 1.0, 100)
+    x, f = fit_one(objective, residual, jacobian, np.array([5.0, -4.0, 0.0]), 1e-2, 1.0, 100)
     r = residual(x)
     assert len(end_points) == 1 and 1e-20 < end_points[0] <= 1.0
     assert f == r @ r
     assert f <= 1e-28
 
 
-def test_two_phase_fit_polishes_a_start_inside_the_gate_without_l_bfgs_b(monkeypatch):
+def test_a_start_inside_the_gate_is_polished_without_l_bfgs(monkeypatch):
     monkeypatch.setattr(_linalg, "minimize", lambda *a, **k: pytest.fail("L-BFGS-B ran"))
+    monkeypatch.setattr(_linalg, "lbfgs_batch", lambda *a, **k: pytest.fail("batch ran"))
     objective, residual, jacobian = least_squares(
         np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), np.array([3.0, 1.0])
     )
-    x, f = two_phase_fit(objective, residual, jacobian, np.array([1.001, 1.0, 0.0]), 1e-8, 1e-2, 100)
+    x, f = fit_one(objective, residual, jacobian, np.array([1.001, 1.0, 0.0]), 1e-8, 1e-2, 100)
     r = residual(x)
     assert f == r @ r
     assert f <= 1e-28
 
 
-def test_two_phase_fit_runs_l_bfgs_b_once_on_a_nan_start(monkeypatch):
+def test_a_nan_start_runs_l_bfgs_b_once(monkeypatch):
     # a NaN start fails the gate test, so L-BFGS-B decides; its NaN end point is returned as it is
-    starts = []
+    starts, ends = [], []
 
     def fake_minimize(objective, x0, **kwargs):
         starts.append(x0)
-        return types.SimpleNamespace(x=x0, fun=np.nan)
+        ends.append(x0.copy())
+        return types.SimpleNamespace(x=ends[-1], fun=np.nan)
 
     monkeypatch.setattr(_linalg, "minimize", fake_minimize)
     monkeypatch.setattr(_linalg, "gauss_newton", lambda *a, **k: pytest.fail("polish ran"))
     objective, residual, jacobian = least_squares(np.eye(2), np.zeros(2))
     x0 = np.array([np.nan, 0.0])
-    x, f = two_phase_fit(objective, residual, jacobian, x0, 1e-8, 1e-2, 100)
-    assert len(starts) == 1 and starts[0] is x0
-    assert x is x0 and np.isnan(f)
+    x, f = fit_one(objective, residual, jacobian, x0, 1e-8, 1e-2, 100)
+    assert len(starts) == 1 and np.array_equal(starts[0], x0, equal_nan=True)
+    assert x is ends[0] and np.isnan(f)
 
 
-def test_two_phase_fit_runs_l_bfgs_b_from_a_start_outside_the_gate(monkeypatch):
+def test_one_start_outside_the_gate_runs_l_bfgs_b_then_the_polish(monkeypatch):
     # f = 34 at the start: L-BFGS-B runs once from it and hands its end point to the polish
     objective, residual, jacobian = least_squares(
         np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), np.array([3.0, 1.0])
@@ -207,7 +168,7 @@ def test_two_phase_fit_runs_l_bfgs_b_from_a_start_outside_the_gate(monkeypatch):
     minimize, gauss_newton = _linalg.minimize, _linalg.gauss_newton
 
     def recording_minimize(*args, **kwargs):
-        fits.append((args[1], minimize(*args, **kwargs)))
+        fits.append((args[1].copy(), minimize(*args, **kwargs)))
         return fits[-1][1]
 
     def recording_polish(res, jac, x, steps):
@@ -216,9 +177,10 @@ def test_two_phase_fit_runs_l_bfgs_b_from_a_start_outside_the_gate(monkeypatch):
 
     monkeypatch.setattr(_linalg, "minimize", recording_minimize)
     monkeypatch.setattr(_linalg, "gauss_newton", recording_polish)
+    monkeypatch.setattr(_linalg, "lbfgs_batch", lambda *a, **k: pytest.fail("batch ran"))
     x0 = np.array([5.0, -4.0, 0.0])
-    x, f = two_phase_fit(objective, residual, jacobian, x0, 1e-2, 1.0, 100)
-    assert len(fits) == 1 and fits[0][0] is x0
+    x, f = fit_one(objective, residual, jacobian, x0, 1e-2, 1.0, 100)
+    assert len(fits) == 1 and np.array_equal(fits[0][0], x0)
     assert len(polished) == 1 and polished[0] is fits[0][1].x
     assert f == residual(x) @ residual(x) <= 1e-28
 
@@ -319,9 +281,10 @@ def test_batch_fit_polishes_only_the_rows_that_end_inside_the_gate(monkeypatch):
 
     polished.clear()
     objective, residual, jacobian = least_squares(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-    [(x, f)] = batch_fit(rowwise(objective), residual, jacobian, np.array([[3.0]]), 1e-8, 1e-2, 100,
-                         lambda x, f: f, -1.0)
-    assert polished == [] and f == residual(x) @ residual(x) > 1e-2**2
+    results = batch_fit(rowwise(objective), residual, jacobian, np.array([[3.0], [-2.0]]), 1e-8,
+                        1e-2, 100, lambda x, f: f, -1.0)
+    assert len(results) == 2 and polished == []
+    assert all(f == residual(x) @ residual(x) > 1e-2**2 for x, f in results)
 
 
 def tagged_batch(monkeypatch):
@@ -370,6 +333,33 @@ def test_restart_search_runs_batches_until_a_start_passes(monkeypatch):
                                       draw, 32, 0.0)
     assert (x[1], residual, ran) == (1.0, 0.0, 17)
     assert len(draws) == 16 and polished == [-20.0, *range(-9, 2)]
+
+
+def test_one_row_batches_run_l_bfgs_b_and_larger_ones_lbfgs_batch(monkeypatch):
+    # the first start misses; at a budget of 2 the trailing batch of one start runs L-BFGS-B,
+    # at a budget of 3 the trailing batch of two runs lbfgs_batch
+    phases, verdict, _ = tagged_batch(monkeypatch)
+    engines = []
+    minimize, batch = _linalg.minimize, _linalg.lbfgs_batch
+
+    def recording_minimize(objective, x0, **kwargs):
+        engines.append(("L-BFGS-B", x0[1]))
+        return minimize(objective, x0, **kwargs)
+
+    def recording_batch(objective, x0, *args):
+        engines.append(("batch", *x0[:, 1]))
+        return batch(objective, x0, *args)
+
+    monkeypatch.setattr(_linalg, "minimize", recording_minimize)
+    monkeypatch.setattr(_linalg, "lbfgs_batch", recording_batch)
+    for restarts, expected in [(2, [("L-BFGS-B", 1.0)]), (3, [("batch", 1.0, 2.0)])]:
+        engines.clear()
+        tags = iter([1.0, 2.0])
+        x, residual, ran = restart_search(phases, (1e-12, 1.0, 100), verdict,
+                                          np.array([-3.0, -1.0]), lambda: np.array([-3.0, next(tags)]),
+                                          restarts, 0.0)
+        assert engines == [("L-BFGS-B", -1.0), *expected]
+        assert (x[1], residual, ran) == (1.0, 0.0, restarts)
 
 
 def test_restart_search_keeps_the_best_start_of_a_spent_budget():
