@@ -23,7 +23,6 @@ from .errors import (
     AmbiguityError,
     CommatError,
     DimensionMismatchError,
-    InvalidDimensionError,
     NoWitnessExistsError,
     BadReferenceError,
     PreconditionError,
@@ -269,13 +268,12 @@ def nonnegative_factorization(
     norm of C - A B after renormalization.  A poor fit is reported through the
     residual, never through an exception.  The starts draw in turn from one
     generator seeded by ``seed``; the search stops at an exact fit, and the
-    start kept is ``_linalg.best_start``'s.  ``restarts`` must be an integer of
-    at least 1 and ``seed`` one of at least 0.
+    start kept is ``_linalg.best_start``'s.  ``l`` and ``restarts`` must be
+    integers of at least 1 and ``seed`` one of at least 0.
     """
     from scipy.optimize import nnls  # only this search needs scipy.optimize
 
-    if l < 1:
-        raise InvalidDimensionError(f"inner dimension must be >= 1, got {l}")
+    check_integer("l", l, 1)
     check_integer("restarts", restarts, 1)
     check_integer("seed", seed, 0)
     target = c.entries

@@ -4,7 +4,9 @@ Three routes: full tomography through a dual frame of a known informationally
 complete set-up, unital-channel tomography through the right pseudoinverse of
 the state Bloch-vector matrix, and gauge-level tomography where the set-up is
 first recovered by self-testing so the result is fixed only up to a global
-unitary or antiunitary conjugation.
+unitary or antiunitary conjugation.  The three routes share one rule for
+inverting a frame: each side's coordinate matrix must have full row rank and a
+condition number of at most ``FRAME_MAX_COND``, else the side's own error.
 """
 
 import warnings
@@ -14,7 +16,6 @@ import numpy as np
 
 from ._linalg import RANK_REL_TOL, frob, rank_of_spectrum
 from .errors import (
-    CommatError,
     DimensionMismatchError,
     FrameDeficientError,
     InsufficientStatesError,
@@ -34,14 +35,12 @@ from .operators import (
     BlochBasis,
     Povm,
     QuantumChannel,
-    _states_from_matrices,
     bloch_basis,
     channel_from_bloch,
-    validate_povm,
 )
 from .scenario import CommMatrix
 
-FRAME_ATOL = 1e-9
+FRAME_MAX_COND = 1e7
 CPTP_WARN_TOL = 1e-6
 
 
@@ -66,33 +65,34 @@ class TomographyFrame:
 def _dual_frame(coords: np.ndarray, error: type, name: str, detail: str = "") -> np.ndarray:
     """Minimum-norm dual pinv(coords)^T of a coordinate matrix, one column per operator.
 
-    One SVD coords = U S V^T gives both the rank and, at full row rank, the
-    dual (U / S) V^T.  A smaller rank raises ``error``: "<name> span only <rank>
-    of <rows> dimensions<detail>".
+    One SVD coords = U S V^T gives the rank, the condition number s_max / s_min
+    and, at full row rank, the dual (U / S) V^T.  A smaller rank raises
+    ``error``: "<name> span only <rank> of <rows> dimensions<detail>".  A
+    condition number above ``FRAME_MAX_COND`` raises it too, naming that
+    number: the dual reproduces the basis only to about it times eps.
     """
     u, s, vt = np.linalg.svd(coords, full_matrices=False)
     rank = rank_of_spectrum(s, RANK_REL_TOL)
     if rank < len(coords):
         raise error(f"{name} span only {rank} of {len(coords)} dimensions{detail}")
+    if s[-1] * FRAME_MAX_COND < s[0]:
+        raise error(f"{name} have condition number {s[0] / s[-1]:.3e} above {FRAME_MAX_COND:.0e}")
     return (u / s) @ vt
+
+
+def _frame(state_mats, effect_mats, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
+    alpha = _dual_frame(basis_in.coords(state_mats).T, FrameDeficientError, "states")
+    beta = _dual_frame(basis_out.coords(effect_mats).T, FrameDeficientError, "effects")
+    return TomographyFrame(alpha=alpha, beta=beta, basis_in=basis_in, basis_out=basis_out)
 
 
 def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
     """Minimum-norm expansion coefficients via pseudoinverse of the coordinate matrices.
 
-    Requires both sides informationally complete; the failing side is named in
-    the error.
+    Requires both sides informationally complete and well conditioned; the
+    failing side is named in the error.
     """
-    state_mats = np.array([s.matrix for s in states])
-    alpha = _dual_frame(basis_in.coords(state_mats).T, FrameDeficientError, "states")
-    beta = _dual_frame(basis_out.coords(np.array(povm.effects)).T, FrameDeficientError, "effects")
-    di = basis_in.dim
-    synth = np.tensordot(alpha, state_mats, axes=1)
-    errors = np.linalg.norm((synth - basis_in.elements).reshape(di * di, -1), axis=1)
-    bad = np.flatnonzero(errors > FRAME_ATOL)
-    if bad.size:
-        raise CommatError(f"frame reconstruction identity fails at index {bad[0]}")
-    return TomographyFrame(alpha=alpha, beta=beta, basis_in=basis_in, basis_out=basis_out)
+    return _frame(np.array([s.matrix for s in states]), np.array(povm.effects), basis_in, basis_out)
 
 
 def _check_shape(frame, cprime: CommMatrix):
@@ -239,9 +239,8 @@ def reconstruct_up_to_gauge(
     # effect k is a_k |phi_k><phi_k|, and state pairing[k] is |phi_k><phi_k|
     vectors = np.asarray(cert.canonical_vectors)
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
-    states = _states_from_matrices(basis, projectors[np.argsort(cert.pairing)])
-    povm = validate_povm(np.asarray(cert.canonical_weights)[:, None, None] * projectors)
-    frame = build_frame(states, povm, basis, basis)
+    weights = np.asarray(cert.canonical_weights)[:, None, None]
+    frame = _frame(projectors[np.argsort(cert.pairing)], weights * projectors, basis, basis)
     try:
         channel = reconstruct_channel(frame, cprime)
     except PreconditionError as err:

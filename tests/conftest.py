@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commat import bloch_basis, state_from_matrix, validate_povm
+from commat import bloch_basis, state_from_bloch, state_from_matrix, validate_povm
 from commat.sampling import random_mixed_state, random_povm
 
 
@@ -31,6 +31,16 @@ def rank1_setup(rng, d, n):
     w = v @ ((u * ev ** -0.5) @ u.conj().T).T
     a = np.einsum("ki,ki->k", w.conj(), w).real
     return w / np.sqrt(a)[:, None], a
+
+
+def epsilon_panel_states(basis, eps):
+    """Qubit states at Bloch vectors (0, 0, .5), (.5, 0, 0), (0, .5, 0) and (eps, eps, .5 + eps).
+
+    The fourth state leaves the first one's axis by eps, so the states' coordinate
+    matrix has full rank and a condition number of about 1.8 / eps.
+    """
+    vectors = ([0.0, 0.0, 0.5], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [eps, eps, 0.5 + eps])
+    return tuple(state_from_bloch(basis, np.array(r)) for r in vectors)
 
 
 def make_random_setup(basis, rng, n_states, n_outcomes):

@@ -21,7 +21,7 @@ from commat import (
 from commat.cli import main
 from commat.sampling import random_channel
 from commat.serialize import comm_matrix_to_json, scenario_to_json
-from conftest import make_random_setup
+from conftest import epsilon_panel_states, make_random_setup
 
 
 @pytest.fixture
@@ -137,13 +137,20 @@ def test_tomography_gauge(sic_file, tmp_path):
     assert "antiunitary" in result["gauge_note"]
 
 
-def test_tomography_frame_deficient(tmp_path, identity_cprime_file):
-    trine = tmp_path / "trine.json"
-    assert main(["fixtures", "d3-trine", "--out", str(trine)]) == 0
-    code = main(
-        ["tomography", "--scenario", str(trine), "--cprime", str(identity_cprime_file)]
-    )
+@pytest.mark.parametrize("setup", ["d3-trine", "near-dependent"])
+def test_tomography_frame_deficient(tmp_path, identity_cprime_file, setup, capsys):
+    scenario = tmp_path / "scenario.json"
+    if setup == "d3-trine":
+        assert main(["fixtures", "d3-trine", "--out", str(scenario)]) == 0
+    else:
+        # full rank, but the states' condition number 1.8e7 is above the limit
+        _, povm = sic_qubit()
+        states = epsilon_panel_states(bloch_basis(2), 1e-7)
+        scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
+    code = main(["tomography", "--mode", "full", "--scenario", str(scenario),
+                 "--cprime", str(identity_cprime_file)])
     assert code == 3
+    assert json.loads(capsys.readouterr().err)["code"] == "frame-deficient"
 
 
 def test_properties_unitality(sic_file, tmp_path):
@@ -624,7 +631,6 @@ def test_main_runs_the_command_function_it_finds_at_call_time(sic_file, monkeypa
 
     # sic_file ran main, which built the one parser of this process
     assert cli._build_parser() is cli._build_parser()
-    capsys.readouterr()
     seen = []
     monkeypatch.setattr(cli, "cmd_analyze", lambda args, docs: seen.append(docs) or {"rank": 0})
     assert main(["analyze", "--scenario", str(sic_file)]) == 0

@@ -288,10 +288,11 @@ class TestNonnegativeFactorization:
 
     @pytest.mark.parametrize("name, value", [
         ("restarts", float("nan")), ("restarts", 2.5), ("seed", 1.5), ("seed", -1),
+        ("l", 2.5), ("l", float("nan")), ("l", True),
     ])
     def test_budget_and_seed_must_be_integers(self, name, value):
-        with pytest.raises(ValidationError, match=name):
-            nonnegative_factorization(dist_matrix(4), 3, **{name: value})
+        with pytest.raises(ValidationError, match=rf"^{name} must be"):
+            nonnegative_factorization(dist_matrix(4), **{"l": 3, name: value})
 
     def test_starts_share_one_generator_and_the_best_is_kept(self, monkeypatch):
         seeds, default_rng = [], np.random.default_rng

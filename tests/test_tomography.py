@@ -37,8 +37,8 @@ from commat.errors import (
     PreconditionError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
-from commat.tomography import _dual_frame
-from conftest import make_random_setup, make_spanning_setup, rank1_setup
+from commat.tomography import FRAME_MAX_COND, _dual_frame
+from conftest import epsilon_panel_states, make_random_setup, make_spanning_setup, rank1_setup
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -139,6 +139,35 @@ class TestBuildFrame:
         # both sides fall short: the states are checked first
         with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions$"):
             build_frame(states, povm, basis2, basis2)
+        # full rank, but the SIC effects squashed along y by 1e-8 have condition number 1.7e8
+        squashed = validate_povm(
+            [state_from_bloch(basis2, s.bloch * [1.0, 1e-8, 1.0]).matrix / 2 for s in sic_states]
+        )
+        with pytest.raises(FrameDeficientError,
+                           match=r"^effects have condition number 1\.732e\+08 above 1e\+07$"):
+            build_frame(sic_states, squashed, basis2, basis2)
+
+    @pytest.mark.parametrize("eps, builds", [
+        (1e-3, True), (1e-4, True), (1e-5, True), (1e-6, True), (3e-7, True),
+        (1e-7, False), (3e-8, False), (1e-8, False),
+    ])
+    def test_condition_number_limit(self, basis2, eps, builds):
+        # every panel state frame has full rank; kappa ~ 1.8 / eps runs from 1.8e3 to 1.8e8
+        states = epsilon_panel_states(basis2, eps)
+        _, povm = sic_qubit()
+        mats = np.array([s.matrix for s in states])
+        kappa = np.linalg.cond(basis2.coords(mats).T)
+        assert (kappa <= FRAME_MAX_COND) == builds
+        if builds:
+            # the min-norm dual reproduces the basis to about kappa * eps
+            frame = build_frame(states, povm, basis2, basis2)
+            synth = np.tensordot(frame.alpha, mats, axes=1)
+            assert np.abs(synth - basis2.elements).max() <= 8 * kappa * np.finfo(float).eps
+        else:
+            with pytest.raises(FrameDeficientError, match=r"^states have condition number") as info:
+                build_frame(states, povm, basis2, basis2)
+            reported = float(str(info.value).split()[4])
+            assert reported == pytest.approx(kappa, rel=1e-3)
 
 
 class TestReconstruct:
@@ -251,11 +280,20 @@ class TestReconstruct:
 
 
 class TestReconstructUnital:
-    def test_trine_states_insufficient(self, basis2):
-        trine_states, _ = trine_qubit()
+    @pytest.mark.parametrize("setup, message", [
+        ("trine", r"span only 2 of 3 dimensions; right pseudoinverse does not exist$"),
+        # full rank 3, but kappa of R is 1e8: the third vector leaves the first one's axis by 1e-8
+        ("near-dependent", r"have condition number 1\.000e\+08 above 1e\+07$"),
+    ])
+    def test_states_that_cannot_be_inverted_are_insufficient(self, basis2, setup, message):
+        if setup == "trine":
+            states, _ = trine_qubit()
+        else:
+            panel = epsilon_panel_states(basis2, 1e-8)
+            states = [panel[0], panel[1], panel[3]]
         _, sic_povm = sic_qubit()
-        with pytest.raises(InsufficientStatesError):
-            build_unital_frame(trine_states, sic_povm, basis2)
+        with pytest.raises(InsufficientStatesError, match="^state Bloch vectors " + message):
+            build_unital_frame(states, sic_povm, basis2)
 
     def test_identity_round_trip(self, axis_states, basis2):
         _, povm = sic_qubit()
@@ -387,6 +425,28 @@ class TestReconstructUpToGauge:
         assert np.abs(rebuilt.entries - cp.entries).max() < 1e-10
         assert np.abs(estimate.gauge_invariant_singular_values()
                       - np.linalg.svd(ch.bloch_matrix[1:, 1:], compute_uv=False)).max() < 1e-8
+
+    @pytest.mark.parametrize("d, n, seed", [(2, 4, 0), (2, 5, 0), (2, 6, 0), (3, 9, 0)])
+    def test_canonical_frame_matches_the_validated_operators(self, d, n, seed):
+        # the route inverts the canonical coordinates directly; the reference first
+        # builds and validates the canonical states and POVM, then runs build_frame
+        rng = np.random.default_rng(seed)
+        vectors, weights = rank1_setup(rng, d, n)
+        basis = bloch_basis(d)
+        states = [state_from_matrix(basis, np.outer(v, v.conj())) for v in vectors]
+        povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+        ch = random_channel(basis, basis, rng)
+        cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch))
+        estimate = reconstruct_up_to_gauge(comm_matrix(states, povm), cp, d)
+        cert = estimate.certificate
+        canon = np.vstack(cert.canonical_vectors)
+        canon_states = [state_from_matrix(basis, np.outer(canon[k], canon[k].conj()))
+                        for k in np.argsort(cert.pairing)]
+        canon_povm = validate_povm(
+            [a * np.outer(v, v.conj()) for a, v in zip(cert.canonical_weights, canon)]
+        )
+        reference = reconstruct_channel(build_frame(canon_states, canon_povm, basis, basis), cp)
+        assert np.array_equal(estimate.channel.bloch_matrix, reference.bloch_matrix)
 
     def test_incomplete_matrix_rejected(self):
         trine_states, trine_povm = trine_qubit()
