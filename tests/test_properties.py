@@ -33,6 +33,7 @@ from commat import (
 from commat.errors import (
     AmbiguityError,
     BadReferenceError,
+    DimensionMismatchError,
     NoWitnessExistsError,
     PreconditionError,
     ValidationError,
@@ -464,6 +465,30 @@ class TestEbCertificate:
         with pytest.raises(ValidationError, match="restarts"):
             eb_certificate(c, cp, 2, l_max=4, restarts=restarts, realization=channel.mp_realization)
 
+    @pytest.mark.parametrize("realization, error", [
+        ("qutrit", DimensionMismatchError),
+        ("two effects, one state", ValidationError),
+        ("no states", ValidationError),
+    ])
+    def test_realization_must_fit_the_set_up(self, basis3, monkeypatch, realization, error):
+        # each of these used to escape as a bare ValueError from a matrix product or reshape
+        from commat import properties
+
+        monkeypatch.setattr(
+            properties, "_realization_factors", lambda *a: pytest.fail("factors computed")
+        )
+        states, povm = sic_qubit()
+        c = comm_matrix(states, povm)
+        given = {
+            "qutrit": (validate_povm([np.eye(3)]), [state_from_bloch(basis3, np.zeros(8))]),
+            "two effects, one state": (
+                validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), [states[0]]
+            ),
+            "no states": (validate_povm([np.eye(2)]), []),
+        }[realization]
+        with pytest.raises(error, match="realization"):
+            eb_certificate(c, c, 2, l_max=4, realization=given)
+
     @pytest.mark.parametrize("residual_tol", [float("nan"), float("inf"), -1e-8])
     def test_residual_tol_must_be_finite_and_non_negative(self, eb_setup, residual_tol):
         # a NaN tolerance used to turn the EB channel's exact realization into no-certificate-found
@@ -473,33 +498,20 @@ class TestEbCertificate:
                 c, cp, 2, l_max=4, realization=channel.mp_realization, residual_tol=residual_tol
             )
 
-    def test_mp_fit_gradient_matches_finite_differences(self, rng):
-        from scipy.optimize import approx_fprime
-
-        from commat.properties import _MeasurePrepareFit
-
-        states, povm = sic_qubit()
-        rho_arr = np.stack([s.matrix for s in states])
-        eff_arr = np.stack(povm.effects)
-        target = comm_matrix(states, povm).entries
-        x0 = rng.standard_normal(2 * 4 * 2 * 2 * 2)
-        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, 4)
-        _, grad = fit.objective(x0)
-        numeric = approx_fprime(x0, lambda x: fit.objective(x)[0], 1e-7)
-        assert np.abs(grad - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-5
-
-    def test_mp_fit_gradient_matches_finite_differences_qutrit(self, basis3, rng):
-        from scipy.optimize import approx_fprime
-
+    @pytest.mark.parametrize("d, l", [(2, 4), (3, 2)])
+    def test_mp_fit_gradient_matches_central_differences(self, d, l):
         from commat.properties import _MeasurePrepareFit
         from commat.sampling import random_povm
 
-        rho_arr, eff_arr, target = _mp_setup(basis3, random_povm, rng, n_states=9, n_effects=9)
-        x0 = rng.standard_normal(2 * 2 * 2 * 3 * 3)
-        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, 2)
-        _, grad = fit.objective(x0)
-        numeric = approx_fprime(x0, lambda x: fit.objective(x)[0], 1e-7)
-        assert np.abs(grad - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-5
+        gen = np.random.default_rng(7000 * d + l)
+        rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
+        fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
+        x = gen.standard_normal(4 * l * d * d)
+        _, grad = fit.objective(x)
+        step = 1e-6
+        shifts = step * np.eye(x.size)
+        numeric = (fit.objective(x + shifts)[0] - fit.objective(x - shifts)[0]) / (2 * step)
+        assert np.abs(grad - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -521,13 +533,17 @@ class TestEbCertificate:
 
     @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
     def test_mp_packing_is_the_float_view_of_the_blocks(self, d, l):
-        from commat.properties import _unpack_mp_params
+        # the lift of x is exactly the embedding of the blocks x is the float view of
+        from commat.properties import _MeasurePrepareFit, _embed, _unembed
+        from commat.sampling import random_povm
 
         gen = np.random.default_rng(5000 * d + l)
+        fit = _MeasurePrepareFit(*_mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d), l)
         re, im = gen.standard_normal((2, 2, l, d, d))
         blocks = re + 1j * im                           # the stacked H_i and the stacked G_i
-        h, g, _, _ = _unpack_mp_params(blocks.view(float).ravel(), l, d)
-        assert np.array_equal(h, blocks[0]) and np.array_equal(g, blocks[1])
+        lifted = fit._lift(blocks.view(float).ravel())
+        assert np.array_equal(lifted, _embed(blocks))
+        assert np.array_equal(_unembed(lifted), blocks)
 
     @pytest.mark.parametrize("d, l", [(2, 1), (2, 4), (3, 2)])
     def test_mp_objective_is_the_squared_realized_residual(self, d, l):
@@ -542,8 +558,9 @@ class TestEbCertificate:
         target /= target.sum(axis=1, keepdims=True)
         for _ in range(3):
             x = gen.standard_normal(4 * l * d * d)
-            f, _ = _MeasurePrepareFit(rho_arr, eff_arr, target, l).objective(x)
-            n_povm, _, _, _, residual = _realize_measure_prepare(x, states, povm, l, target)
+            fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
+            f, _ = fit.objective(x)
+            n_povm, _, _, _, residual = _realize_measure_prepare(fit, x, states, povm)
             assert abs(f - residual**2) <= 1e-12 * max(1.0, f)
             assert np.abs(sum(n_povm.effects) - np.eye(d)).max() <= 1e-12
 
@@ -728,14 +745,43 @@ class TestEbCertificate:
         gen = np.random.default_rng(6000 * d + l)
         rho_arr, eff_arr, target = _mp_setup(bloch_basis(d), random_povm, gen, d * d, d * d)
         fit = _MeasurePrepareFit(rho_arr, eff_arr, target, l)
-        xs = gen.standard_normal((5, 4 * l * d * d))
+        xs = gen.standard_normal((7, 4 * l * d * d))
         f, grad = fit.objective(xs)
-        assert f.shape == (5,) and grad.shape == xs.shape
-        for x, f_row, grad_row in zip(xs, f, grad):
+        residuals = fit.residual(xs).reshape(len(xs), -1)
+        assert f.shape == (7,) and grad.shape == xs.shape
+        for x, f_row, grad_row, r_row in zip(xs, f, grad, residuals):
             f_one, grad_one = fit.objective(x)
+            r_one = fit.residual(x)
             assert isinstance(f_one, float)
             assert abs(f_row - f_one) <= 1e-12 * abs(f_one)
-            assert np.abs(grad_row - grad_one).max() <= 1e-10 * np.abs(grad_one).max()
+            assert np.abs(grad_row - grad_one).max() <= 1e-12 * np.abs(grad_one).max()
+            assert np.abs(r_row - r_one).max() <= 1e-12 * np.abs(r_one).max()
+
+    @pytest.mark.parametrize("d, l", [(2, 4), (3, 2)])
+    @pytest.mark.parametrize("cond", [1e4, 1e8])
+    def test_mp_effects_sum_to_the_identity_for_an_ill_conditioned_h(self, d, l, cond):
+        # S = sum_i H_i^dag H_i then has condition number cond^2: the polar factor of the
+        # stacked H keeps the sum exact where S^(-1/2) from an eigendecomposition of S cannot
+        from commat.properties import _MeasurePrepareFit, _realize_measure_prepare
+
+        gen = np.random.default_rng(8000 * d + l)
+        basis = bloch_basis(d)
+        states, povm = make_random_setup(basis, gen, d * d, d * d)
+        target = comm_matrix(states, povm).entries
+        fit = _MeasurePrepareFit(
+            np.stack([s.matrix for s in states]), np.stack(povm.effects), target, l
+        )
+        xs = []
+        for _ in range(7):
+            z = gen.standard_normal((2, l * d, d)) + 1j * gen.standard_normal((2, l * d, d))
+            w, _, vh = np.linalg.svd(z[0], full_matrices=False)
+            h = (w * np.geomspace(1.0, 1.0 / cond, d)) @ vh
+            assert np.isclose(np.linalg.cond(h), cond, rtol=1e-6)
+            xs.append(np.stack([h, z[1]]).view(float).ravel())
+        sums = fit._forward(np.stack(xs))[1].sum(axis=-3)
+        assert np.abs(sums - np.eye(2 * d)).max() <= 1e-12
+        n_povm = _realize_measure_prepare(fit, xs[0], states, povm)[0]
+        assert np.abs(sum(n_povm.effects) - np.eye(d)).max() <= 1e-12
 
     def test_batch_starts_are_the_sequential_draws(self, monkeypatch):
         # the identity on sic-qubit searches l = 4 only, from the generator seeded by seed + 4
