@@ -39,15 +39,15 @@ class InvalidDimensionError(ValidationError):
     code = "invalid-dimension"
 
 
-def check_integer(name: str, value, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``, else ``ValidationError``.
+def check_integer(name: str, value, minimum: int | None) -> int:
+    """``value`` as an int of at least ``minimum`` (if not None), else ``ValidationError``.
 
     The integer rule is ``operator.index``'s, without bools: numpy integers
     pass, and True or a float such as 2.0, 2.5 or NaN does not.
     """
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value}")
     return operator.index(value)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InvalidDimensionError, ValidationError
+from .errors import InvalidDimensionError, ValidationError, check_integer
 from .operators import (
     bloch_basis,
     measure_and_prepare_channel,
@@ -13,17 +13,23 @@ from .operators import (
 from .scenario import CommMatrix
 
 
-def dist_matrix(n: int) -> CommMatrix:
-    """Perfect distinguishability of n messages: the identity matrix."""
+def _message_count(n) -> int:
+    """``n`` as an int by ``check_integer``'s rule; fewer than 2 raises ``InvalidDimensionError``."""
+    n = check_integer("message count", n, None)
     if n < 2:
         raise InvalidDimensionError(f"need at least 2 messages, got {n}")
+    return n
+
+
+def dist_matrix(n: int) -> CommMatrix:
+    """Perfect distinguishability of n messages: the identity matrix."""
+    n = _message_count(n)
     return CommMatrix(entries=np.eye(n))
 
 
 def antidist_matrix(n: int) -> CommMatrix:
     """Uniform antidistinguishability: zero diagonal, 1/(n-1) off-diagonal."""
-    if n < 2:
-        raise InvalidDimensionError(f"need at least 2 messages, got {n}")
+    n = _message_count(n)
     m = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(m, 0.0)
     return CommMatrix(entries=m)
@@ -31,8 +37,7 @@ def antidist_matrix(n: int) -> CommMatrix:
 
 def noisy_antidist(n: int, eps: float) -> CommMatrix:
     """Noisy uniform (anti)distinguishability: diagonal 1-eps, off-diagonal eps/(n-1)."""
-    if n < 2:
-        raise InvalidDimensionError(f"need at least 2 messages, got {n}")
+    n = _message_count(n)
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"noise parameter {eps} outside [0, 1]")
     m = np.full((n, n), eps / (n - 1))

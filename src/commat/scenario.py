@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import born_matrix, freeze as _freeze, frob
-from .errors import CommMatrixError, DimensionMismatchError, InvalidChannelError
+from .errors import CommMatrixError, DimensionMismatchError, InvalidChannelError, check_integer
 from .operators import (
     Povm,
     QuantumChannel,
@@ -47,8 +47,7 @@ class Scenario:
             raise DimensionMismatchError(
                 f"states have dimension {d} but measurement acts on {self.povm.dim}"
             )
-        if self.repeat < 1:
-            raise InvalidChannelError(f"repeat count must be >= 1, got {self.repeat}")
+        object.__setattr__(self, "repeat", _repeat_count(self.repeat))
 
     @property
     def dim_in(self) -> int:
@@ -108,12 +107,19 @@ def comm_matrix(states, povm: Povm, provenance: Scenario | None = None) -> CommM
     return CommMatrix(entries=entries, provenance=provenance)
 
 
+def _repeat_count(lam) -> int:
+    """``lam`` as an int by ``check_integer``'s rule; a count below 1 raises ``InvalidChannelError``."""
+    lam = check_integer("repeat count", lam, None)
+    if lam < 1:
+        raise InvalidChannelError(f"repeat count must be >= 1, got {lam}")
+    return lam
+
+
 def iterate_channel(ch: QuantumChannel, lam: int) -> QuantumChannel:
     """lam-fold composition of a square channel, realized as a Bloch-matrix power."""
     if ch.dim_in != ch.dim_out:
         raise DimensionMismatchError("only square channels can be iterated")
-    if lam < 1:
-        raise InvalidChannelError(f"repeat count must be >= 1, got {lam}")
+    lam = _repeat_count(lam)
     if lam == 1:
         return ch
     power = np.linalg.matrix_power(ch.bloch_matrix, lam)

@@ -65,19 +65,35 @@ class TomographyFrame:
 def _dual_frame(coords: np.ndarray, error: type, name: str, detail: str = "") -> np.ndarray:
     """Minimum-norm dual pinv(coords)^T of a coordinate matrix, one column per operator.
 
-    One SVD coords = U S V^T gives the rank, the condition number s_max / s_min
-    and, at full row rank, the dual (U / S) V^T.  A smaller rank raises
-    ``error``: "<name> span only <rank> of <rows> dimensions<detail>".  A
-    condition number above ``FRAME_MAX_COND`` raises it too, naming that
-    number: the dual reproduces the basis only to about it times eps.
+    The singular values s of coords give the rank and the condition number
+    s_max / s_min.  A smaller rank than coords has rows raises ``error``:
+    "<name> span only <rank> of <rows> dimensions<detail>".  A condition number
+    above ``FRAME_MAX_COND`` raises it too, naming that number: the dual
+    reproduces the basis only to about it times eps.  A square coords that
+    passes is invertible, and its dual is inv(coords)^T from one LU
+    factorization; a wider one (more operators than dimensions) takes its dual
+    (U / s) V^T from the same SVD coords = U diag(s) V^T that gave s.
     """
-    u, s, vt = np.linalg.svd(coords, full_matrices=False)
+    square = coords.shape[0] == coords.shape[1]
+    if square:
+        s = np.linalg.svd(coords, compute_uv=False)
+    else:
+        u, s, vt = np.linalg.svd(coords, full_matrices=False)
     rank = rank_of_spectrum(s, RANK_REL_TOL)
     if rank < len(coords):
         raise error(f"{name} span only {rank} of {len(coords)} dimensions{detail}")
     if s[-1] * FRAME_MAX_COND < s[0]:
         raise error(f"{name} have condition number {s[0] / s[-1]:.3e} above {FRAME_MAX_COND:.0e}")
-    return (u / s) @ vt
+    return np.linalg.inv(coords).T if square else (u / s) @ vt
+
+
+def _check_basis(basis: BlochBasis, name: str, dims):
+    """Raise ``DimensionMismatchError`` unless every operator dimension in ``dims`` is the basis's."""
+    wrong = sorted(set(dims) - {basis.dim})
+    if wrong:
+        raise DimensionMismatchError(
+            f"{name} have dimension {wrong[0]} but the basis has dimension {basis.dim}"
+        )
 
 
 def _frame(state_mats, effect_mats, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
@@ -90,8 +106,12 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     """Minimum-norm expansion coefficients via pseudoinverse of the coordinate matrices.
 
     Requires both sides informationally complete and well conditioned; the
-    failing side is named in the error.
+    failing side is named in the error.  Each basis must have its operators'
+    dimension, else ``DimensionMismatchError``.
     """
+    states = tuple(states)
+    _check_basis(basis_in, "states", (s.dim for s in states))
+    _check_basis(basis_out, "effects", [povm.dim])
     return _frame(np.array([s.matrix for s in states]), np.array(povm.effects), basis_in, basis_out)
 
 
@@ -153,7 +173,14 @@ class UnitalFrame:
 
 
 def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
-    """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors."""
+    """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors.
+
+    The states, the effects and the basis must share one dimension, else
+    ``DimensionMismatchError``.
+    """
+    states = tuple(states)
+    _check_basis(basis, "states", (s.dim for s in states))
+    _check_basis(basis, "effects", [povm.dim])
     beta = _dual_frame(basis.coords(np.array(povm.effects)).T, FrameDeficientError, "effects")
     r = np.column_stack([s.bloch for s in states])
     r_dual = _dual_frame(

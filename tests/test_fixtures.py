@@ -17,7 +17,7 @@ from commat import (
     span_dims,
     trine_qubit,
 )
-from commat.errors import ValidationError
+from commat.errors import InvalidDimensionError, ValidationError
 from commat.fixtures import eb_example_expected_c
 
 D4_HALF = np.array(
@@ -41,6 +41,26 @@ def test_noise_parameter_range():
         noisy_antidist(3, 1.5)
     with pytest.raises(ValidationError):
         noisy_antidist(3, -0.1)
+
+
+@pytest.mark.parametrize(
+    "make", [dist_matrix, antidist_matrix, lambda n: noisy_antidist(n, 0.5)]
+)
+@pytest.mark.parametrize(
+    "n,error",
+    [
+        (1, InvalidDimensionError),
+        (0, InvalidDimensionError),
+        (2.5, ValidationError),
+        (3.0, ValidationError),
+        (float("nan"), ValidationError),
+        (True, ValidationError),
+    ],
+)
+def test_message_count_range(make, n, error):
+    """A count below 2 is an invalid dimension; a non-integer count is invalid input."""
+    with pytest.raises(error, match="message"):
+        make(n)
 
 
 def test_sic_matches_d4_half():

@@ -22,7 +22,12 @@ from commat import (
     unitary_channel,
     validate_povm,
 )
-from commat.errors import CommMatrixError, DimensionMismatchError
+from commat.errors import (
+    CommMatrixError,
+    DimensionMismatchError,
+    InvalidChannelError,
+    ValidationError,
+)
 from commat.fixtures import eb_example
 from commat.sampling import random_channel, random_mixed_state, random_povm
 
@@ -198,12 +203,33 @@ class TestCommMatrixValidation:
         with pytest.raises(DimensionMismatchError):
             comm_matrix(states, povm3)
 
-    def test_repeat_below_one_rejected(self, basis2):
+    @pytest.mark.parametrize(
+        "repeat,error",
+        [
+            (0, InvalidChannelError),
+            (-1, InvalidChannelError),
+            (np.int64(0), InvalidChannelError),
+            (float("nan"), ValidationError),
+            (2.5, ValidationError),
+            (2.0, ValidationError),
+            (True, ValidationError),
+        ],
+    )
+    def test_repeat_below_one_rejected(self, basis2, repeat, error):
+        """A count below 1 is an invalid channel; a non-integer count is invalid input."""
         states, povm = sic_qubit()
-        from commat.errors import InvalidChannelError
+        ch = identity_channel(basis2)
+        with pytest.raises(error, match="repeat count"):
+            Scenario(states=states, povm=povm, channel=ch, repeat=repeat)
+        with pytest.raises(error, match="repeat count"):
+            iterate_channel(ch, repeat)
 
-        with pytest.raises(InvalidChannelError):
-            Scenario(states=states, povm=povm, channel=identity_channel(basis2), repeat=0)
+    def test_numpy_integer_repeat_is_an_int(self, basis2):
+        states, povm = sic_qubit()
+        scenario = Scenario(
+            states=states, povm=povm, channel=identity_channel(basis2), repeat=np.int64(2)
+        )
+        assert type(scenario.repeat) is int and scenario.repeat == 2
 
     def test_entries_are_read_only(self):
         c = CommMatrix(entries=np.array([[0.5, 0.5]]))

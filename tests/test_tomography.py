@@ -15,6 +15,7 @@ from commat import (
     comm_matrix,
     comm_matrix_with_channel,
     completely_depolarizing_channel,
+    eb_example,
     identity_channel,
     measure_and_prepare_channel,
     reconstruct_channel,
@@ -114,16 +115,57 @@ class TestBuildFrame:
             else:
                 build_frame(states, povm, basis, basis)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_dual_frame_is_the_transposed_pseudoinverse(self, d, rng):
+    @pytest.mark.parametrize("d, n", [(d, d * d + extra) for d in range(2, 7) for extra in (0, 2)])
+    def test_dual_frame_is_the_transposed_pseudoinverse(self, d, n, rng):
+        # at n = d^2 every side is square and takes the inverse, at n = d^2 + 2 the SVD
         basis = bloch_basis(d)
-        states, povm = make_random_setup(basis, rng, d * d + 2, d * d + 1)
-        # the states, the effects, and the unital frame's Bloch-vector matrix R
+        states, povm = make_random_setup(basis, rng, n, n)
+        # the states, the effects, and the unital frame's Bloch-vector matrix R of all
+        # states but the first
         for coords in (basis.coords(np.array([s.matrix for s in states])).T,
                        basis.coords(np.array(povm.effects)).T,
-                       np.column_stack([s.bloch for s in states])):
+                       np.column_stack([s.bloch for s in states[1:]])):
+            square = coords.shape[0] == coords.shape[1]
+            assert square == (n == d * d)
             dual = _dual_frame(coords, FrameDeficientError, "operators")
-            assert np.abs(dual - np.linalg.pinv(coords).T).max() < 1e-12
+            pinv_t = np.linalg.pinv(coords).T
+            bound = 8 * np.linalg.cond(coords) * np.finfo(float).eps
+            assert np.abs(dual - pinv_t).max() <= bound * np.abs(pinv_t).max()
+            assert np.abs(dual @ coords.T - np.eye(len(coords))).max() <= bound
+            if not square:  # the same SVD as pinv's
+                assert np.abs(dual - pinv_t).max() < 1e-12
+
+    @pytest.mark.parametrize("setup", ["rank1-5", "rank1-6", "six-state"])
+    def test_over_complete_sides_take_the_minimum_norm_dual(self, basis2, setup):
+        if setup == "six-state":
+            states, povm = eb_example()[:2]
+        else:
+            vectors, weights = rank1_setup(np.random.default_rng(0), 2, int(setup[-1]))
+            states = [state_from_matrix(basis2, np.outer(v, v.conj())) for v in vectors]
+            povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+        frame = build_frame(states, povm, basis2, basis2)
+        for dual, mats in ((frame.alpha, [s.matrix for s in states]), (frame.beta, povm.effects)):
+            coords = basis2.coords(np.array(mats)).T
+            assert coords.shape[1] > coords.shape[0]
+            # the minimum-norm dual of a full-row-rank A is (A A^T)^-1 A, in A's row space
+            oracle = np.linalg.solve(coords @ coords.T, coords)
+            assert np.abs(dual - oracle).max() < 1e-13
+
+    def test_bases_of_another_dimension_are_a_dimension_mismatch(self, basis2, basis3):
+        states, povm = sic_qubit()
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^states have dimension 2 but the basis has dimension 3$"):
+            build_frame(states, povm, basis3, basis2)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^effects have dimension 2 but the basis has dimension 3$"):
+            build_frame(states, povm, basis2, basis3)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^states have dimension 2 but the basis has dimension 3$"):
+            build_unital_frame(states, povm, basis3)
+        qutrit_povm = random_povm(basis3, np.random.default_rng(0), 9)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^effects have dimension 3 but the basis has dimension 2$"):
+            build_unital_frame(states, qutrit_povm, basis2)
 
     def test_deficient_sides_keep_their_messages(self, basis2):
         sic_states, sic_povm = sic_qubit()
