@@ -26,7 +26,7 @@ from .errors import (
     check_integer,
     check_tolerance,
 )
-from .operators import GAUGE_NOTE, Povm, bloch_basis
+from .operators import GAUGE_NOTE, Povm, bloch_basis, states_dim
 from .scenario import CommMatrix, Scenario, comm_matrix
 
 GRAM_RESIDUAL_TOL = 1e-8
@@ -56,11 +56,15 @@ def span_dims(states, povm: Povm, rel_tol: float = RANK_REL_TOL) -> tuple:
 
     The intersection dimension uses dim(U) + dim(W) - dim(U + W) on stacked
     Bloch coordinates, so a single SVD tolerance governs all three numbers.
-    ``rel_tol`` lies in (0, 1).
+    ``rel_tol`` lies in (0, 1).  The states and the measurement must share one
+    dimension, else ``DimensionMismatchError``.
     """
     _check_rank_tol(rel_tol)
-    if len(states) == 0:
-        raise DimensionMismatchError("span dimensions need at least one state")
+    d = states_dim(states, "span dimensions need at least one state")
+    if povm.dim != d:
+        raise DimensionMismatchError(
+            f"states have dimension {d} but measurement acts on {povm.dim}"
+        )
     basis = states[0].basis
     rows_s = basis.coords(np.array([s.matrix for s in states]))
     rows_m = basis.coords(np.array(povm.effects))

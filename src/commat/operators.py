@@ -135,6 +135,19 @@ class DensityOperator:
         _freeze(self.bloch)
 
 
+def states_dim(states, empty_message: str) -> int:
+    """The one dimension of ``states``, else ``DimensionMismatchError``.
+
+    No states raise ``empty_message``; states of several dimensions name them.
+    """
+    dims = sorted({s.dim for s in states})
+    if not dims:
+        raise DimensionMismatchError(empty_message)
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"states have mixed dimensions {dims}")
+    return dims[0]
+
+
 def state_from_bloch(basis: BlochBasis, r: np.ndarray) -> DensityOperator:
     """Build (1/d)(identity + r . sigma) and validate positivity."""
     d = basis.dim

@@ -41,6 +41,7 @@ from .operators import (
     completely_depolarizing_channel,
     measure_and_prepare_channel,
     state_from_matrix,
+    states_dim,
     validate_povm,
 )
 from .scenario import CommMatrix, Scenario, choi_distance, comm_matrix_with_channel
@@ -96,10 +97,11 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
 
     The first case prepares two sufficiently distinct input states when
     dimensions allow (this keeps the statistics equal for any number of channel
-    uses), and otherwise the first two computational-basis projectors.
+    uses), and otherwise the first two computational-basis projectors.  No
+    states, or states of several dimensions, raise ``DimensionMismatchError``.
     """
     states = tuple(states)
-    di = states[0].dim
+    di = states_dim(states, "an indistinguishable pair needs at least one state")
     do = povm.dim
     basis_out = bloch_basis(do)
 
@@ -163,7 +165,15 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
 
 
 def unital_differentiation_condition(states, d: int) -> bool:
-    """True iff the state Bloch vectors span at least d^2 - 1 dimensions."""
+    """True iff the state Bloch vectors span at least d^2 - 1 dimensions.
+
+    ``d`` must be an integer of at least 2 (``InvalidDimensionError``), and the
+    states at least one, all of dimension d (``DimensionMismatchError``).
+    """
+    d, states = check_dimension(d), tuple(states)
+    dim = states_dim(states, "the unital differentiation condition needs at least one state")
+    if dim != d:
+        raise DimensionMismatchError(f"states have dimension {dim}, not d = {d}")
     r = np.column_stack([s.bloch for s in states])
     return numerical_rank_of(r) >= d * d - 1
 

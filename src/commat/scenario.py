@@ -11,6 +11,7 @@ from .operators import (
     QuantumChannel,
     _channel_images,
     channel_from_bloch,
+    states_dim,
 )
 
 ENTRY_CLAMP = 1e-12
@@ -28,12 +29,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
-            raise DimensionMismatchError("scenario needs at least one state")
-        ds = {s.dim for s in self.states}
-        if len(ds) != 1:
-            raise DimensionMismatchError(f"states have mixed dimensions {sorted(ds)}")
-        d = self.states[0].dim
+        d = states_dim(self.states, "scenario needs at least one state")
         if self.channel is not None:
             if self.channel.dim_in != d:
                 raise DimensionMismatchError(

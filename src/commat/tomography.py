@@ -7,6 +7,8 @@ first recovered by self-testing so the result is fixed only up to a global
 unitary or antiunitary conjugation.  The three routes share one rule for
 inverting a frame: each side's coordinate matrix must have full row rank and a
 condition number of at most ``FRAME_MAX_COND``, else the side's own error.
+Each dual is minimum-norm but for the effects' identity row, all ones (exact,
+as the effects sum to I), so reconstructions are trace-preserving by design.
 """
 
 import warnings
@@ -37,6 +39,7 @@ from .operators import (
     QuantumChannel,
     bloch_basis,
     channel_from_bloch,
+    states_dim,
 )
 from .scenario import CommMatrix
 
@@ -87,31 +90,39 @@ def _dual_frame(coords: np.ndarray, error: type, name: str, detail: str = "") ->
     return np.linalg.inv(coords).T if square else (u / s) @ vt
 
 
-def _check_basis(basis: BlochBasis, name: str, dims):
-    """Raise ``DimensionMismatchError`` unless every operator dimension in ``dims`` is the basis's."""
-    wrong = sorted(set(dims) - {basis.dim})
-    if wrong:
+def _effect_dual(effect_mats, basis: BlochBasis) -> np.ndarray:
+    """``_dual_frame`` of the effects with identity row all ones, exact as they sum to I:
+    coords(I) = e_0.  The minimum-norm row equals it only when the effects are d^2."""
+    beta = _dual_frame(basis.coords(effect_mats).T, FrameDeficientError, "effects")
+    beta[0] = 1.0
+    return beta
+
+
+def _check_basis(basis: BlochBasis, name: str, dim: int):
+    """Raise ``DimensionMismatchError`` unless the operators' dimension ``dim`` is the basis's."""
+    if dim != basis.dim:
         raise DimensionMismatchError(
-            f"{name} have dimension {wrong[0]} but the basis has dimension {basis.dim}"
+            f"{name} have dimension {dim} but the basis has dimension {basis.dim}"
         )
 
 
 def _frame(state_mats, effect_mats, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
     alpha = _dual_frame(basis_in.coords(state_mats).T, FrameDeficientError, "states")
-    beta = _dual_frame(basis_out.coords(effect_mats).T, FrameDeficientError, "effects")
+    beta = _effect_dual(effect_mats, basis_out)
     return TomographyFrame(alpha=alpha, beta=beta, basis_in=basis_in, basis_out=basis_out)
 
 
 def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
-    """Minimum-norm expansion coefficients via pseudoinverse of the coordinate matrices.
+    """Minimum-norm expansion coefficients via pseudoinverse of the coordinate matrices,
+    but for the effects' identity row: all ones, exact since the effects sum to I.
 
     Requires both sides informationally complete and well conditioned; the
-    failing side is named in the error.  Each basis must have its operators'
-    dimension, else ``DimensionMismatchError``.
+    failing side is named in the error.  No states, or a basis of another
+    dimension than its operators', is a ``DimensionMismatchError``.
     """
     states = tuple(states)
-    _check_basis(basis_in, "states", (s.dim for s in states))
-    _check_basis(basis_out, "effects", [povm.dim])
+    _check_basis(basis_in, "states", states_dim(states, "a frame needs at least one state"))
+    _check_basis(basis_out, "effects", povm.dim)
     return _frame(np.array([s.matrix for s in states]), np.array(povm.effects), basis_in, basis_out)
 
 
@@ -136,19 +147,13 @@ def _warn_if_noncptp(ch: QuantumChannel):
 def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumChannel:
     """Linear inversion: Phi[b, a] = sum_jk alpha[a, j] beta[b, k] C'[j, k] / d_out.
 
-    The result is returned even when slightly non-CPTP (a warning is emitted
-    and the Choi diagnostics stay attached); no projection is applied.
+    The all-ones identity row of beta makes row 0 alpha . rowsums(C') / d_out =
+    (d_in / d_out) e_0 to ``CommMatrix``'s row-sum tolerance: the map is
+    trace-preserving by construction.  It is returned even when slightly
+    non-CPTP (a warning is emitted and the Choi diagnostics stay attached).
     """
     _check_shape(frame, cprime)
-    do = frame.basis_out.dim
-    bloch = frame.beta @ cprime.entries.T @ frame.alpha.T / do
-    first_row = np.zeros(bloch.shape[1])
-    first_row[0] = frame.basis_in.dim / do
-    if np.abs(bloch[0] - first_row).max() > 1e-8:
-        raise PreconditionError(
-            "reconstructed Bloch matrix violates the fixed first-row structure; "
-            "the input matrix is not row-stochastic against this frame"
-        )
+    bloch = frame.beta @ cprime.entries.T @ frame.alpha.T / frame.basis_out.dim
     ch = channel_from_bloch(bloch, frame.basis_in, frame.basis_out, require_cptp=False)
     _warn_if_noncptp(ch)
     return ch
@@ -175,13 +180,13 @@ class UnitalFrame:
 def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
     """Frame for unital-channel tomography: needs d^2-1 independent Bloch vectors.
 
-    The states, the effects and the basis must share one dimension, else
-    ``DimensionMismatchError``.
+    There must be at least one state, and the states, the effects and the
+    basis must share one dimension, else ``DimensionMismatchError``.
     """
     states = tuple(states)
-    _check_basis(basis, "states", (s.dim for s in states))
-    _check_basis(basis, "effects", [povm.dim])
-    beta = _dual_frame(basis.coords(np.array(povm.effects)).T, FrameDeficientError, "effects")
+    _check_basis(basis, "states", states_dim(states, "a frame needs at least one state"))
+    _check_basis(basis, "effects", povm.dim)
+    beta = _effect_dual(np.array(povm.effects), basis)
     r = np.column_stack([s.bloch for s in states])
     r_dual = _dual_frame(
         r, InsufficientStatesError, "state Bloch vectors", "; right pseudoinverse does not exist"
@@ -268,12 +273,5 @@ def reconstruct_up_to_gauge(
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
     weights = np.asarray(cert.canonical_weights)[:, None, None]
     frame = _frame(projectors[np.argsort(cert.pairing)], weights * projectors, basis, basis)
-    try:
-        channel = reconstruct_channel(frame, cprime)
-    except PreconditionError as err:
-        raise NotSelfTestableError(
-            f"the canonical-vector fit passed with Gram residual {cert.gram_residual:.3e} "
-            f"within residual_tol {cert.residual_tol:.1e}, but its frame does not fit the "
-            f"input: {err}"
-        ) from err
+    channel = reconstruct_channel(frame, cprime)
     return GaugeChannelEstimate(channel=channel, certificate=cert, gauge_note=cert.gauge_note)

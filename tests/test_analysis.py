@@ -42,6 +42,7 @@ from commat.errors import (
     PreconditionError,
     ValidationError,
 )
+from commat.sampling import random_povm
 from conftest import make_random_setup, make_spanning_setup, rank1_setup
 from commat import bloch_basis
 
@@ -136,6 +137,16 @@ class TestSpanDims:
             with pytest.raises(DimensionMismatchError, match="at least one state"):
                 call()
         assert issubclass(DimensionMismatchError, CommatError)
+
+    def test_measurement_of_another_dimension_is_a_dimension_mismatch(self):
+        states, povm = sic_qubit()
+        qutrit_povm = random_povm(bloch_basis(3), np.random.default_rng(0), 9)
+        c = comm_matrix(states, povm)
+        for call in (lambda: span_dims(states, qutrit_povm),
+                     lambda: certify_info_completeness(c, 2, (states, qutrit_povm))):
+            with pytest.raises(DimensionMismatchError,
+                               match=r"^states have dimension 2 but measurement acts on 3$"):
+                call()
 
 
 

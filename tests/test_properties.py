@@ -34,6 +34,7 @@ from commat.errors import (
     AmbiguityError,
     BadReferenceError,
     DimensionMismatchError,
+    InvalidDimensionError,
     NoWitnessExistsError,
     PreconditionError,
     ValidationError,
@@ -93,6 +94,15 @@ class TestIndistinguishablePair:
         states, povm = sic_qubit()
         with pytest.raises(NoWitnessExistsError):
             construct_indistinguishable_pair(states, povm)
+
+    def test_no_states_or_mixed_dimensions_are_a_dimension_mismatch(self):
+        states, povm = sic_qubit()
+        qutrit = random_mixed_state(bloch_basis(3), np.random.default_rng(0))
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^an indistinguishable pair needs at least one state$"):
+            construct_indistinguishable_pair([], povm)
+        with pytest.raises(DimensionMismatchError, match=r"^states have mixed dimensions \[2, 3\]$"):
+            construct_indistinguishable_pair(states + (qutrit,), povm)
 
     def test_both_channels_are_measure_and_prepare(self, z_states):
         _, sic_povm = sic_qubit()
@@ -158,6 +168,17 @@ class TestUnitalDifferentiation:
 
     def test_sic_passes(self):
         assert unital_differentiation_condition(sic_qubit()[0], 2)
+
+    def test_no_states_or_states_of_another_dimension_are_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="needs at least one state$"):
+            unital_differentiation_condition([], 2)
+        with pytest.raises(DimensionMismatchError, match=r"^states have dimension 2, not d = 3$"):
+            unital_differentiation_condition(sic_qubit()[0], 3)
+
+    @pytest.mark.parametrize("d", [2.5, 1])
+    def test_dimension_must_be_an_integer_of_at_least_two(self, d):
+        with pytest.raises(InvalidDimensionError):
+            unital_differentiation_condition(sic_qubit()[0], d)
 
 
 class TestKernelShift:

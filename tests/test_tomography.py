@@ -1,6 +1,7 @@
 """Frame construction and the three reconstruction routes."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from commat import (
     CommMatrix,
     Scenario,
+    amplitude_damping_channel,
     apply_channel,
     bloch_basis,
     build_frame,
@@ -15,6 +17,7 @@ from commat import (
     comm_matrix,
     comm_matrix_with_channel,
     completely_depolarizing_channel,
+    depolarizing_channel,
     eb_example,
     identity_channel,
     measure_and_prepare_channel,
@@ -42,6 +45,19 @@ from commat.tomography import FRAME_MAX_COND, _dual_frame
 from conftest import epsilon_panel_states, make_random_setup, make_spanning_setup, rank1_setup
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def sampled(cprime, shots, rng):
+    """C' estimated from ``shots`` multinomial draws per row."""
+    rows = cprime.entries / cprime.entries.sum(axis=1, keepdims=True)
+    return CommMatrix(entries=np.array([rng.multinomial(shots, row) for row in rows]) / shots)
+
+
+def reconstruct_sampled(reconstruct, *args):
+    """``reconstruct(*args)`` with the CPTP warning that sampled data may raise silenced."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "reconstructed map violates CPTP", UserWarning)
+        return reconstruct(*args)
 
 
 @pytest.fixture
@@ -144,12 +160,15 @@ class TestBuildFrame:
             states = [state_from_matrix(basis2, np.outer(v, v.conj())) for v in vectors]
             povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
         frame = build_frame(states, povm, basis2, basis2)
-        for dual, mats in ((frame.alpha, [s.matrix for s in states]), (frame.beta, povm.effects)):
+        # every row but the effects' identity row (row 0) is minimum-norm; that one is all ones
+        for dual, mats, first in ((frame.alpha, [s.matrix for s in states], 0),
+                                  (frame.beta, povm.effects, 1)):
             coords = basis2.coords(np.array(mats)).T
             assert coords.shape[1] > coords.shape[0]
             # the minimum-norm dual of a full-row-rank A is (A A^T)^-1 A, in A's row space
             oracle = np.linalg.solve(coords @ coords.T, coords)
-            assert np.abs(dual - oracle).max() < 1e-13
+            assert np.abs(dual[first:] - oracle[first:]).max() < 1e-13
+        assert np.array_equal(frame.beta[0], np.ones(len(povm.effects)))
 
     def test_bases_of_another_dimension_are_a_dimension_mismatch(self, basis2, basis3):
         states, povm = sic_qubit()
@@ -166,6 +185,13 @@ class TestBuildFrame:
         with pytest.raises(DimensionMismatchError,
                            match=r"^effects have dimension 3 but the basis has dimension 2$"):
             build_unital_frame(states, qutrit_povm, basis2)
+
+    def test_no_states_are_a_dimension_mismatch(self, basis2):
+        _, povm = sic_qubit()
+        for build in (lambda: build_frame([], povm, basis2, basis2),
+                      lambda: build_unital_frame([], povm, basis2)):
+            with pytest.raises(DimensionMismatchError, match=r"^a frame needs at least one state$"):
+                build()
 
     def test_deficient_sides_keep_their_messages(self, basis2):
         sic_states, sic_povm = sic_qubit()
@@ -319,6 +345,24 @@ class TestReconstruct:
     def test_cprime_of_another_shape_than_the_frame_is_a_dimension_mismatch(self, sic_frame):
         with pytest.raises(DimensionMismatchError, match="matrix is 3x4 but frame expects 4x4"):
             reconstruct_channel(sic_frame, CommMatrix(entries=np.full((3, 4), 0.25)))
+
+    @pytest.mark.parametrize("shots", [10**3, 10**5, 10**7])
+    def test_sampled_over_complete_input_is_trace_preserving(self, basis3, shots):
+        # 12 states and 12 effects in 9 dimensions: sampled rows leave the frame's range,
+        # and the minimum-norm identity row of the effect dual would carry that into row 0
+        rng = np.random.default_rng(7)
+        states, povm = make_random_setup(basis3, rng, 12, 12)
+        scenario = Scenario(states=states, povm=povm, channel=depolarizing_channel(basis3, 0.9))
+        cp = sampled(comm_matrix_with_channel(scenario), shots, rng)
+        rec = reconstruct_sampled(reconstruct_channel, build_frame(states, povm, basis3, basis3), cp)
+        assert rec.tp_deviation <= 1e-12
+        # rows 1.. are those of the minimum-norm duals of both sides
+        alpha, beta = (np.linalg.pinv(basis3.coords(np.array(m)).T).T
+                       for m in ([s.matrix for s in states], povm.effects))
+        min_norm = beta @ cp.entries.T @ alpha.T / 3
+        rows = rec.bloch_matrix[1:] - min_norm[1:]
+        assert np.abs(rows).max() <= 1e-12 * np.abs(min_norm[1:]).max()
+        assert np.abs(min_norm[0] - np.eye(9)[0]).max() > 1e-8
 
 
 class TestReconstructUnital:
@@ -490,6 +534,19 @@ class TestReconstructUpToGauge:
         reference = reconstruct_channel(build_frame(canon_states, canon_povm, basis, basis), cp)
         assert np.array_equal(estimate.channel.bloch_matrix, reference.bloch_matrix)
 
+    @pytest.mark.parametrize("n, shots", [(5, 10**4), (5, 10**6), (6, 10**4), (6, 10**6)])
+    def test_sampled_over_complete_input_is_trace_preserving(self, basis2, n, shots):
+        rng = np.random.default_rng(0)
+        vectors, weights = rank1_setup(rng, 2, n)
+        states = [state_from_matrix(basis2, np.outer(v, v.conj())) for v in vectors]
+        povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+        ch = amplitude_damping_channel(basis2, 0.3)
+        cp = sampled(comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch)),
+                     shots, rng)
+        estimate = reconstruct_sampled(reconstruct_up_to_gauge, comm_matrix(states, povm), cp, 2)
+        assert estimate.certificate.passes
+        assert estimate.channel.tp_deviation <= 1e-12
+
     def test_incomplete_matrix_rejected(self):
         trine_states, trine_povm = trine_qubit()
         c = comm_matrix(trine_states, trine_povm)
@@ -528,34 +585,3 @@ class TestReconstructUpToGauge:
         assert "(1 restarts run)" in message
         assert "residual_tol" in message
         assert "does not certify" not in message
-
-    def test_passing_fit_off_the_frame_is_not_self_testable(self, monkeypatch):
-        # a certificate within residual_tol can still miss the 1e-8 first-row check
-        import dataclasses
-
-        from commat import tomography
-
-        # with six outcomes the effect frame is overcomplete, so C' can leave its span
-        vectors, weights = rank1_setup(np.random.default_rng(21), 2, 6)
-        basis = bloch_basis(2)
-        states = [state_from_matrix(basis, np.outer(v, v.conj())) for v in vectors]
-        povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
-        c = comm_matrix(states, povm)
-        real_self_test = tomography.self_test
-
-        def perturbed_fit(*args, **kwargs):
-            cert = real_self_test(*args, **kwargs)
-            w = np.sqrt(cert.canonical_weights)[:, None] * np.vstack(cert.canonical_vectors)
-            w += 1e-5 * np.random.default_rng(0).standard_normal(w.shape)
-            ev, u = np.linalg.eigh(w.T @ w.conj())
-            w = w @ ((u * ev ** -0.5) @ u.conj().T).T  # sum_k w_k w_k^dag = I again
-            a = np.einsum("ki,ki->k", w.conj(), w).real
-            vectors = tuple(w / np.sqrt(a)[:, None])
-            return dataclasses.replace(cert, canonical_vectors=vectors, canonical_weights=a)
-
-        monkeypatch.setattr(tomography, "self_test", perturbed_fit)
-        with pytest.raises(NotSelfTestableError) as info:
-            reconstruct_up_to_gauge(c, c, 2)
-        message = str(info.value)
-        assert "Gram residual" in message and "residual_tol 1.0e-08" in message
-        assert "first-row structure" in message
