@@ -1,9 +1,12 @@
 """Channel-property detection and constructive witnesses.
 
 Builds indistinguishable channel pairs for informationally incomplete set-ups,
-decides unitality from kernel shifts of communication matrices, and certifies
-entanglement-breaking implementability through nonnegative factorizations whose
-factors are realized by an explicit measure-and-prepare pair.
+deciding completeness by the rule ``tomography`` inverts frames by: a side with
+no kernel vector is complete only if its condition number is at most
+``FRAME_MAX_COND``.  Decides unitality from kernel shifts of communication
+matrices, and certifies entanglement-breaking implementability through
+nonnegative factorizations whose factors are realized by an explicit
+measure-and-prepare pair.
 """
 
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ from .errors import (
     ArityError,
     CommatError,
     DimensionMismatchError,
+    FrameDeficientError,
     NoWitnessExistsError,
     BadReferenceError,
     PreconditionError,
@@ -45,6 +49,7 @@ from .operators import (
     validate_povm,
 )
 from .scenario import CommMatrix, Scenario, choi_distance, comm_matrix_with_channel
+from .tomography import _frame
 
 EB_RESIDUAL_TOL = 1e-8
 KERNEL_ZERO_FLOOR = 1e-12
@@ -99,6 +104,11 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
     dimensions allow (this keeps the statistics equal for any number of channel
     uses), and otherwise the first two computational-basis projectors.  No
     states, or states of several dimensions, raise ``DimensionMismatchError``.
+
+    Completeness is full tomography's: with no kernel vector on either side, a
+    side above ``FRAME_MAX_COND`` raises its ``FrameDeficientError``, as does a
+    nearly dependent side whose kernel vector leaves the pair's statistics more
+    than 1e-12 apart.
     """
     states = tuple(states)
     di = states_dim(states, "an indistinguishable pair needs at least one state")
@@ -132,6 +142,9 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
     else:
         b1 = _orthocomplement_operator(povm.effects, basis_out)
         if b1 is None:
+            # full rank on both sides: complete only if tomography's frame rule inverts both
+            _frame(np.array([s.matrix for s in states]), np.array(povm.effects),
+                   states[0].basis, basis_out)
             raise NoWitnessExistsError(
                 "states and measurement are both informationally complete; every "
                 "pair of channels is differentiated"
@@ -157,8 +170,13 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
 
     c1 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=pair.phi1))
     c2 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=pair.phi2))
-    if np.abs(c1.entries - c2.entries).max() > 1e-12:
-        raise CommatError("constructed channels fail to give equal statistics")
+    gap = np.abs(c1.entries - c2.entries).max()
+    if gap > 1e-12:  # a kernel vector of a nearly dependent side is only nearly orthogonal
+        side = "states" if pair.case_tag == "states-incomplete" else "effects"
+        raise FrameDeficientError(
+            f"{side} are nearly dependent: the channels built on their kernel vector "
+            f"give statistics that differ by {gap:.3e}, above 1e-12"
+        )
     if choi_distance(pair.phi1, pair.phi2) <= 1e-6:
         raise CommatError("constructed channels coincide; output states degenerate")
     return pair
@@ -634,12 +652,13 @@ def eb_certificate(
     check_integer("seed", seed, 0)
     check_integer("l_max", l_max, 1)
     check_tolerance("residual_tol", residual_tol)
-    rank_c = numerical_rank(c)
-    if claim == "channel" and rank_c < d * d:
-        raise AmbiguityError(
-            f"rank(C) = {rank_c} < {d * d}: only implementability by some "
-            "entanglement-breaking channel can be decided, not the channel itself"
-        )
+    if claim == "channel":
+        rank_c = numerical_rank(c)
+        if rank_c < d * d:
+            raise AmbiguityError(
+                f"rank(C) = {rank_c} < {d * d}: only implementability by some "
+                "entanglement-breaking channel can be decided, not the channel itself"
+            )
     if c.provenance is None:
         raise PreconditionError(
             "pre-channel matrix carries no implementation; states and measurement "

@@ -2,13 +2,15 @@
 
 Three routes: full tomography through a dual frame of a known informationally
 complete set-up, unital-channel tomography through the right pseudoinverse of
-the state Bloch-vector matrix, and gauge-level tomography where the set-up is
-first recovered by self-testing so the result is fixed only up to a global
-unitary or antiunitary conjugation.  The three routes share one rule for
-inverting a frame: each side's coordinate matrix must have full row rank and a
-condition number of at most ``FRAME_MAX_COND``, else the side's own error.
-Each dual is minimum-norm but for the effects' identity row, all ones (exact,
-as the effects sum to I), so reconstructions are trace-preserving by design.
+the state Bloch vectors, and gauge-level tomography through the canonical
+frame of a self-tested set-up, fixed only up to a global unitary or
+antiunitary conjugation.  All three take Phi = beta C'^T alpha^T / d_out from
+one product (the unital state dual is alpha = [0; d (R^+)^T]) and warn from one
+place when it is not CPTP.  A frame side is complete when its coordinate matrix
+has full row rank and a condition number of at most ``FRAME_MAX_COND``, else
+the side's own error; ``properties``' witness asks the same rule.  Each dual is
+minimum-norm but for the effects' identity row, all ones (exact, as the effects
+sum to I), so reconstructions are trace-preserving by design.
 """
 
 import warnings
@@ -98,12 +100,17 @@ def _effect_dual(effect_mats, basis: BlochBasis) -> np.ndarray:
     return beta
 
 
-def _check_basis(basis: BlochBasis, name: str, dim: int):
-    """Raise ``DimensionMismatchError`` unless the operators' dimension ``dim`` is the basis's."""
-    if dim != basis.dim:
-        raise DimensionMismatchError(
-            f"{name} have dimension {dim} but the basis has dimension {basis.dim}"
-        )
+def _checked_states(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis) -> tuple:
+    """The states as a tuple; no states, or states or effects of another dimension than
+    their basis, raise ``DimensionMismatchError``."""
+    states = tuple(states)
+    d_states = states_dim(states, "a frame needs at least one state")
+    for name, dim, basis in (("states", d_states, basis_in), ("effects", povm.dim, basis_out)):
+        if dim != basis.dim:
+            raise DimensionMismatchError(
+                f"{name} have dimension {dim} but the basis has dimension {basis.dim}"
+            )
+    return states
 
 
 def _frame(state_mats, effect_mats, basis_in: BlochBasis, basis_out: BlochBasis) -> TomographyFrame:
@@ -120,21 +127,21 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     failing side is named in the error.  No states, or a basis of another
     dimension than its operators', is a ``DimensionMismatchError``.
     """
-    states = tuple(states)
-    _check_basis(basis_in, "states", states_dim(states, "a frame needs at least one state"))
-    _check_basis(basis_out, "effects", povm.dim)
+    states = _checked_states(states, povm, basis_in, basis_out)
     return _frame(np.array([s.matrix for s in states]), np.array(povm.effects), basis_in, basis_out)
 
 
-def _check_shape(frame, cprime: CommMatrix):
-    m, n = cprime.shape
-    if (m, n) != (frame.n_states, frame.n_effects):
-        raise DimensionMismatchError(
-            f"matrix is {m}x{n} but frame expects {frame.n_states}x{frame.n_effects}"
-        )
+def _invert(alpha: np.ndarray, beta: np.ndarray, cprime: CommMatrix, d_out: int) -> np.ndarray:
+    """Phi = beta C'^T alpha^T / d_out; C' needs one row per state and one column per effect."""
+    (m, n), (j, k) = cprime.shape, (alpha.shape[1], beta.shape[1])
+    if (m, n) != (j, k):
+        raise DimensionMismatchError(f"matrix is {m}x{n} but frame expects {j}x{k}")
+    return beta @ cprime.entries.T @ alpha.T / d_out
 
 
-def _warn_if_noncptp(ch: QuantumChannel):
+def _channel(bloch: np.ndarray, basis_in: BlochBasis, basis_out: BlochBasis) -> QuantumChannel:
+    """The reconstructed map, warning (at the public route's caller) when it is not CPTP."""
+    ch = channel_from_bloch(bloch, basis_in, basis_out, require_cptp=False)
     if not ch.is_cptp(CPTP_WARN_TOL):
         warnings.warn(
             f"reconstructed map violates CPTP beyond {CPTP_WARN_TOL} "
@@ -142,6 +149,7 @@ def _warn_if_noncptp(ch: QuantumChannel):
             f"{ch.tp_deviation:.3e}); treating as noisy data",
             stacklevel=3,
         )
+    return ch
 
 
 def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumChannel:
@@ -152,11 +160,8 @@ def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumCh
     trace-preserving by construction.  It is returned even when slightly
     non-CPTP (a warning is emitted and the Choi diagnostics stay attached).
     """
-    _check_shape(frame, cprime)
-    bloch = frame.beta @ cprime.entries.T @ frame.alpha.T / frame.basis_out.dim
-    ch = channel_from_bloch(bloch, frame.basis_in, frame.basis_out, require_cptp=False)
-    _warn_if_noncptp(ch)
-    return ch
+    bloch = _invert(frame.alpha, frame.beta, cprime, frame.basis_out.dim)
+    return _channel(bloch, frame.basis_in, frame.basis_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +188,7 @@ def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
     There must be at least one state, and the states, the effects and the
     basis must share one dimension, else ``DimensionMismatchError``.
     """
-    states = tuple(states)
-    _check_basis(basis, "states", states_dim(states, "a frame needs at least one state"))
-    _check_basis(basis, "effects", povm.dim)
+    states = _checked_states(states, povm, basis, basis)
     beta = _effect_dual(np.array(povm.effects), basis)
     r = np.column_stack([s.bloch for s in states])
     r_dual = _dual_frame(
@@ -195,27 +198,24 @@ def build_unital_frame(states, povm: Povm, basis: BlochBasis) -> UnitalFrame:
 
 
 def reconstruct_unital(frame: UnitalFrame, c: CommMatrix, cprime: CommMatrix) -> QuantumChannel:
-    """Unital-channel tomography: T = (C' B)^T R^+ on the traceless block.
+    """Unital-channel tomography: full tomography's inversion through the state dual
+    alpha = [0; d (R^+)^T], whose traceless block is T = (C' B)^T R^+; row 0 and
+    column 0 are then pinned to e_0, as for every unital trace-preserving map.
 
     The pre-channel matrix validates the frame: (C B)^T must reproduce R itself
     (the identity-channel instance of the same equation).
     """
     if c.shape != cprime.shape:
         raise DimensionMismatchError(f"shapes differ: {c.shape} vs {cprime.shape}")
-    _check_shape(frame, cprime)
     d = frame.basis.dim
-    b = frame.beta[1:, :].T
-    if frob((c.entries @ b).T - frame.r_matrix) > 1e-8:
+    alpha = np.vstack([np.zeros(frame.n_states), d * frame.r_dual])
+    bloch = _invert(alpha, frame.beta, cprime, d)
+    if frob(frame.beta[1:] @ c.entries.T - frame.r_matrix) > 1e-8:
         raise PreconditionError(
             "pre-channel matrix is inconsistent with the frame's states and effects"
         )
-    t = (cprime.entries @ b).T @ frame.r_dual.T
-    bloch = np.zeros((d * d, d * d))
-    bloch[0, 0] = 1.0
-    bloch[1:, 1:] = t
-    ch = channel_from_bloch(bloch, frame.basis, frame.basis, require_cptp=False)
-    _warn_if_noncptp(ch)
-    return ch
+    bloch[0] = bloch[:, 0] = np.eye(d * d)[0]
+    return _channel(bloch, frame.basis, frame.basis)
 
 
 @dataclass(frozen=True)
@@ -273,5 +273,5 @@ def reconstruct_up_to_gauge(
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
     weights = np.asarray(cert.canonical_weights)[:, None, None]
     frame = _frame(projectors[np.argsort(cert.pairing)], weights * projectors, basis, basis)
-    channel = reconstruct_channel(frame, cprime)
+    channel = _channel(_invert(frame.alpha, frame.beta, cprime, basis.dim), basis, basis)
     return GaugeChannelEstimate(channel=channel, certificate=cert, gauge_note=cert.gauge_note)

@@ -16,6 +16,8 @@ from commat import (
     comm_matrix_with_channel,
     identity_channel,
     sic_qubit,
+    state_from_bloch,
+    trine_qubit,
     unitary_channel,
 )
 from commat.cli import main
@@ -182,6 +184,34 @@ def test_properties_witness_on_complete_setup_fails(sic_file, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "no-witness-exists"
+
+
+def test_witness_answers_no_witness_exactly_when_full_tomography_succeeds(tmp_path, capsys):
+    # the trine states and a fourth state that leaves their plane by eps, with the SIC POVM:
+    # kappa ~ 2.4 / eps, and below eps ~ 1e-9 the states have a kernel vector under RANK_REL_TOL
+    basis = bloch_basis(2)
+    trine, _ = trine_qubit()
+    _, povm = sic_qubit()
+    scenario, cprime = tmp_path / "scenario.json", tmp_path / "cprime.json"
+    reconstructs = []
+    for eps in (1e-6, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11, 1e-13):
+        states = trine + (state_from_bloch(basis, np.array([0.3, eps, 0.2])),)
+        scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
+        cp = comm_matrix_with_channel(
+            Scenario(states=states, povm=povm, channel=identity_channel(basis))
+        )
+        cprime.write_text(json.dumps(comm_matrix_to_json(cp)))
+        witness = main(["properties", "--check", "witness", "--scenario", str(scenario)])
+        err = capsys.readouterr().err
+        full = main(["tomography", "--mode", "full", "--scenario", str(scenario),
+                     "--cprime", str(cprime)])
+        capsys.readouterr()
+        assert 4 not in (witness, full), eps
+        no_witness = witness == 3 and json.loads(err)["code"] == "no-witness-exists"
+        assert no_witness == (full == 0), eps
+        if full == 0:
+            reconstructs.append(eps)
+    assert reconstructs == [1e-6]
 
 
 def test_properties_eb_on_fixture(tmp_path):

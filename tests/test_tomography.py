@@ -418,6 +418,12 @@ class TestReconstructUnital:
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
         frame = build_unital_frame(states, povm, basis)
         r = np.column_stack([s.bloch for s in states])
+        # the frame keeps its fields: the basis, R, (R^+)^T and the effect dual
+        assert frame.basis is basis
+        assert np.array_equal(frame.r_matrix, r)
+        assert np.abs(frame.r_dual - np.linalg.pinv(r).T).max() <= 1e-12
+        synth = np.tensordot(frame.beta, np.array(povm.effects), axes=1)
+        assert np.abs(synth - basis.elements).max() <= 1e-12
         t = (cp.entries @ frame.beta[1:].T).T @ np.linalg.pinv(r)
         rec = reconstruct_unital(frame, c, cp)
         assert np.abs(rec.bloch_matrix[1:, 1:] - t).max() <= 1e-13
@@ -458,6 +464,25 @@ class TestReconstructUnital:
         assert str(raised.value) == (
             "pre-channel matrix is inconsistent with the frame's states and effects"
         )
+
+
+@pytest.mark.parametrize("route", ["full", "unital", "gauge"])
+def test_cptp_warning_names_the_callers_line(basis2, route):
+    # identity-channel statistics sampled with 1000 shots per row leave the CPTP set
+    states, povm = sic_qubit()
+    c = comm_matrix(states, povm)
+    exact = comm_matrix_with_channel(
+        Scenario(states=states, povm=povm, channel=identity_channel(basis2))
+    )
+    cp = sampled(exact, 10**3, np.random.default_rng(0))
+    reconstruct = {
+        "full": lambda: reconstruct_channel(build_frame(states, povm, basis2, basis2), cp),
+        "unital": lambda: reconstruct_unital(build_unital_frame(states, povm, basis2), c, cp),
+        "gauge": lambda: reconstruct_up_to_gauge(c, cp, 2),
+    }[route]
+    with pytest.warns(UserWarning, match="violates CPTP") as record:
+        reconstruct()
+    assert [w.filename for w in record] == [__file__]
 
 
 class TestReconstructUpToGauge:
