@@ -26,6 +26,7 @@ from .errors import (
     NotInformationallyCompleteError,
     NotSelfTestableError,
     PreconditionError,
+    ValidationError,
     check_dimension,
 )
 from .analysis import (
@@ -131,6 +132,12 @@ def build_frame(states, povm: Povm, basis_in: BlochBasis, basis_out: BlochBasis)
     return _frame(np.array([s.matrix for s in states]), np.array(povm.effects), basis_in, basis_out)
 
 
+def _check_frame(frame, kind: type, builder: str):
+    """Raise ``ValidationError`` unless ``frame`` is a ``kind``, naming the builder that makes one."""
+    if not isinstance(frame, kind):
+        raise ValidationError(f"needs a {kind.__name__} from {builder}, got {type(frame).__name__}")
+
+
 def _invert(alpha: np.ndarray, beta: np.ndarray, cprime: CommMatrix, d_out: int) -> np.ndarray:
     """Phi = beta C'^T alpha^T / d_out; C' needs one row per state and one column per effect."""
     (m, n), (j, k) = cprime.shape, (alpha.shape[1], beta.shape[1])
@@ -159,7 +166,9 @@ def reconstruct_channel(frame: TomographyFrame, cprime: CommMatrix) -> QuantumCh
     (d_in / d_out) e_0 to ``CommMatrix``'s row-sum tolerance: the map is
     trace-preserving by construction.  It is returned even when slightly
     non-CPTP (a warning is emitted and the Choi diagnostics stay attached).
+    Another frame type, such as a ``UnitalFrame``, raises ``ValidationError``.
     """
+    _check_frame(frame, TomographyFrame, "build_frame")
     bloch = _invert(frame.alpha, frame.beta, cprime, frame.basis_out.dim)
     return _channel(bloch, frame.basis_in, frame.basis_out)
 
@@ -203,8 +212,10 @@ def reconstruct_unital(frame: UnitalFrame, c: CommMatrix, cprime: CommMatrix) ->
     column 0 are then pinned to e_0, as for every unital trace-preserving map.
 
     The pre-channel matrix validates the frame: (C B)^T must reproduce R itself
-    (the identity-channel instance of the same equation).
+    (the identity-channel instance of the same equation).  Another frame
+    type, such as a ``TomographyFrame``, raises ``ValidationError``.
     """
+    _check_frame(frame, UnitalFrame, "build_unital_frame")
     if c.shape != cprime.shape:
         raise DimensionMismatchError(f"shapes differ: {c.shape} vs {cprime.shape}")
     d = frame.basis.dim

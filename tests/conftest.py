@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commat import bloch_basis, state_from_bloch, state_from_matrix, validate_povm
+from commat import CommMatrix, bloch_basis, state_from_bloch, state_from_matrix, validate_povm
 from commat.sampling import random_mixed_state, random_povm
 
 
@@ -31,6 +31,12 @@ def rank1_setup(rng, d, n):
     w = v @ ((u * ev ** -0.5) @ u.conj().T).T
     a = np.einsum("ki,ki->k", w.conj(), w).real
     return w / np.sqrt(a)[:, None], a
+
+
+def sampled(cprime, shots, rng):
+    """C' estimated from ``shots`` multinomial draws per row."""
+    rows = cprime.entries / cprime.entries.sum(axis=1, keepdims=True)
+    return CommMatrix(entries=np.array([rng.multinomial(shots, row) for row in rows]) / shots)
 
 
 def epsilon_panel_states(basis, eps):

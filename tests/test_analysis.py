@@ -304,7 +304,7 @@ class TestSelfTest:
         assert cert.restarts == 9
 
     def test_batch_starts_are_the_sequential_draws(self, monkeypatch):
-        # the (3, 10, 0) set-up misses with its first start and its first batch of 8, and
+        # the (3, 10, 25) set-up misses with its first start and its first batch of 8, and
         # certifies in its second batch: 17 starts, all from the generator seeded by ``seed``
         import commat._linalg as _linalg
 
@@ -321,7 +321,7 @@ class TestSelfTest:
 
         monkeypatch.setattr(_linalg, "minimize", recording_minimize)
         monkeypatch.setattr(_linalg, "lbfgs_batch", recording_batch)
-        cert = self_test(rank1_matrix(0, 3, 10), 3)
+        cert = self_test(rank1_matrix(25, 3, 10), 3)
         assert cert.passes and cert.restarts == 17
         gen = np.random.default_rng(DEFAULT_SEED)
         draws = [gen.standard_normal(2 * 10 * 3) for _ in range(17)]
@@ -426,6 +426,19 @@ class TestSelfTest:
         assert cert.gram_residual == ref.gram_residual
         assert all(map(np.array_equal, cert.canonical_vectors, ref.canonical_vectors))
         assert np.array_equal(cert.reconstructed_matrix(), ref.reconstructed_matrix()[perm])
+
+    @pytest.mark.parametrize("seed, d", [(4, 3), (5, 3), (0, 4)])
+    def test_column_permutation_only_permutes_the_canonical_vectors(self, seed, d):
+        # the fit sees the effects in a canonical order, so their input order moves no bit
+        c = rank1_matrix(seed, d, d * d).entries
+        perm = np.random.default_rng(7).permutation(d * d)
+        ref = self_test(CommMatrix(entries=c), d)
+        cert = self_test(CommMatrix(entries=c[:, perm]), d)
+        assert cert.pairing == tuple(np.array(ref.pairing)[perm])
+        assert cert.restarts == ref.restarts
+        assert cert.gram_residual == ref.gram_residual
+        assert np.array_equal(cert.canonical_vectors, np.array(ref.canonical_vectors)[perm])
+        assert np.array_equal(cert.canonical_weights, ref.canonical_weights[perm])
 
     def test_tied_column_maxima_pass(self):
         # rows 0 and 1 both attain the maxima of columns 0 and 1: argmax alone pairs both with row 0

@@ -12,18 +12,22 @@ import pytest
 
 from commat import (
     Scenario,
+    amplitude_damping_channel,
     bloch_basis,
     comm_matrix_with_channel,
+    eb_example,
     identity_channel,
     sic_qubit,
     state_from_bloch,
+    state_from_matrix,
     trine_qubit,
     unitary_channel,
+    validate_povm,
 )
 from commat.cli import main
 from commat.sampling import random_channel
 from commat.serialize import comm_matrix_to_json, scenario_to_json
-from conftest import epsilon_panel_states, make_random_setup
+from conftest import epsilon_panel_states, make_random_setup, rank1_setup, sampled
 
 
 @pytest.fixture
@@ -44,15 +48,51 @@ def identity_cprime_file(tmp_path):
     return path
 
 
-def test_analyze_sic(sic_file, tmp_path, capsys):
+def _rank1_scenario(d, n, seed, channel=None) -> Scenario:
+    """The benchmark's rank-1 set-up (d, n, seed): states |phi_k><phi_k| and effects
+    a_k |phi_k><phi_k| of ``rank1_setup(default_rng(seed), d, n)``."""
+    vectors, weights = rank1_setup(np.random.default_rng(seed), d, n)
+    projectors = [np.outer(v, v.conj()) for v in vectors]
+    states = tuple(state_from_matrix(bloch_basis(d), p) for p in projectors)
+    povm = validate_povm([a * p for a, p in zip(weights, projectors)])
+    return Scenario(states=states, povm=povm, channel=channel)
+
+
+def _scenario_files(tmp_path, name, scenario, cprime=None) -> tuple:
+    """Paths of name.json, the scenario without its channel, and of name-cprime.json,
+    ``cprime`` or else the scenario's C'."""
+    scenario_path, cprime_path = tmp_path / f"{name}.json", tmp_path / f"{name}-cprime.json"
+    if cprime is None:
+        cprime = comm_matrix_with_channel(scenario)
+    bare = Scenario(states=scenario.states, povm=scenario.povm)
+    scenario_path.write_text(json.dumps(scenario_to_json(bare)))
+    cprime_path.write_text(json.dumps(comm_matrix_to_json(cprime)))
+    return str(scenario_path), str(cprime_path)
+
+
+@pytest.mark.parametrize(
+    "setup, rank, restarts",
+    [
+        ("sic-qubit", 4, 1),
+        # the benchmark's qutrit (3, 9, 0): its first self-test start misses and the
+        # first batch of 8 certifies, so the report reads 1 + 8 = 9 restarts
+        ((3, 9, 0), 9, 9),
+    ],
+    ids=["sic-qubit", "rank1-3-9-0"],
+)
+def test_analyze_self_tests(sic_file, tmp_path, setup, rank, restarts):
+    scenario = sic_file
+    if setup != "sic-qubit":
+        scenario = tmp_path / "rank1.json"
+        scenario.write_text(json.dumps(scenario_to_json(_rank1_scenario(*setup))))
     out = tmp_path / "report.json"
-    assert main(["analyze", "--scenario", str(sic_file), "--out", str(out)]) == 0
+    assert main(["analyze", "--scenario", str(scenario), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["schema"] == "commat-report/1"
-    assert report["result"]["rank"] == 4
-    assert report["result"]["storability"] == pytest.approx(2.0)
+    assert report["result"]["rank"] == rank
+    assert report["result"]["storability"] == pytest.approx(np.sqrt(rank))
     assert report["result"]["self_test"]["passes"] is True
-    assert report["result"]["self_test"]["restarts"] == 1
+    assert report["result"]["self_test"]["restarts"] == restarts
     assert report["result"]["completeness"]["states_complete"] is True
     assert report["inputs"]["scenario"]["sha256"]
 
@@ -214,27 +254,30 @@ def test_witness_answers_no_witness_exactly_when_full_tomography_succeeds(tmp_pa
     assert reconstructs == [1e-6]
 
 
-def test_properties_eb_on_fixture(tmp_path):
-    eb_file = tmp_path / "eb.json"
+@pytest.mark.parametrize(
+    "channel, verdict, restarts",
+    [
+        # eb-six-state carries its measure-and-prepare realization: no search runs
+        (None, "certified-EB-implementable", 0),
+        # sic-qubit through depolarizing(0.8), which is EB: the first start certifies
+        ("depolarizing(0.8)", "certified-EB-implementable", 1),
+        # and through the identity, which is not: the search runs its whole default budget
+        ("identity", "no-certificate-found", 32),
+    ],
+    ids=["eb-six-state", "depolarizing", "identity"],
+)
+def test_properties_eb_on_fixture(sic_file, tmp_path, channel, verdict, restarts):
+    scenario = tmp_path / "eb.json"
+    if channel is None:
+        assert main(["fixtures", "eb-six-state", "--out", str(scenario)]) == 0
+    else:
+        doc = json.loads(sic_file.read_text())
+        doc["channel"] = {"kind": "named", "name": channel}
+        scenario.write_text(json.dumps(doc))
     out = tmp_path / "ebreport.json"
-    assert main(["fixtures", "eb-six-state", "--out", str(eb_file)]) == 0
-    code = main(
-        [
-            "properties",
-            "--scenario",
-            str(eb_file),
-            "--check",
-            "eb",
-            "--restarts",
-            "4",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    assert main(["properties", "--scenario", str(scenario), "--check", "eb", "--out", str(out)]) == 0
     cert = json.loads(out.read_text())["result"]["certificate"]
-    assert cert["verdict"] == "certified-EB-implementable"
-    assert cert["inner_dim"] == 4
+    assert (cert["verdict"], cert["restarts"], cert["inner_dim"]) == (verdict, restarts, 4)
 
 
 def test_malformed_json_is_validation_error(tmp_path, capsys):
@@ -611,15 +654,11 @@ def d6_files(tmp_path):
     rng = np.random.default_rng(6)
     basis = bloch_basis(6)
     states, povm = make_random_setup(basis, rng, 36, 36)
-    cp = comm_matrix_with_channel(
-        Scenario(states=states, povm=povm, channel=random_channel(basis, basis, rng))
-    )
-    scenario, cprime = tmp_path / "d6.json", tmp_path / "cp6.json"
-    scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
-    cprime.write_text(json.dumps(comm_matrix_to_json(cp)))
-    return str(scenario), str(cprime)
+    channel = random_channel(basis, basis, rng)
+    return _scenario_files(tmp_path, "d6", Scenario(states=states, povm=povm, channel=channel))
 
 
+@pytest.mark.filterwarnings("ignore:reconstructed map violates CPTP")
 def test_every_file_is_written_as_json_dumps_writes_it(
     tmp_path, identity_cprime_file, d6_files, monkeypatch
 ):
@@ -639,6 +678,12 @@ def test_every_file_is_written_as_json_dumps_writes_it(
     fixtures = {name: str(tmp_path / f"{name}.json") for name in names}
     sic, cp = fixtures["sic-qubit"], ["--cprime", str(identity_cprime_file)]
     scenario6, cprime6 = d6_files
+    # six operators in four dimensions: over-complete frame sides, which take the SVD dual
+    six = _scenario_files(tmp_path, "six", Scenario(*eb_example()[:3]))
+    # and C' sampled with 10^6 shots per row, which the effects' exact identity row inverts
+    damped = _rank1_scenario(2, 6, 0, amplitude_damping_channel(bloch_basis(2), 0.3))
+    cp_sampled = sampled(comm_matrix_with_channel(damped), 10**6, np.random.default_rng(0))
+    rank1 = _scenario_files(tmp_path, "rank1", damped, cp_sampled)
     runs = [
         *(["analyze", "--scenario", path] for path in fixtures.values()),
         *(["tomography", "--mode", mode, "--scenario", sic, *cp] for mode in ("full", "unital", "gauge")),
@@ -646,6 +691,11 @@ def test_every_file_is_written_as_json_dumps_writes_it(
         ["properties", "--check", "witness", "--scenario", fixtures["d3-trine"]],
         ["properties", "--check", "eb", "--scenario", fixtures["eb-six-state"]],
         ["tomography", "--mode", "full", "--scenario", scenario6, "--cprime", cprime6],
+        ["tomography", "--mode", "full", "--scenario", six[0], "--cprime", six[1]],
+        *(
+            ["tomography", "--mode", mode, "--scenario", rank1[0], "--cprime", rank1[1]]
+            for mode in ("full", "gauge")
+        ),
         ["analyze", "--scenario", scenario6, "--restarts", "1"],
     ]
     for name, path in fixtures.items():

@@ -39,18 +39,19 @@ from commat.errors import (
     NotInformationallyCompleteError,
     NotSelfTestableError,
     PreconditionError,
+    ValidationError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
 from commat.tomography import FRAME_MAX_COND, _dual_frame
-from conftest import epsilon_panel_states, make_random_setup, make_spanning_setup, rank1_setup
+from conftest import (
+    epsilon_panel_states,
+    make_random_setup,
+    make_spanning_setup,
+    rank1_setup,
+    sampled,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def sampled(cprime, shots, rng):
-    """C' estimated from ``shots`` multinomial draws per row."""
-    rows = cprime.entries / cprime.entries.sum(axis=1, keepdims=True)
-    return CommMatrix(entries=np.array([rng.multinomial(shots, row) for row in rows]) / shots)
 
 
 def reconstruct_sampled(reconstruct, *args):
@@ -464,6 +465,17 @@ class TestReconstructUnital:
         assert str(raised.value) == (
             "pre-channel matrix is inconsistent with the frame's states and effects"
         )
+
+
+def test_a_frame_of_the_other_route_is_a_validation_error(sic_frame, sic_unital_frame):
+    # each route reads fields only its own frame has: unchecked, either escapes as AttributeError
+    c = comm_matrix(*sic_qubit())
+    with pytest.raises(ValidationError, match="^needs a TomographyFrame from build_frame, got UnitalFrame$"):
+        reconstruct_channel(sic_unital_frame, c)
+    with pytest.raises(
+        ValidationError, match="^needs a UnitalFrame from build_unital_frame, got TomographyFrame$"
+    ):
+        reconstruct_unital(sic_frame, c, c)
 
 
 @pytest.mark.parametrize("route", ["full", "unital", "gauge"])
