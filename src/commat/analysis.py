@@ -290,12 +290,11 @@ def self_test(
     (scipy's L-BFGS-B in a batch of one, the numpy batch otherwise) and, if it
     ends near zero, a Gauss-Newton polish.  At d = 2 the first start is the
     set-up rebuilt exactly from the Gram matrix of its effects, which skips
-    L-BFGS and is only polished.  At d >= 3 the fit sees the effects in a
-    canonical order: by weight a_k, then by the sorted paired column
-    C[pairing, k].  The sort is stable, so exact ties keep the input order.
-    Reordering the effects then only permutes the canonical vectors and
-    weights; the residual and ``restarts`` stay bit-equal.  At d = 2 the exact
-    Gram start passes in any order, and the fit keeps the input order.
+    L-BFGS and is only polished.  The fit sees the effects in a canonical
+    order: by weight a_k, then by the sorted paired column C[pairing, k].  The
+    sort is stable, so exact ties keep the input order.  Reordering the
+    effects then only permutes the canonical vectors and weights; the
+    residual and ``restarts`` stay bit-equal.
     Later starts are drawn in turn from one generator seeded by ``seed``.
     While no start's Gram residual is within ``residual_tol`` the next batch
     runs; a batch ends at its first start within ``residual_tol``, which is
@@ -339,12 +338,8 @@ def self_test(
                 f"of states with effects attains the column maxima (best pairing: {attained:.9f})"
             )
         paired = c.entries[pairing]
-        if d == 2:
-            # the exact Gram start passes in any order; sorting would slow the qubit path
-            order = back = slice(None)
-        else:
-            order = np.lexsort((*np.sort(paired, axis=0)[::-1], weights))
-            back = np.argsort(order)
+        order = np.lexsort((*np.sort(paired, axis=0)[::-1], weights))
+        back = np.argsort(order)
         (vectors, canon_weights), residual, ran = _fit_canonical_vectors(
             paired[order][:, order], weights[order], d, restarts, seed, residual_tol
         )

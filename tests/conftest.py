@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from commat import CommMatrix, bloch_basis, state_from_bloch, state_from_matrix, validate_povm
+from commat import (
+    CommMatrix,
+    Scenario,
+    bloch_basis,
+    state_from_bloch,
+    state_from_matrix,
+    validate_povm,
+)
 from commat.sampling import random_mixed_state, random_povm
 
 
@@ -31,6 +38,15 @@ def rank1_setup(rng, d, n):
     w = v @ ((u * ev ** -0.5) @ u.conj().T).T
     a = np.einsum("ki,ki->k", w.conj(), w).real
     return w / np.sqrt(a)[:, None], a
+
+
+def rank1_scenario(rng, d, n, channel=None) -> Scenario:
+    """States |phi_k><phi_k| and effects a_k |phi_k><phi_k| of ``rank1_setup(rng, d, n)``."""
+    vectors, weights = rank1_setup(rng, d, n)
+    projectors = [np.outer(v, v.conj()) for v in vectors]
+    states = tuple(state_from_matrix(bloch_basis(d), p) for p in projectors)
+    povm = validate_povm([a * p for a, p in zip(weights, projectors)])
+    return Scenario(states=states, povm=povm, channel=channel)
 
 
 def sampled(cprime, shots, rng):

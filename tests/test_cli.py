@@ -19,15 +19,13 @@ from commat import (
     identity_channel,
     sic_qubit,
     state_from_bloch,
-    state_from_matrix,
     trine_qubit,
     unitary_channel,
-    validate_povm,
 )
 from commat.cli import main
 from commat.sampling import random_channel
 from commat.serialize import comm_matrix_to_json, scenario_to_json
-from conftest import epsilon_panel_states, make_random_setup, rank1_setup, sampled
+from conftest import epsilon_panel_states, make_random_setup, rank1_scenario, sampled
 
 
 @pytest.fixture
@@ -46,16 +44,6 @@ def identity_cprime_file(tmp_path):
     path = tmp_path / "cp.json"
     path.write_text(json.dumps(comm_matrix_to_json(cp)))
     return path
-
-
-def _rank1_scenario(d, n, seed, channel=None) -> Scenario:
-    """The benchmark's rank-1 set-up (d, n, seed): states |phi_k><phi_k| and effects
-    a_k |phi_k><phi_k| of ``rank1_setup(default_rng(seed), d, n)``."""
-    vectors, weights = rank1_setup(np.random.default_rng(seed), d, n)
-    projectors = [np.outer(v, v.conj()) for v in vectors]
-    states = tuple(state_from_matrix(bloch_basis(d), p) for p in projectors)
-    povm = validate_povm([a * p for a, p in zip(weights, projectors)])
-    return Scenario(states=states, povm=povm, channel=channel)
 
 
 def _scenario_files(tmp_path, name, scenario, cprime=None) -> tuple:
@@ -84,7 +72,9 @@ def test_analyze_self_tests(sic_file, tmp_path, setup, rank, restarts):
     scenario = sic_file
     if setup != "sic-qubit":
         scenario = tmp_path / "rank1.json"
-        scenario.write_text(json.dumps(scenario_to_json(_rank1_scenario(*setup))))
+        d, n, seed = setup
+        rank1 = rank1_scenario(np.random.default_rng(seed), d, n)
+        scenario.write_text(json.dumps(scenario_to_json(rank1)))
     out = tmp_path / "report.json"
     assert main(["analyze", "--scenario", str(scenario), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -681,7 +671,9 @@ def test_every_file_is_written_as_json_dumps_writes_it(
     # six operators in four dimensions: over-complete frame sides, which take the SVD dual
     six = _scenario_files(tmp_path, "six", Scenario(*eb_example()[:3]))
     # and C' sampled with 10^6 shots per row, which the effects' exact identity row inverts
-    damped = _rank1_scenario(2, 6, 0, amplitude_damping_channel(bloch_basis(2), 0.3))
+    damped = rank1_scenario(
+        np.random.default_rng(0), 2, 6, amplitude_damping_channel(bloch_basis(2), 0.3)
+    )
     cp_sampled = sampled(comm_matrix_with_channel(damped), 10**6, np.random.default_rng(0))
     rank1 = _scenario_files(tmp_path, "rank1", damped, cp_sampled)
     runs = [

@@ -52,16 +52,30 @@ def _matrix(m: dict) -> np.ndarray:
     return _complex(m["entries"]).reshape(m["rows"], m["cols"])
 
 
+def _invariants(channel: dict):
+    """Replace a channel's Bloch matrix by its singular values and its Choi matrix by
+    its eigenvalues."""
+    bloch = _matrix(channel["bloch_matrix"]).real
+    channel["bloch_matrix"] = np.linalg.svd(bloch, compute_uv=False).tolist()
+    channel["choi"] = np.linalg.eigvalsh(_matrix(channel["choi"])).tolist()
+
+
 def _comparable(doc: dict) -> dict:
-    """``doc`` without ``inputs.*.path``, and with each gauge-dependent value replaced
-    by invariants of the gauge.
+    """``doc`` without ``inputs.*.path``, and with each value that rounding may pick
+    from a family of equally valid answers replaced by invariants of that family.
 
     The self-test fixes its canonical vectors, and so the gauge route's channel,
     only up to a global unitary or antiunitary, and rounding picks which one: under
     another OpenBLAS kernel (``OPENBLAS_CORETYPE=Haswell``) sic-qubit's canonical
     vectors come out in another gauge.  So the vectors are compared through their
     squared overlaps, and that channel through the singular values of its Bloch
-    matrix and the eigenvalues of its Choi matrix.
+    matrix and the eigenvalues of its Choi matrix.  Kernel bases and witnesses
+    come from an SVD, which fixes a basis only up to a rotation and a vector only
+    up to its sign: the bases are compared as the projector K^T K, and the
+    witness W of an indistinguishable pair as vec(W) vec(W)^dag.  Flipping W
+    swaps phi2's two effects, so phi2 is compared through the same invariants as
+    the gauge channel; phi1 depends on the sign only through tr(W), which is
+    zero on the fixtures.
     """
     for entry in doc.get("inputs", {}).values():
         del entry["path"]
@@ -71,10 +85,17 @@ def _comparable(doc: dict) -> dict:
         v = _complex(test["canonical_vectors"])
         test["canonical_vectors"] = (np.abs(v.conj() @ v.T) ** 2).tolist()
     if result.get("mode") == "gauge":
-        channel = result["channel"]
-        bloch = _matrix(channel["bloch_matrix"]).real
-        channel["bloch_matrix"] = np.linalg.svd(bloch, compute_uv=False).tolist()
-        channel["choi"] = np.linalg.eigvalsh(_matrix(channel["choi"])).tolist()
+        _invariants(result["channel"])
+    verdict = result.get("verdict", {})
+    for key in ("kernel_basis", "reference_kernel_basis"):
+        if verdict.get(key):
+            k = np.array(verdict[key])
+            verdict[key] = (k.T @ k).tolist()
+    if "witness_operator" in result:
+        w = _matrix(result["witness_operator"]).ravel()
+        outer = np.outer(w, w.conj())
+        result["witness_operator"] = [outer.real.tolist(), outer.imag.tolist()]
+        _invariants(result["phi2"])
     return doc
 
 

@@ -47,7 +47,7 @@ from conftest import (
     epsilon_panel_states,
     make_random_setup,
     make_spanning_setup,
-    rank1_setup,
+    rank1_scenario,
     sampled,
 )
 
@@ -157,9 +157,8 @@ class TestBuildFrame:
         if setup == "six-state":
             states, povm = eb_example()[:2]
         else:
-            vectors, weights = rank1_setup(np.random.default_rng(0), 2, int(setup[-1]))
-            states = [state_from_matrix(basis2, np.outer(v, v.conj())) for v in vectors]
-            povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+            rank1 = rank1_scenario(np.random.default_rng(0), 2, int(setup[-1]))
+            states, povm = rank1.states, rank1.povm
         frame = build_frame(states, povm, basis2, basis2)
         # every row but the effects' identity row (row 0) is minimum-norm; that one is all ones
         for dual, mats, first in ((frame.alpha, [s.matrix for s in states], 0),
@@ -554,10 +553,8 @@ class TestReconstructUpToGauge:
         # the route inverts the canonical coordinates directly; the reference first
         # builds and validates the canonical states and POVM, then runs build_frame
         rng = np.random.default_rng(seed)
-        vectors, weights = rank1_setup(rng, d, n)
-        basis = bloch_basis(d)
-        states = [state_from_matrix(basis, np.outer(v, v.conj())) for v in vectors]
-        povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+        rank1 = rank1_scenario(rng, d, n)
+        states, povm, basis = rank1.states, rank1.povm, bloch_basis(d)
         ch = random_channel(basis, basis, rng)
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch))
         estimate = reconstruct_up_to_gauge(comm_matrix(states, povm), cp, d)
@@ -574,9 +571,8 @@ class TestReconstructUpToGauge:
     @pytest.mark.parametrize("n, shots", [(5, 10**4), (5, 10**6), (6, 10**4), (6, 10**6)])
     def test_sampled_over_complete_input_is_trace_preserving(self, basis2, n, shots):
         rng = np.random.default_rng(0)
-        vectors, weights = rank1_setup(rng, 2, n)
-        states = [state_from_matrix(basis2, np.outer(v, v.conj())) for v in vectors]
-        povm = validate_povm([a * np.outer(v, v.conj()) for a, v in zip(weights, vectors)])
+        rank1 = rank1_scenario(rng, 2, n)
+        states, povm = rank1.states, rank1.povm
         ch = amplitude_damping_channel(basis2, 0.3)
         cp = sampled(comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch)),
                      shots, rng)
