@@ -6,7 +6,9 @@ keep rule and the restart schedule."""
 import numpy as np
 
 HERM_ATOL = 1e-12
-RANK_REL_TOL = 1e-9
+# the one singular-value rule of ranks, kernels and frames: full rank means a
+# condition number below 1 / RANK_REL_TOL
+RANK_REL_TOL = 1e-7
 GN_STEP_RTOL = 1e-12
 POLISH_MAX_STEPS = 20
 LBFGS_GTOL = 1e-14

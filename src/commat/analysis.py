@@ -99,7 +99,8 @@ def certify_info_completeness(
     implementation: tuple | None = None,
     rel_tol: float = RANK_REL_TOL,
 ) -> InfoCompletenessReport:
-    """Deduce informational completeness of any implementation from rank(C) = d^2.
+    """Informational completeness of each side from its span dimension d^2 given the
+    ``implementation`` (tomography's frame rule), else of both from rank(C) = d^2.
 
     ``d`` must be an integer of at least 2 (numpy integers pass, 2.0 does not).
     """
@@ -110,12 +111,13 @@ def certify_info_completeness(
             f"rank {rank} exceeds d^2 = {d * d}; the matrix cannot come from a "
             f"{d}-dimensional system"
         )
-    complete = rank == d * d
     dim_s = dim_m = dim_int = lower = upper = None
+    states_complete = povm_complete = rank == d * d
     if implementation is not None:
         states, povm = implementation
         dim_s, dim_m, dim_int = span_dims(states, povm, rel_tol)
         lower, upper = dim_int, min(dim_s, dim_m)
+        states_complete, povm_complete = dim_s == d * d, dim_m == d * d
     return InfoCompletenessReport(
         rank=rank,
         dim_v_rho=dim_s,
@@ -123,8 +125,8 @@ def certify_info_completeness(
         dim_intersection=dim_int,
         lower_bound=lower,
         upper_bound=upper,
-        states_complete=complete,
-        povm_complete=complete,
+        states_complete=states_complete,
+        povm_complete=povm_complete,
         rank_rel_tol=rel_tol,
     )
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 
 from . import __version__
 from ._linalg import RANK_REL_TOL
@@ -67,8 +68,9 @@ def _load_json(path: str, role: str) -> tuple:
         with open(path, "rb") as fh:
             raw = fh.read()
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except FileNotFoundError as exc:
-        raise ParseError(f"{role} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # no such file, a directory, not text
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ParseError(f"{role} file {path} cannot be read: {reason}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{role} file {path} is not valid JSON: {exc.msg} at line {exc.lineno}, "
@@ -277,7 +279,10 @@ def main(argv=None) -> int:
         _check_tolerances(tolerances)
         paths = {role: options[role] for role in args.roles if options[role]}
         loaded = {role: _load_json(path, role) for role, path in paths.items()}
-        result = globals()[args.func](args, {role: doc for role, (doc, _) in loaded.items()})
+        with warnings.catch_warnings():
+            # the report carries the CPTP diagnostics: stderr is for errors only
+            warnings.filterwarnings("ignore", "reconstructed map violates CPTP", UserWarning)
+            result = globals()[args.func](args, {role: doc for role, (doc, _) in loaded.items()})
         report = {
             "schema": REPORT_SCHEMA,
             "command": args.command,

@@ -1,12 +1,11 @@
 """Channel-property detection and constructive witnesses.
 
 Builds indistinguishable channel pairs for informationally incomplete set-ups,
-deciding completeness by the rule ``tomography`` inverts frames by: a side with
-no kernel vector is complete only if its condition number is at most
-``FRAME_MAX_COND``.  Decides unitality from kernel shifts of communication
-matrices, and certifies entanglement-breaking implementability through
-nonnegative factorizations whose factors are realized by an explicit
-measure-and-prepare pair.
+deciding completeness by the rule ``tomography`` inverts frames by: a side is
+complete when it has no kernel vector under ``_linalg.RANK_REL_TOL``.  Decides
+unitality from kernel shifts of communication matrices, and certifies
+entanglement-breaking implementability through nonnegative factorizations
+whose factors are realized by an explicit measure-and-prepare pair.
 """
 
 from dataclasses import dataclass
@@ -42,14 +41,12 @@ from .operators import (
     QuantumChannel,
     _states_from_matrices,
     bloch_basis,
-    completely_depolarizing_channel,
     measure_and_prepare_channel,
     state_from_matrix,
     states_dim,
     validate_povm,
 )
 from .scenario import CommMatrix, Scenario, choi_distance, comm_matrix_with_channel
-from .tomography import _frame
 
 EB_RESIDUAL_TOL = 1e-8
 KERNEL_ZERO_FLOOR = 1e-12
@@ -105,10 +102,10 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
     uses), and otherwise the first two computational-basis projectors.  No
     states, or states of several dimensions, raise ``DimensionMismatchError``.
 
-    Completeness is full tomography's: with no kernel vector on either side, a
-    side above ``FRAME_MAX_COND`` raises its ``FrameDeficientError``, as does a
-    nearly dependent side whose kernel vector leaves the pair's statistics more
-    than 1e-12 apart.
+    Completeness is full tomography's: with no kernel vector on either side
+    under ``RANK_REL_TOL`` both frames invert, and ``NoWitnessExistsError`` is
+    raised.  A nearly dependent side whose kernel vector leaves the pair's
+    statistics more than 1e-12 apart raises its ``FrameDeficientError``.
     """
     states = tuple(states)
     di = states_dim(states, "an indistinguishable pair needs at least one state")
@@ -142,9 +139,6 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
     else:
         b1 = _orthocomplement_operator(povm.effects, basis_out)
         if b1 is None:
-            # full rank on both sides: complete only if tomography's frame rule inverts both
-            _frame(np.array([s.matrix for s in states]), np.array(povm.effects),
-                   states[0].basis, basis_out)
             raise NoWitnessExistsError(
                 "states and measurement are both informationally complete; every "
                 "pair of channels is differentiated"
@@ -155,11 +149,8 @@ def construct_indistinguishable_pair(states, povm: Povm) -> IndistinguishablePai
         zeta_minus = state_from_matrix(basis_out, (np.eye(do) - r1 * b1) / do)
         n_plus = np.zeros((di, di), dtype=complex)
         n_plus[0, 0] = 1.0
-        phi1 = completely_depolarizing_channel(basis_out) if di == do else (
-            measure_and_prepare_channel(
-                validate_povm([np.eye(di)]),
-                [state_from_matrix(basis_out, np.eye(do) / do)],
-            )
+        phi1 = measure_and_prepare_channel(
+            validate_povm([np.eye(di)]), [state_from_matrix(basis_out, np.eye(do) / do)]
         )
         phi2 = measure_and_prepare_channel(
             validate_povm([n_plus, np.eye(di) - n_plus]), [zeta_plus, zeta_minus]

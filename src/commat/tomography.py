@@ -7,10 +7,10 @@ frame of a self-tested set-up, fixed only up to a global unitary or
 antiunitary conjugation.  All three take Phi = beta C'^T alpha^T / d_out from
 one product (the unital state dual is alpha = [0; d (R^+)^T]) and warn from one
 place when it is not CPTP.  A frame side is complete when its coordinate matrix
-has full row rank and a condition number of at most ``FRAME_MAX_COND``, else
-the side's own error; ``properties``' witness asks the same rule.  Each dual is
-minimum-norm but for the effects' identity row, all ones (exact, as the effects
-sum to I), so reconstructions are trace-preserving by design.
+has full row rank under ``_linalg.RANK_REL_TOL``, else the side's own error;
+``analysis``' completeness and ``properties``' witness ask the same rule.  Each
+dual is minimum-norm but for the effects' identity row, all ones (exact, as the
+effects sum to I), so reconstructions are trace-preserving by design.
 """
 
 import warnings
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, frob, rank_of_spectrum
+from ._linalg import frob, rank_of_spectrum
 from .errors import (
     DimensionMismatchError,
     FrameDeficientError,
@@ -46,7 +46,6 @@ from .operators import (
 )
 from .scenario import CommMatrix
 
-FRAME_MAX_COND = 1e7
 CPTP_WARN_TOL = 1e-6
 
 
@@ -71,25 +70,23 @@ class TomographyFrame:
 def _dual_frame(coords: np.ndarray, error: type, name: str, detail: str = "") -> np.ndarray:
     """Minimum-norm dual pinv(coords)^T of a coordinate matrix, one column per operator.
 
-    The singular values s of coords give the rank and the condition number
-    s_max / s_min.  A smaller rank than coords has rows raises ``error``:
-    "<name> span only <rank> of <rows> dimensions<detail>".  A condition number
-    above ``FRAME_MAX_COND`` raises it too, naming that number: the dual
-    reproduces the basis only to about it times eps.  A square coords that
-    passes is invertible, and its dual is inv(coords)^T from one LU
-    factorization; a wider one (more operators than dimensions) takes its dual
-    (U / s) V^T from the same SVD coords = U diag(s) V^T that gave s.
+    A rank of its singular values s below the rows of coords raises ``error``
+    naming the rank and sigma_min/sigma_max (0 with fewer operators than rows),
+    then ``detail``.  A side that passes has a condition number below
+    1 / ``RANK_REL_TOL``, and its dual reproduces the basis to about that times
+    eps: inv(coords)^T from one LU factorization when coords is square, else
+    (U / s) V^T from the SVD coords = U diag(s) V^T that gave s.
     """
     square = coords.shape[0] == coords.shape[1]
     if square:
         s = np.linalg.svd(coords, compute_uv=False)
     else:
         u, s, vt = np.linalg.svd(coords, full_matrices=False)
-    rank = rank_of_spectrum(s, RANK_REL_TOL)
+    rank = rank_of_spectrum(s)
     if rank < len(coords):
-        raise error(f"{name} span only {rank} of {len(coords)} dimensions{detail}")
-    if s[-1] * FRAME_MAX_COND < s[0]:
-        raise error(f"{name} have condition number {s[0] / s[-1]:.3e} above {FRAME_MAX_COND:.0e}")
+        ratio = s[-1] / s[0] if rank and len(s) == len(coords) else 0.0
+        raise error(f"{name} span only {rank} of {len(coords)} dimensions "
+                    f"(sigma_min/sigma_max {ratio:.3e}){detail}")
     return np.linalg.inv(coords).T if square else (u / s) @ vt
 
 

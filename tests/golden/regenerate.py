@@ -53,7 +53,7 @@ CASES = {
     "error-not-a-state": (2, ["analyze", "--scenario", "inputs/bad-state.json"]),
     "error-invalid-povm": (2, ["analyze", "--scenario", "inputs/bad-povm.json"]),
     "error-tol-rank": (2, ["analyze", "--scenario", SIC, "--tol-rank", "nan"]),
-    # full rank, but the states' condition number 1.8e7 is above the frame limit
+    # the states' condition number 1.8e7: sigma_min/sigma_max 5.6e-8 is below RANK_REL_TOL
     "error-frame-deficient": (
         3, ["tomography", "--mode", "full", "--scenario", "inputs/near-dependent.json", "--cprime", CPRIME]
     ),

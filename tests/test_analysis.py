@@ -117,7 +117,7 @@ class TestSpanDims:
         def rank(mats):
             rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
             s = np.linalg.svd(rows, compute_uv=False)
-            return int(np.count_nonzero(s > 1e-9 * s[0]))
+            return int(np.count_nonzero(s > 1e-7 * s[0]))
 
         basis = bloch_basis(d)
         for span_s, span_m in [(d * d, d * d), (d * d - 1, 2), (3, d * d - 2), (2, 2)]:

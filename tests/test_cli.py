@@ -175,7 +175,7 @@ def test_tomography_frame_deficient(tmp_path, identity_cprime_file, setup, capsy
     if setup == "d3-trine":
         assert main(["fixtures", "d3-trine", "--out", str(scenario)]) == 0
     else:
-        # full rank, but the states' condition number 1.8e7 is above the limit
+        # the states' condition number 1.8e7: sigma_min/sigma_max 5.6e-8 is below RANK_REL_TOL
         _, povm = sic_qubit()
         states = epsilon_panel_states(bloch_basis(2), 1e-7)
         scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
@@ -218,13 +218,14 @@ def test_properties_witness_on_complete_setup_fails(sic_file, capsys):
 
 def test_witness_answers_no_witness_exactly_when_full_tomography_succeeds(tmp_path, capsys):
     # the trine states and a fourth state that leaves their plane by eps, with the SIC POVM:
-    # kappa ~ 2.4 / eps, and below eps ~ 1e-9 the states have a kernel vector under RANK_REL_TOL
+    # kappa ~ 2.4 / eps, so below eps ~ 2.4e-7 the states have a kernel vector under
+    # RANK_REL_TOL, and analyze's completeness, the witness and full tomography all see it
     basis = bloch_basis(2)
     trine, _ = trine_qubit()
     _, povm = sic_qubit()
     scenario, cprime = tmp_path / "scenario.json", tmp_path / "cprime.json"
     reconstructs = []
-    for eps in (1e-6, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11, 1e-13):
+    for eps in (1e-5, 3e-6, 1e-6, 3e-7, 1.5e-7, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11, 1e-13):
         states = trine + (state_from_bloch(basis, np.array([0.3, eps, 0.2])),)
         scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
         cp = comm_matrix_with_channel(
@@ -236,12 +237,14 @@ def test_witness_answers_no_witness_exactly_when_full_tomography_succeeds(tmp_pa
         full = main(["tomography", "--mode", "full", "--scenario", str(scenario),
                      "--cprime", str(cprime)])
         capsys.readouterr()
+        assert main(["analyze", "--scenario", str(scenario)]) == 0, eps
+        completeness = json.loads(capsys.readouterr().out)["result"]["completeness"]
         assert 4 not in (witness, full), eps
         no_witness = witness == 3 and json.loads(err)["code"] == "no-witness-exists"
-        assert no_witness == (full == 0), eps
+        assert no_witness == (full == 0) == completeness["states_complete"], eps
         if full == 0:
             reconstructs.append(eps)
-    assert reconstructs == [1e-6]
+    assert reconstructs == [1e-5, 3e-6, 1e-6, 3e-7]
 
 
 @pytest.mark.parametrize(
@@ -510,6 +513,18 @@ def test_fixtures_to_an_unwritable_out_is_validation_error(tmp_path, capsys):
     assert str(out) in err["message"]
 
 
+@pytest.mark.parametrize("case", ["directory", "not-text"])
+def test_an_unreadable_input_file_is_parse_error(tmp_path, case, capsys):
+    path = tmp_path
+    if case == "not-text":  # bytes that are not UTF-8, -16 or -32 text
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\x80\x81\x82\x83 {")
+    assert main(["analyze", "--scenario", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "parse-error"
+    assert err["message"].startswith(f"scenario file {path} ")
+
+
 def _analyze_edited(sic_file, tmp_path, edit, capsys):
     """Exit code and error object of analyze on the sic fixture after edit(doc)."""
     doc = json.loads(sic_file.read_text())
@@ -648,9 +663,19 @@ def d6_files(tmp_path):
     return _scenario_files(tmp_path, "d6", Scenario(states=states, povm=povm, channel=channel))
 
 
-@pytest.mark.filterwarnings("ignore:reconstructed map violates CPTP")
+@pytest.fixture
+def sampled_rank1_files(tmp_path):
+    """The rank-1 qubit (2, 6, 0) set-up and its C' under amplitude_damping(0.3), sampled
+    with 10^6 shots per row: its linear inversion is not CPTP."""
+    damped = rank1_scenario(
+        np.random.default_rng(0), 2, 6, amplitude_damping_channel(bloch_basis(2), 0.3)
+    )
+    cp_sampled = sampled(comm_matrix_with_channel(damped), 10**6, np.random.default_rng(0))
+    return _scenario_files(tmp_path, "rank1", damped, cp_sampled)
+
+
 def test_every_file_is_written_as_json_dumps_writes_it(
-    tmp_path, identity_cprime_file, d6_files, monkeypatch
+    tmp_path, identity_cprime_file, d6_files, sampled_rank1_files, monkeypatch
 ):
     import commat.cli as cli
     from commat import serialize
@@ -671,11 +696,7 @@ def test_every_file_is_written_as_json_dumps_writes_it(
     # six operators in four dimensions: over-complete frame sides, which take the SVD dual
     six = _scenario_files(tmp_path, "six", Scenario(*eb_example()[:3]))
     # and C' sampled with 10^6 shots per row, which the effects' exact identity row inverts
-    damped = rank1_scenario(
-        np.random.default_rng(0), 2, 6, amplitude_damping_channel(bloch_basis(2), 0.3)
-    )
-    cp_sampled = sampled(comm_matrix_with_channel(damped), 10**6, np.random.default_rng(0))
-    rank1 = _scenario_files(tmp_path, "rank1", damped, cp_sampled)
+    rank1 = sampled_rank1_files
     runs = [
         *(["analyze", "--scenario", path] for path in fixtures.values()),
         *(["tomography", "--mode", mode, "--scenario", sic, *cp] for mode in ("full", "unital", "gauge")),
@@ -736,3 +757,22 @@ def test_commands_that_run_no_fit_do_not_import_scipy_optimize(tmp_path):
         }
         assert "commat.operators" in imported
         assert "scipy.optimize" not in imported, args
+
+
+@pytest.mark.parametrize("mode", ["full", "gauge"])
+def test_a_non_cptp_reconstruction_leaves_stderr_empty(sampled_rank1_files, mode):
+    # the report carries the CPTP diagnostics; the library's warning stays off stderr
+    import commat
+
+    scenario, cprime = sampled_rank1_files
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(commat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "commat.cli", "tomography", "--mode", mode,
+         "--scenario", scenario, "--cprime", cprime, "--restarts", "8"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["channel"]["cptp"]["is_cptp"] is False

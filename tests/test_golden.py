@@ -21,22 +21,35 @@ regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
 
-def assert_matches(actual, expected, where="report"):
-    """Keys, strings, booleans, integers and None equal, floats within 1e-12 * max(1, |x|):
-    CI runs two Pythons with unpinned numpy, so exact float bytes would not be portable."""
-    assert type(actual) is type(expected), where
+def mismatches(actual, expected, where="report") -> list:
+    """Every (path, actual, golden) where ``actual`` differs from ``expected``: keys,
+    strings, booleans, integers and None must be equal, floats within
+    1e-12 * max(1, |x|), as CI runs two Pythons with unpinned numpy, so exact float
+    bytes would not be portable.  A type, key set or length that differs is one
+    entry at its path; the keys both dicts share are still compared."""
+    if type(actual) is not type(expected):
+        return [(where, actual, expected)]
     if isinstance(expected, dict):
-        assert sorted(actual) == sorted(expected), where
-        for key, value in expected.items():
-            assert_matches(actual[key], value, f"{where}.{key}")
-    elif isinstance(expected, list):
-        assert len(actual) == len(expected), where
-        for i, (a, e) in enumerate(zip(actual, expected)):
-            assert_matches(a, e, f"{where}[{i}]")
-    elif isinstance(expected, float):
-        assert abs(actual - expected) <= 1e-12 * max(1.0, abs(expected)), (where, actual, expected)
+        found = [(where, sorted(actual), sorted(expected))] if sorted(actual) != sorted(expected) else []
+        for key in (key for key in expected if key in actual):
+            found += mismatches(actual[key], expected[key], f"{where}.{key}")
+        return found
+    if isinstance(expected, list):
+        if len(actual) != len(expected):
+            return [(where, f"{len(actual)} items", f"{len(expected)} items")]
+        return [m for i, (a, e) in enumerate(zip(actual, expected))
+                for m in mismatches(a, e, f"{where}[{i}]")]
+    if isinstance(expected, float):
+        same = abs(actual - expected) <= 1e-12 * max(1.0, abs(expected))
     else:
-        assert actual == expected, where
+        same = actual == expected
+    return [] if same else [(where, actual, expected)]
+
+
+def assert_matches(actual, expected, where="report"):
+    """Fail once, listing every path of ``mismatches`` with its actual and golden value."""
+    found = mismatches(actual, expected, where)
+    assert not found, "\n".join(f"{path}: {a!r} (golden {e!r})" for path, a, e in found)
 
 
 def _golden(case: str) -> dict:
@@ -121,12 +134,17 @@ def test_report_matches_its_golden_file(case, monkeypatch):
     ],
 )
 def test_comparison_rule(actual, expected, same):
-    try:
-        assert_matches(actual, expected)
-    except AssertionError:
-        assert not same
-    else:
-        assert same
+    assert (mismatches(actual, expected) == []) == same
+
+
+def test_a_document_with_two_moved_values_names_both():
+    golden = {"tolerances": {"tol_rank": 1e-09}, "result": {"rank": 4, "kernel_tol": 1e-09}}
+    actual = {"tolerances": {"tol_rank": 1e-07}, "result": {"rank": 4, "kernel_tol": 1e-07}}
+    with pytest.raises(AssertionError) as info:
+        assert_matches(actual, golden)
+    for line in ("report.tolerances.tol_rank: 1e-07 (golden 1e-09)",
+                 "report.result.kernel_tol: 1e-07 (golden 1e-09)"):
+        assert line in str(info.value)
 
 
 @pytest.mark.parametrize("case", ["error-not-a-state", "error-frame-deficient"])

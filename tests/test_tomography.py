@@ -42,7 +42,8 @@ from commat.errors import (
     ValidationError,
 )
 from commat.sampling import random_channel, random_mixed_state, random_povm, random_unitary
-from commat.tomography import FRAME_MAX_COND, _dual_frame
+from commat._linalg import RANK_REL_TOL
+from commat.tomography import _dual_frame
 from conftest import (
     epsilon_panel_states,
     make_random_setup,
@@ -200,19 +201,22 @@ class TestBuildFrame:
             for r in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0])
         ]
         povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions$"):
+        # fewer operators than dimensions: sigma_min of the coordinate matrix's rows is 0
+        short = r" \(sigma_min/sigma_max 0\.000e\+00\)$"
+        with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions" + short):
             build_frame(states, sic_povm, basis2, basis2)
-        with pytest.raises(FrameDeficientError, match=r"^effects span only 2 of 4 dimensions$"):
+        with pytest.raises(FrameDeficientError, match=r"^effects span only 2 of 4 dimensions" + short):
             build_frame(sic_states, povm, basis2, basis2)
         # both sides fall short: the states are checked first
-        with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions$"):
+        with pytest.raises(FrameDeficientError, match=r"^states span only 3 of 4 dimensions" + short):
             build_frame(states, povm, basis2, basis2)
-        # full rank, but the SIC effects squashed along y by 1e-8 have condition number 1.7e8
+        # four SIC effects squashed along y by 1e-8: condition number 1.7e8, so
+        # sigma_min/sigma_max 5.8e-9 falls below RANK_REL_TOL
         squashed = validate_povm(
             [state_from_bloch(basis2, s.bloch * [1.0, 1e-8, 1.0]).matrix / 2 for s in sic_states]
         )
-        with pytest.raises(FrameDeficientError,
-                           match=r"^effects have condition number 1\.732e\+08 above 1e\+07$"):
+        with pytest.raises(FrameDeficientError, match=r"^effects span only 3 of 4 dimensions "
+                           r"\(sigma_min/sigma_max 5\.774e-09\)$"):
             build_frame(sic_states, squashed, basis2, basis2)
 
     @pytest.mark.parametrize("eps, builds", [
@@ -225,17 +229,18 @@ class TestBuildFrame:
         _, povm = sic_qubit()
         mats = np.array([s.matrix for s in states])
         kappa = np.linalg.cond(basis2.coords(mats).T)
-        assert (kappa <= FRAME_MAX_COND) == builds
+        assert (kappa * RANK_REL_TOL < 1.0) == builds
         if builds:
             # the min-norm dual reproduces the basis to about kappa * eps
             frame = build_frame(states, povm, basis2, basis2)
             synth = np.tensordot(frame.alpha, mats, axes=1)
             assert np.abs(synth - basis2.elements).max() <= 8 * kappa * np.finfo(float).eps
         else:
-            with pytest.raises(FrameDeficientError, match=r"^states have condition number") as info:
+            with pytest.raises(FrameDeficientError,
+                               match=r"^states span only 3 of 4 dimensions \(sigma_min/sigma_max ") as info:
                 build_frame(states, povm, basis2, basis2)
-            reported = float(str(info.value).split()[4])
-            assert reported == pytest.approx(kappa, rel=1e-3)
+            reported = float(str(info.value).split()[-1].rstrip(")"))
+            assert reported == pytest.approx(1.0 / kappa, rel=1e-3)
 
 
 class TestReconstruct:
@@ -367,9 +372,12 @@ class TestReconstruct:
 
 class TestReconstructUnital:
     @pytest.mark.parametrize("setup, message", [
-        ("trine", r"span only 2 of 3 dimensions; right pseudoinverse does not exist$"),
-        # full rank 3, but kappa of R is 1e8: the third vector leaves the first one's axis by 1e-8
-        ("near-dependent", r"have condition number 1\.000e\+08 above 1e\+07$"),
+        # three coplanar Bloch vectors: sigma_min is 0 up to rounding
+        ("trine", r"span only 2 of 3 dimensions \(sigma_min/sigma_max (0\.000e\+00|\d\.\d{3}e-1\d)\); "
+                  r"right pseudoinverse does not exist$"),
+        # kappa of R is 1e8: the third vector leaves the first one's axis by 1e-8
+        ("near-dependent", r"span only 2 of 3 dimensions \(sigma_min/sigma_max 1\.000e-08\); "
+                           r"right pseudoinverse does not exist$"),
     ])
     def test_states_that_cannot_be_inverted_are_insufficient(self, basis2, setup, message):
         if setup == "trine":
