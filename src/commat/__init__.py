@@ -57,7 +57,6 @@ from .properties import (
     construct_indistinguishable_pair,
     detect_unitality,
     eb_certificate,
-    kernel_shift,
     nonnegative_factorization,
     psd_rank_lower_bound,
     unital_differentiation_condition,

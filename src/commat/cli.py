@@ -121,9 +121,12 @@ def cmd_analyze(args, docs: dict) -> dict:
     result["completeness"] = completeness
     m, n = c.shape
     if m == n:
-        result["self_test"] = self_test(
-            c, d, restarts=args.restarts, seed=args.seed, residual_tol=args.tol_fit
-        )
+        try:
+            result["self_test"] = self_test(
+                c, d, restarts=args.restarts, seed=args.seed, residual_tol=args.tol_fit
+            )
+        except PreconditionError as exc:  # the report keeps what was computed before it
+            result["self_test"] = exc.to_json_dict()
         result["robustness"] = robustness_gap(Scenario(states=states, povm=povm))
     return result
 
@@ -174,14 +177,7 @@ def cmd_properties(args, docs: dict) -> dict:
         c0 = comm_matrix_with_channel(
             Scenario(states=states, povm=povm, channel=completely_depolarizing_channel(basis))
         )
-        verdict = detect_unitality(
-            c,
-            c0,
-            cprime,
-            d,
-            povm_complete=args.assume_povm_complete,
-            states=states,
-        )
+        verdict = detect_unitality(c, c0, cprime, d)
         return {"check": "unitality", "verdict": verdict}
     cert = eb_certificate(
         c,
@@ -253,11 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cprime")
     p.add_argument("--check", choices=["unitality", "eb", "witness"], required=True)
     p.add_argument("--l-max", type=int, default=None, dest="l_max")
-    p.add_argument(
-        "--assume-povm-complete",
-        action="store_true",
-        help="assert measurement informational completeness when rank cannot certify it",
-    )
     _add_run_options(p, EB_RESIDUAL_TOL)
     p.set_defaults(func="cmd_properties", roles=("scenario", "cprime"))
 

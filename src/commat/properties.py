@@ -1,11 +1,12 @@
 """Channel-property detection and constructive witnesses.
 
 Builds indistinguishable channel pairs for informationally incomplete set-ups,
-deciding completeness by the rule ``tomography`` inverts frames by: a side is
-complete when it has no kernel vector under ``_linalg.RANK_REL_TOL``.  Decides
-unitality from kernel shifts of communication matrices, and certifies
-entanglement-breaking implementability through nonnegative factorizations
-whose factors are realized by an explicit measure-and-prepare pair.
+decides unitality from the combinations of the states with nonzero trace in
+the kernels of C'^T - C^T and C0^T - C^T, and certifies entanglement-breaking implementability
+through nonnegative factorizations whose factors are realized by an explicit
+measure-and-prepare pair.  Each decides completeness by the rule ``tomography``
+inverts frames by (``analysis.certify_info_completeness`` on C's implementation):
+a side is complete when it has no kernel vector under ``_linalg.RANK_REL_TOL``.
 """
 
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .errors import (
     check_integer,
     check_tolerance,
 )
-from .analysis import DEFAULT_SEED, numerical_rank
+from .analysis import DEFAULT_SEED, certify_info_completeness, numerical_rank
 from .operators import (
     Povm,
     QuantumChannel,
@@ -195,19 +196,6 @@ def _kernel_basis(mat: np.ndarray) -> list:
     return [null[:, j] for j in range(null.shape[1])]
 
 
-def kernel_shift(c: CommMatrix, cprime: CommMatrix) -> list:
-    """Orthonormal basis of the numerical kernel of (C'^T - C^T), under ``RANK_REL_TOL``.
-
-    Vectors alpha in this kernel correspond to operators sum_j alpha_j rho_j
-    fixed by the channel.  A numerically zero difference returns the full
-    standard basis; a trivial kernel returns an empty list.
-    """
-    if c.shape != cprime.shape:
-        raise DimensionMismatchError(f"shapes differ: {c.shape} vs {cprime.shape}")
-    diff = cprime.entries.T - c.entries.T
-    return _kernel_basis(diff)
-
-
 @dataclass(frozen=True, eq=False)
 class UnitalityVerdict:
     kernel_basis: list
@@ -218,25 +206,33 @@ class UnitalityVerdict:
     kernel_tol: float = RANK_REL_TOL
 
 
-def detect_unitality(
-    c: CommMatrix,
-    c0: CommMatrix,
-    cprime: CommMatrix,
-    d: int,
-    povm_complete: bool,
-    states=None,
-) -> UnitalityVerdict:
+def _trace_direction(kernel: list) -> np.ndarray | None:
+    """The all-ones vector's projection onto the span of ``kernel``; None when its
+    norm is under ``RANK_REL_TOL`` of the all-ones vector's, so that every kernel
+    direction has sum_j alpha_j = 0 (a combination of the states of trace zero)."""
+    if not kernel:
+        return None
+    k = np.array(kernel)
+    alpha = k.sum(axis=1) @ k
+    return alpha if np.linalg.norm(alpha) > RANK_REL_TOL * np.sqrt(k.shape[1]) else None
+
+
+def detect_unitality(c: CommMatrix, c0: CommMatrix, cprime: CommMatrix, d: int) -> UnitalityVerdict:
     """Decide unitality of the channel behind C' using the depolarizing reference C0.
 
-    With a trivial reference kernel the per-channel question is undecidable and
-    the report instead says whether rank(C) >= d^2 - 1 certifies the set-up for
-    differentiating unital channels.  Otherwise the channel is unital iff the
-    kernels of (C'^T - C^T) and (C0^T - C^T) intersect nontrivially.
+    alpha in the kernel of (C'^T - C^T) stands for X = sum_j alpha_j rho_j with
+    Phi(X) = X (the measurement being complete), and in that of (C0^T - C^T) for
+    X proportional to I.  The states' dependences (X = 0) lie in both, so only
+    directions with tr(X) = sum_j alpha_j != 0 count: with none in the reference
+    kernel the question is undecidable and the report says instead whether the
+    set-up differentiates unital channels; else the channel is unital iff the
+    common kernel has one, and the witness is X for alpha the projection of the
+    all-ones vector onto it, a multiple of I.  C must carry its implementation
+    (``c.provenance``), from which completeness (else ``PreconditionError``), the
+    witness and the differentiation condition come.
     """
     if not (c.shape == c0.shape == cprime.shape):
-        raise DimensionMismatchError(
-            f"shapes differ: {c.shape}, {c0.shape}, {cprime.shape}"
-        )
+        raise DimensionMismatchError(f"shapes differ: {c.shape}, {c0.shape}, {cprime.shape}")
     d = check_dimension(d)
     row_dev = np.abs(c0.entries - c0.entries[0][None, :]).max()
     if row_dev > 1e-10:
@@ -244,32 +240,37 @@ def detect_unitality(
             f"reference matrix rows differ by {row_dev:.3e}; not generated by the "
             "completely depolarizing channel"
         )
-    rank = numerical_rank(c)
-    if not povm_complete and rank < d * d:
+    setup = c.provenance
+    if setup is None:
         raise PreconditionError(
-            "measurement informational completeness neither asserted nor certified"
+            "pre-channel matrix carries no implementation; the measurement's "
+            "completeness and the witness are read from it"
+        )
+    report = certify_info_completeness(c, d, (setup.states, setup.povm))
+    if not report.povm_complete:
+        raise PreconditionError(
+            f"effects span only {report.dim_v_m} of {d * d} dimensions: unitality "
+            "needs an informationally complete measurement"
         )
     diff0 = c0.entries.T - c.entries.T
     diffp = cprime.entries.T - c.entries.T
     ker0 = _kernel_basis(diff0)
     kerp = _kernel_basis(diffp)
-    if not ker0:
+    if _trace_direction(ker0) is None:
         return UnitalityVerdict(
             kernel_basis=kerp,
             reference_kernel_basis=ker0,
             verdict="undecidable",
-            setup_unital_differentiating=rank >= d * d - 1,
+            setup_unital_differentiating=unital_differentiation_condition(setup.states, d),
         )
-    common = _kernel_basis(np.vstack([diffp, diff0]))
-    verdict = "unital" if common else "non-unital"
+    alpha = _trace_direction(_kernel_basis(np.vstack([diffp, diff0])))
     witness = None
-    if common and states is not None:
-        alpha = common[0]
-        witness = sum(a * s.matrix for a, s in zip(alpha, states))
+    if alpha is not None:
+        witness = np.tensordot(alpha, np.array([s.matrix for s in setup.states]), axes=1)
     return UnitalityVerdict(
         kernel_basis=kerp,
         reference_kernel_basis=ker0,
-        verdict=verdict,
+        verdict="non-unital" if alpha is None else "unital",
         fixed_point_witness=witness,
     )
 
@@ -622,7 +623,8 @@ def eb_certificate(
     start early in a batch certifies.
 
     With ``claim="channel"`` the verdict is about the channel itself, which is
-    only sound when rank(C) = d^2; anything less raises an ambiguity error.
+    only sound when ``certify_info_completeness`` finds both sides of C's
+    implementation complete; else an ambiguity error names the side that is not.
     ``claim`` is ``"matrix"`` or ``"channel"``; any other value is a
     validation error, and so is a ``residual_tol`` that is not finite and
     non-negative, a ``restarts`` or ``l_max`` that is not an integer of at
@@ -643,13 +645,6 @@ def eb_certificate(
     check_integer("seed", seed, 0)
     check_integer("l_max", l_max, 1)
     check_tolerance("residual_tol", residual_tol)
-    if claim == "channel":
-        rank_c = numerical_rank(c)
-        if rank_c < d * d:
-            raise AmbiguityError(
-                f"rank(C) = {rank_c} < {d * d}: only implementability by some "
-                "entanglement-breaking channel can be decided, not the channel itself"
-            )
     if c.provenance is None:
         raise PreconditionError(
             "pre-channel matrix carries no implementation; states and measurement "
@@ -657,6 +652,16 @@ def eb_certificate(
         )
     rho_states = c.provenance.states
     povm = c.provenance.povm
+    if claim == "channel":
+        r = certify_info_completeness(c, d, (rho_states, povm))
+        sides = (("states", r.dim_v_rho, r.states_complete), ("effects", r.dim_v_m, r.povm_complete))
+        short = [f"{side} span only {dim} of {d * d} dimensions"
+                 for side, dim, complete in sides if not complete]
+        if short:
+            raise AmbiguityError(
+                f"{' and '.join(short)}: only implementability by some "
+                "entanglement-breaking channel can be decided, not the channel itself"
+            )
     if realization is not None:
         realization = _checked_realization(realization, rho_states, povm)
     rank_cp = numerical_rank(cprime)

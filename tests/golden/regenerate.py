@@ -34,8 +34,9 @@ from conftest import epsilon_panel_states  # noqa: E402
 
 FIXTURES = ("sic-qubit", "d3-trine", "eb-six-state")
 SIC, DAMPED, CPRIME = "inputs/sic-qubit.json", "inputs/sic-damped.json", "inputs/sic-damped-cprime.json"
+SIX, SIX_CPRIME = "inputs/eb-six-state.json", "inputs/six-state-damped-cprime.json"
 
-# case: (exit code, argv); C' is that of amplitude_damping(0.3) on sic-qubit
+# case: (exit code, argv); C' is that of amplitude_damping(0.3) on sic-qubit, or on eb-six-state
 CASES = {
     **{
         f"analyze-{name}": (0, ["analyze", "--scenario", f"inputs/{name}.json"])
@@ -48,7 +49,11 @@ CASES = {
     "properties-unitality": (
         0, ["properties", "--check", "unitality", "--scenario", SIC, "--cprime", CPRIME]
     ),
-    "properties-eb": (0, ["properties", "--check", "eb", "--scenario", "inputs/eb-six-state.json"]),
+    # the six states are linearly dependent, and their dependences make no channel unital
+    "properties-unitality-six-state": (
+        0, ["properties", "--check", "unitality", "--scenario", SIX, "--cprime", SIX_CPRIME]
+    ),
+    "properties-eb": (0, ["properties", "--check", "eb", "--scenario", SIX]),
     "properties-witness": (0, ["properties", "--check", "witness", "--scenario", "inputs/d3-trine.json"]),
     "error-not-a-state": (2, ["analyze", "--scenario", "inputs/bad-state.json"]),
     "error-invalid-povm": (2, ["analyze", "--scenario", "inputs/bad-povm.json"]),
@@ -81,6 +86,8 @@ def write_inputs():
     damped = {**sic, "channel": {"kind": "named", "name": "amplitude_damping(0.3)"}}
     write(DAMPED, damped)
     write(CPRIME, comm_matrix_to_json(comm_matrix_with_channel(scenario_from_json(damped))))
+    six = {**json.loads(Path(SIX).read_text()), "channel": damped["channel"]}
+    write(SIX_CPRIME, comm_matrix_to_json(comm_matrix_with_channel(scenario_from_json(six))))
     bad_state = copy.deepcopy(sic)
     bad_state["states"][2]["entries"] = [[1.5, 0], [0, 0], [0, 0], [-0.5, 0]]
     write("inputs/bad-state.json", bad_state)

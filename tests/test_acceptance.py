@@ -192,18 +192,18 @@ def test_criterion_7_unitality_detection():
         )
         sz = unitary_channel(basis, np.diag([1.0, -1.0]).astype(complex))
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=sz))
-        assert detect_unitality(c, c0, cp, 2, povm_complete=True).verdict == "unital"
+        assert detect_unitality(c, c0, cp, 2).verdict == "unital"
 
         contraction = measure_and_prepare_channel(
             validate_povm([np.eye(2)]),
             [state_from_bloch(basis, np.array([0.0, 0.0, 1.0]))],
         )
         cp2 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=contraction))
-        assert detect_unitality(c, c0, cp2, 2, povm_complete=True).verdict == "non-unital"
+        assert detect_unitality(c, c0, cp2, 2).verdict == "non-unital"
 
         damping = amplitude_damping_channel(basis, 0.3)
         cp3 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=damping))
-        assert detect_unitality(c, c0, cp3, 2, povm_complete=True).verdict == "non-unital"
+        assert detect_unitality(c, c0, cp3, 2).verdict == "non-unital"
 
         axis_states = tuple(
             state_from_bloch(basis, r)
@@ -214,7 +214,7 @@ def test_criterion_7_unitality_detection():
             Scenario(states=axis_states, povm=povm, channel=completely_depolarizing_channel(basis))
         )
         cap = comm_matrix_with_channel(Scenario(states=axis_states, povm=povm, channel=sz))
-        verdict = detect_unitality(ca, ca0, cap, 2, povm_complete=True)
+        verdict = detect_unitality(ca, ca0, cap, 2)
         assert verdict.verdict == "undecidable"
         assert verdict.setup_unital_differentiating is True
 

@@ -14,15 +14,21 @@ from commat import (
     Scenario,
     amplitude_damping_channel,
     bloch_basis,
+    comm_matrix,
     comm_matrix_with_channel,
+    depolarizing_channel,
+    eb_certificate,
     eb_example,
     identity_channel,
     sic_qubit,
     state_from_bloch,
+    state_from_matrix,
     trine_qubit,
     unitary_channel,
+    validate_povm,
 )
 from commat.cli import main
+from commat.errors import AmbiguityError
 from commat.sampling import random_channel
 from commat.serialize import comm_matrix_to_json, scenario_to_json
 from conftest import epsilon_panel_states, make_random_setup, rank1_scenario, sampled
@@ -106,6 +112,23 @@ def test_analyze_trine(tmp_path):
     result = json.loads(report.read_text())["result"]
     assert result["rank"] == 3
     assert result["completeness"]["states_complete"] is False
+
+
+def test_analyze_keeps_its_results_when_the_self_test_refuses(tmp_path):
+    # states |0>, I/2, |1> and effects |0><0|/2, |0><0|/2, |1><1|: C = [[.5, .5, 0],
+    # [.25, .25, .5], [0, 0, 1]] has storability 2 = d, but no one-to-one pairing attains it
+    basis = bloch_basis(2)
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    states = tuple(state_from_matrix(basis, m) for m in (p0, np.eye(2) / 2, p1))
+    scenario = Scenario(states=states, povm=validate_povm([p0 / 2, p0 / 2, p1]))
+    path, out = tmp_path / "unpaired.json", tmp_path / "report.json"
+    path.write_text(json.dumps(scenario_to_json(scenario)))
+    assert main(["analyze", "--scenario", str(path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["self_test"]["code"] == "not-self-testable"
+    assert "no one-to-one pairing" in result["self_test"]["message"]
+    assert (result["rank"], result["storability"]) == (2, 2.0)
+    assert result["robustness"]["epsilon"] == 0.0
 
 
 def test_determinism(sic_file, tmp_path):
@@ -216,17 +239,23 @@ def test_properties_witness_on_complete_setup_fails(sic_file, capsys):
     assert err["code"] == "no-witness-exists"
 
 
+# the trine states and a fourth state that leaves their plane by eps, with the SIC POVM:
+# kappa ~ 2.4 / eps, so below eps ~ 2.4e-7 the states have a kernel vector under RANK_REL_TOL
+PANEL_EPS = (1e-5, 3e-6, 1e-6, 3e-7, 1.5e-7, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11, 1e-13)
+
+
+def _trine_panel_states(basis, eps) -> tuple:
+    return trine_qubit()[0] + (state_from_bloch(basis, np.array([0.3, eps, 0.2])),)
+
+
 def test_witness_answers_no_witness_exactly_when_full_tomography_succeeds(tmp_path, capsys):
-    # the trine states and a fourth state that leaves their plane by eps, with the SIC POVM:
-    # kappa ~ 2.4 / eps, so below eps ~ 2.4e-7 the states have a kernel vector under
-    # RANK_REL_TOL, and analyze's completeness, the witness and full tomography all see it
+    # analyze's completeness, the witness and full tomography all see the states' kernel vector
     basis = bloch_basis(2)
-    trine, _ = trine_qubit()
     _, povm = sic_qubit()
     scenario, cprime = tmp_path / "scenario.json", tmp_path / "cprime.json"
     reconstructs = []
-    for eps in (1e-5, 3e-6, 1e-6, 3e-7, 1.5e-7, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11, 1e-13):
-        states = trine + (state_from_bloch(basis, np.array([0.3, eps, 0.2])),)
+    for eps in PANEL_EPS:
+        states = _trine_panel_states(basis, eps)
         scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
         cp = comm_matrix_with_channel(
             Scenario(states=states, povm=povm, channel=identity_channel(basis))
@@ -245,6 +274,77 @@ def test_witness_answers_no_witness_exactly_when_full_tomography_succeeds(tmp_pa
         if full == 0:
             reconstructs.append(eps)
     assert reconstructs == [1e-5, 3e-6, 1e-6, 3e-7]
+
+
+def test_unitality_and_the_channel_claim_are_right_on_the_panel(tmp_path, capsys):
+    # unitality needs the complete SIC measurement only, so it decides at every eps, also at
+    # eps = 0; 2e-7 and 2.5e-7 lie between the panel's 1.5e-7 and 3e-7, where the states'
+    # sigma_min/sigma_max crosses RANK_REL_TOL (at 1.5e-7 it is 6.3e-8, and that of
+    # C0^T - C^T 1.1e-7): a near-dependence of the states must not read as a fixed point
+    basis = bloch_basis(2)
+    _, povm = sic_qubit()
+    channels = {
+        "identity": (identity_channel(basis), "unital"),
+        "sigma_z": (unitary_channel(basis, np.diag([1.0, -1.0]).astype(complex)), "unital"),
+        "depolarizing(0.5)": (depolarizing_channel(basis, 0.5), "unital"),
+        "amplitude_damping(0.3)": (amplitude_damping_channel(basis, 0.3), "non-unital"),
+        "amplitude_damping(1)": (amplitude_damping_channel(basis, 1.0), "non-unital"),
+    }
+    scenario, cprime = tmp_path / "scenario.json", tmp_path / "cprime.json"
+    reconstructs, certifies = [], []
+    for eps in sorted(PANEL_EPS + (2.5e-7, 2e-7, 0.0), reverse=True):
+        states = _trine_panel_states(basis, eps)
+        scenario.write_text(json.dumps(scenario_to_json(Scenario(states=states, povm=povm))))
+        for name, (channel, truth) in channels.items():
+            cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=channel))
+            cprime.write_text(json.dumps(comm_matrix_to_json(cp)))
+            assert main(["properties", "--check", "unitality", "--scenario", str(scenario),
+                         "--cprime", str(cprime)]) == 0, (eps, name)
+            verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]["verdict"]
+            assert verdict == truth, (eps, name)
+        full = main(["tomography", "--mode", "full", "--scenario", str(scenario),
+                     "--cprime", str(cprime)])
+        capsys.readouterr()
+        assert full in (0, 3), eps
+        if full == 0:
+            reconstructs.append(eps)
+        c = comm_matrix(states, povm)
+        cp = comm_matrix_with_channel(
+            Scenario(states=states, povm=povm, channel=depolarizing_channel(basis, 0.9))
+        )
+        try:
+            cert = eb_certificate(c, cp, 2, l_max=4, claim="channel")
+        except AmbiguityError as exc:
+            assert str(exc).startswith("states span only 3 of 4 dimensions: "), eps
+        else:
+            assert cert.verdict == "certified-EB-implementable", eps
+            certifies.append(eps)
+    assert certifies == reconstructs == [1e-5, 3e-6, 1e-6, 3e-7, 2.5e-7]
+
+
+@pytest.mark.parametrize("channel, verdict, witness_trace", [
+    # the six states are linearly dependent: their dependences fix no operator
+    ("amplitude_damping(0.3)", "non-unital", None),
+    # they sum to 3 I, the witness
+    ("identity", "unital", 6.0),
+])
+def test_properties_unitality_on_dependent_states(tmp_path, channel, verdict, witness_trace):
+    scenario = tmp_path / "six.json"
+    assert main(["fixtures", "eb-six-state", "--out", str(scenario)]) == 0
+    doc = json.loads(scenario.read_text())
+    doc["channel"] = {"kind": "named", "name": channel}
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "unitality.json"
+    assert main(["properties", "--check", "unitality", "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]["verdict"]
+    assert result["verdict"] == verdict
+    witness = result["fixed_point_witness"]
+    if witness_trace is None:
+        assert witness is None
+    else:
+        entries = np.array(witness["entries"])[:, 0].reshape(2, 2)
+        assert np.abs(entries - witness_trace / 2.0 * np.eye(2)).max() < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -415,9 +515,7 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
     assert _subcommand_options() == {
         "analyze": sorted(run + ["--scenario", "--tol-rank"]),
         "tomography": sorted(run + ["--scenario", "--cprime", "--mode"]),
-        "properties": sorted(
-            run + ["--scenario", "--cprime", "--check", "--l-max", "--assume-povm-complete"]
-        ),
+        "properties": sorted(run + ["--scenario", "--cprime", "--check", "--l-max"]),
         "fixtures": ["--out", "name"],
     }
 

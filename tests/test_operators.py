@@ -602,7 +602,7 @@ def _array_field_objects():
         cm.self_test(c, 2),
         cm.robustness_gap(scenario),
         cm.construct_indistinguishable_pair(trine_states, trine_povm),
-        cm.detect_unitality(c, c0, c, 2, povm_complete=True),
+        cm.detect_unitality(c, c0, c, 2),
         cm.eb_certificate(c, c0, 2, l_max=1, restarts=1),
     ]
 

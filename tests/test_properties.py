@@ -6,6 +6,7 @@ import pytest
 from commat import (
     CommMatrix,
     Scenario,
+    amplitude_damping_channel,
     antidist_matrix,
     bloch_basis,
     choi_distance,
@@ -18,7 +19,7 @@ from commat import (
     dist_matrix,
     eb_certificate,
     eb_example,
-    kernel_shift,
+    identity_channel,
     measure_and_prepare_channel,
     nonnegative_factorization,
     numerical_rank,
@@ -181,35 +182,36 @@ class TestUnitalDifferentiation:
             unital_differentiation_condition(sic_qubit()[0], d)
 
 
-class TestKernelShift:
-    def test_equal_matrices_give_full_space(self):
-        states, povm = sic_qubit()
-        c = comm_matrix(states, povm)
-        basis_vectors = kernel_shift(c, c)
-        assert len(basis_vectors) == 4
+def _unitality(states, povm, channel, **kwargs):
+    """``detect_unitality`` on the set-up's C, its depolarized C0 and the C' of ``channel``."""
+    basis = states[0].basis
+    c = comm_matrix(states, povm)
+    c0, cp = (
+        comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch))
+        for ch in (completely_depolarizing_channel(basis), channel)
+    )
+    return detect_unitality(c, c0, cp, basis.dim, **kwargs)
+
+
+class TestUnitalityKernels:
+    def test_equal_matrices_give_full_space(self, basis2):
+        verdict = _unitality(*sic_qubit(), identity_channel(basis2))
+        assert len(verdict.kernel_basis) == 4
 
     def test_depolarizing_keeps_uniform_vector(self, basis2):
-        states, povm = sic_qubit()
-        c = comm_matrix(states, povm)
-        c0 = comm_matrix_with_channel(
-            Scenario(states=states, povm=povm, channel=completely_depolarizing_channel(basis2))
-        )
-        kernel = kernel_shift(c, c0)
+        kernel = _unitality(*sic_qubit(), identity_channel(basis2)).reference_kernel_basis
         assert len(kernel) == 1
         v = kernel[0]
         assert np.abs(np.abs(v) - 0.5).max() < 1e-10  # proportional to (1,1,1,1)
 
     def test_axis_states_trivial_kernel(self, basis2):
-        states = [
+        states = tuple(
             state_from_bloch(basis2, r)
             for r in (np.eye(3)[2], np.eye(3)[0], np.eye(3)[1])
-        ]
-        _, povm = sic_qubit()
-        c = comm_matrix(states, povm)
-        c0 = comm_matrix_with_channel(
-            Scenario(states=states, povm=povm, channel=completely_depolarizing_channel(basis2))
         )
-        assert kernel_shift(c, c0) == []
+        _, povm = sic_qubit()
+        verdict = _unitality(states, povm, identity_channel(basis2))
+        assert verdict.reference_kernel_basis == []
 
     def test_kernel_vectors_are_fixed_points(self, basis2, rng):
         # soundness in both directions for a unital channel on the SIC set-up
@@ -217,7 +219,7 @@ class TestKernelShift:
         c = comm_matrix(states, povm)
         ch = unitary_channel(basis2, SZ)
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=ch))
-        kernel = kernel_shift(c, cp)
+        kernel = _unitality(states, povm, ch).kernel_basis
         assert kernel, "sigma_z conjugation must fix some combination"
         from commat import apply_channel
 
@@ -228,6 +230,14 @@ class TestKernelShift:
         alpha = np.ones(4)  # sum of SIC states is the (fixed) identity
         diff = cp.entries.T - c.entries.T
         assert np.abs(diff @ alpha).max() < 1e-12
+
+
+def _dependent_setup(name):
+    """Set-ups whose states are linearly dependent, measured by a complete POVM."""
+    if name == "eb-six-state":
+        return eb_example()[:2]
+    states, povm = sic_qubit()
+    return states + (state_from_bloch(bloch_basis(2), np.array([0.0, 0.0, 0.5])),), povm
 
 
 class TestDetectUnitality:
@@ -245,18 +255,46 @@ class TestDetectUnitality:
         cp = comm_matrix_with_channel(
             Scenario(states=states, povm=povm, channel=unitary_channel(basis2, SZ))
         )
-        verdict = detect_unitality(c, c0, cp, 2, povm_complete=True, states=states)
+        verdict = detect_unitality(c, c0, cp, 2)
         assert verdict.verdict == "unital"
         w = verdict.fixed_point_witness
         assert w is not None
         assert np.abs(w - w[0, 0] * np.eye(2)).max() < 1e-8  # multiple of identity
+        # alpha is the all-ones vector, and the SIC states sum to 2 I
+        assert np.abs(w - 2.0 * np.eye(2)).max() < 1e-10
 
     def test_point_contraction_not_unital(self, sic_setup, basis2):
         states, povm, c, c0 = sic_setup
         xi = state_from_bloch(basis2, np.array([0.0, 0.0, 1.0]))
         contraction = measure_and_prepare_channel(validate_povm([np.eye(2)]), [xi])
         cp = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=contraction))
-        assert detect_unitality(c, c0, cp, 2, povm_complete=True).verdict == "non-unital"
+        assert detect_unitality(c, c0, cp, 2).verdict == "non-unital"
+
+    @pytest.mark.parametrize("setup", ["eb-six-state", "sic-qubit-plus-one"])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_dependent_states_read_amplitude_damping_as_non_unital(self, basis2, setup, gamma):
+        # the states' own dependences lie in both kernels and do not make the channel unital
+        verdict = _unitality(*_dependent_setup(setup), amplitude_damping_channel(basis2, gamma))
+        assert verdict.verdict == "non-unital"
+        assert verdict.fixed_point_witness is None
+
+    @pytest.mark.parametrize("setup", ["eb-six-state", "sic-qubit-plus-one"])
+    @pytest.mark.parametrize("name", ["identity", "sigma_z", "depolarizing(0.5)"])
+    def test_dependent_states_read_unital_channels_as_unital(self, basis2, setup, name):
+        channel = {
+            "identity": identity_channel(basis2),
+            "sigma_z": unitary_channel(basis2, SZ),
+            "depolarizing(0.5)": depolarizing_channel(basis2, 0.5),
+        }[name]
+        states, povm = _dependent_setup(setup)
+        verdict = _unitality(states, povm, channel)
+        assert verdict.verdict == "unital"
+        w = verdict.fixed_point_witness
+        trace = np.trace(w).real
+        assert trace > 1.0
+        assert np.abs(w - trace / 2.0 * np.eye(2)).max() < 1e-10
+        if setup == "eb-six-state":  # the six states sum to 3 I, which every unital channel fixes
+            assert np.abs(w - 3.0 * np.eye(2)).max() < 1e-10
 
     def test_case_i_reports_differentiating(self, basis2):
         states = tuple(
@@ -271,24 +309,26 @@ class TestDetectUnitality:
         cp = comm_matrix_with_channel(
             Scenario(states=states, povm=povm, channel=unitary_channel(basis2, SZ))
         )
-        verdict = detect_unitality(c, c0, cp, 2, povm_complete=True)
+        verdict = detect_unitality(c, c0, cp, 2)
         assert verdict.verdict == "undecidable"
         assert verdict.setup_unital_differentiating is True
 
     def test_bad_reference_rejected(self, sic_setup):
         states, povm, c, _ = sic_setup
         with pytest.raises(BadReferenceError):
-            detect_unitality(c, c, c, 2, povm_complete=True)
+            detect_unitality(c, c, c, 2)
 
-    def test_unasserted_completeness_rejected(self, basis2):
-        states, _ = trine_qubit()
-        povm = trine_qubit()[1]
+    def test_uncertified_completeness_or_bare_matrix_rejected(self, basis2):
+        states, povm = trine_qubit()
         c = comm_matrix(states, povm)
         c0 = comm_matrix_with_channel(
             Scenario(states=states, povm=povm, channel=completely_depolarizing_channel(basis2))
         )
-        with pytest.raises(PreconditionError):
-            detect_unitality(c, c0, c, 2, povm_complete=False)
+        # the implementation shows three effects, which span 3 of 4 dimensions
+        with pytest.raises(PreconditionError, match="^effects span only 3 of 4 dimensions: "):
+            detect_unitality(c, c0, c, 2)
+        with pytest.raises(PreconditionError, match="carries no implementation"):
+            detect_unitality(CommMatrix(entries=c.entries), c0, c, 2)
 
 
 class TestNonnegativeFactorization:
@@ -455,7 +495,7 @@ class TestEbCertificate:
         reference = completely_depolarizing_channel(bloch_basis(2))
         c0 = comm_matrix_with_channel(Scenario(states=states, povm=povm, channel=reference))
         for call in (lambda: eb_certificate(c, c, d, l_max=4),
-                     lambda: detect_unitality(c, c0, c, d, povm_complete=True)):
+                     lambda: detect_unitality(c, c0, c, d)):
             with pytest.raises(InvalidDimensionError, match="must be an integer"):
                 call()
 
@@ -861,7 +901,11 @@ class TestEbCertificate:
     def test_channel_claim_needs_complete_setup(self):
         states, povm = trine_qubit()
         c = comm_matrix(states, povm)
-        with pytest.raises(AmbiguityError):
+        with pytest.raises(AmbiguityError, match="^states span only 3 of 4 dimensions and "
+                           "effects span only 3 of 4 dimensions: only implementability"):
+            eb_certificate(c, c, 2, l_max=3, claim="channel")
+        c = comm_matrix(sic_qubit()[0], povm)
+        with pytest.raises(AmbiguityError, match="^effects span only 3 of 4 dimensions: "):
             eb_certificate(c, c, 2, l_max=3, claim="channel")
 
     def test_unknown_claim_is_a_validation_error(self):
